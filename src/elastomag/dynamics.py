@@ -19,7 +19,8 @@ The public per-term functions each transform their own inputs. The stepping
 hot path instead goes through the fused kernels (one forward transform per
 state variable, jacobians shared across terms, tendencies returned in
 Fourier space); both paths compose the same operations, so they agree to
-rounding.
+rounding. The schemes' magnetization flow calls _llg_hat directly, with the
+mask of its own projection.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import HExt, StateA, StateB, grad_potential, inverse_values
+from .fields import HExt, StateA, StateB, inverse_values
 from .spectral import (
     MatrixField,
     ScalarField,
@@ -37,9 +38,7 @@ from .spectral import (
     dealias_values,
     jacobian_from_hat,
     jacobian_values,
-    laplacian_values,
     leray_hat,
-    leray_values,
 )
 
 
@@ -144,24 +143,6 @@ def _llg_hat(
     return out
 
 
-def llg_explicit(
-    v: VectorField | None,
-    M: VectorField,
-    h_ext: HExt | VectorField | None = None,
-    t: float = 0.0,
-    dealias: bool = True,
-) -> VectorField:
-    """All magnetization tendency terms except the stiff Delta M."""
-    grid = M.grid
-    h = _h_values(h_ext, grid, t)
-    m_hat = grid.fft(M.values)
-    jac_m = jacobian_from_hat(grid, m_hat)
-    lap_m = grid.ifft(m_hat * (-grid.k_sq))
-    vv = None if v is None else v.values
-    hat = _llg_hat(grid, vv, M.values, jac_m, lap_m, h, _mask(grid, dealias))
-    return VectorField(grid, grid.ifft(hat))
-
-
 def llg_rhs(
     v: VectorField | None,
     M: VectorField,
@@ -196,15 +177,6 @@ def elastic_stress_div(F: MatrixField, dealias: bool = True) -> VectorField:
     tau = np.einsum("ik...,jk...->ij...", F.values, F.values)
     hat = _masked_fft(grid, tau, _mask(grid, dealias))
     return VectorField(grid, grid.ifft(_div_rows_hat(grid, hat)))
-
-
-def _grad_h_transpose_m(
-    grid: TorusGrid, h: np.ndarray, M: np.ndarray, dealias: bool
-) -> np.ndarray:
-    """((grad H)^T M)_i = (d_i H_k) M_k."""
-    jac = jacobian_values(grid, h)  # jac[k, i] = d_i H_k
-    out = np.einsum("ki...,k...->i...", jac, M)
-    return _dealias(grid, out, dealias)
 
 
 def _momentum_hat_A(
@@ -338,21 +310,6 @@ def _momentum_hat_B(
     )
     hat += grid.k_sq * psi_hat
     return hat
-
-
-def momentum_explicit_B(
-    v: VectorField, psi: VectorField, M: VectorField, dealias: bool = True
-) -> VectorField:
-    """Leray[-Delta psi - v.grad v + div g(grad psi) - div(grad M (.) grad M)]."""
-    grid = v.grid
-    psi_hat = grid.fft(psi.values)
-    jac_v = jacobian_values(grid, v.values)
-    jac_psi = jacobian_from_hat(grid, psi_hat)
-    jac_m = jacobian_values(grid, M.values)
-    hat = _momentum_hat_B(
-        grid, v.values, psi_hat, jac_v, jac_psi, jac_m, _mask(grid, dealias)
-    )
-    return VectorField(grid, grid.ifft(leray_hat(grid, hat)))
 
 
 def momentum_rhs_B(

@@ -9,6 +9,14 @@ frozen sources, a deformation update driven by the previous iterate, and a
 full magnetization solve with the previous iterate's velocity. Both come
 with convergence-study drivers that report the quantities the acceptance
 checks assert.
+
+Both families advance in time with the IMEX2 rule of the timestepper
+(timestepper._imex2, shared with step_A and step_B): _integrate_llg runs it
+on M alone with diffusivity 1 and the magnetization tendency of
+dynamics._llg_hat under the projection's mask, and the transported Picard
+deformation runs it on F with diffusivity kappa. The Picard velocity and
+frozen deformation stages use its Crank-Nicolson stage with sources known
+at the nodes.
 """
 
 from __future__ import annotations
@@ -19,7 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _advect, deformation_rhs, momentum_explicit_A
+from .dynamics import (
+    _deformation_hat,
+    _h_values,
+    _llg_hat,
+    _mask,
+    momentum_explicit_A,
+)
 from .energetics import (
     grad_sobolev_norm_sq,
     l2_norm_sq_modes,
@@ -33,14 +47,12 @@ from .spectral import (
     MatrixField,
     TorusGrid,
     VectorField,
-    dealias_values,
     divergence_values,
+    jacobian_from_hat,
     jacobian_values,
-    laplacian_values,
-    leray_values,
-    truncate_values,
+    leray_hat,
 )
-from .timestepper import IntegratorConfig, cn_diffusion_solve, implicit_diffusion_solve
+from .timestepper import IntegratorConfig, _cn_stage, _imex2, _step_count
 
 VProvider = Callable[[float], VectorField]
 
@@ -54,52 +66,34 @@ DET_TOL = 1e-6
 # --------------------------------------------------------------------------
 
 
-def _llg_explicit_mollified(
-    grid: TorusGrid,
-    m: np.ndarray,
-    v: np.ndarray | None,
-    h: np.ndarray | None,
-    apply_j: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """J[-v.grad M + Gamma M - M x (Delta M + H)] + H (everything but Delta M)."""
-    lap = laplacian_values(grid, m)
-    heff = lap if h is None else lap + h
-    jac = jacobian_values(grid, m)
-    gamma = np.einsum("ki...,ki...->...", jac, jac)
-    if h is not None:
-        gamma = gamma - np.einsum("k...,k...->...", m, h)
-    nonlinear = -np.cross(m, heff, axis=0) + gamma[np.newaxis] * m
-    if v is not None:
-        nonlinear -= _advect(grid, v, m, dealias=False)
-    out = apply_j(nonlinear)
-    if h is not None:
-        out = out + h
-    return out
-
-
 def _integrate_llg(
     grid: TorusGrid,
     m0: np.ndarray,
-    v_at: Callable[[int], np.ndarray | None],
-    h_at: Callable[[float], np.ndarray | None],
-    apply_j: Callable[[np.ndarray], np.ndarray],
+    v_at: Callable[[float], np.ndarray | None],
+    h_ext: HExt | None,
+    mask: np.ndarray | None,
     dt: float,
     n_steps: int,
     on_node: Callable[[int, float, np.ndarray], None],
 ) -> np.ndarray:
-    """Two-stage implicit-explicit integration of the magnetization flow.
+    """Integrate the magnetization flow with the shared IMEX2 rule.
 
-    Delta M is Crank-Nicolson, everything else trapezoidal-explicit; on_node
+    Delta M is Crank-Nicolson, everything else trapezoidal-explicit, with
+    the nonlinear terms truncated to mask (None: no truncation); on_node
     fires at every node including the initial one.
     """
+
+    def tendency(values, hats, t):
+        (m,), (m_hat,) = values, hats
+        jac = jacobian_from_hat(grid, m_hat)
+        lap = grid.ifft(m_hat * (-grid.k_sq))
+        return (_llg_hat(grid, v_at(t), m, jac, lap, _h_values(h_ext, grid, t), mask),)
+
     m = m0
     on_node(0, 0.0, m)
     for k in range(n_steps):
+        (m,) = _imex2(grid, (m,), (grid.fft(m),), k * dt, dt, tendency, (1.0,), (None,))
         t1 = (k + 1) * dt
-        n1 = _llg_explicit_mollified(grid, m, v_at(k), h_at(k * dt), apply_j)
-        m_star = implicit_diffusion_solve(grid, m + dt * n1, 1.0, dt)
-        n2 = _llg_explicit_mollified(grid, m_star, v_at(k + 1), h_at(t1), apply_j)
-        m = cn_diffusion_solve(grid, m, 0.5 * (n1 + n2), 1.0, dt)
         if not np.all(np.isfinite(m)):
             raise BlowUpError(t1)
         on_node(k + 1, t1, m)
@@ -147,29 +141,18 @@ def solve_llg_given_v(
     grid = M0.grid
     if sphere_residual(M0) > SPHERE_TOL:
         raise ValueError("initial magnetization must be unit length before truncation")
+    if cutoff is not None and cutoff <= 0:
+        raise ValueError(f"cutoff must be > 0, got {cutoff}")
     if cutoff is not None and cutoff > grid.n / 3.0:
         raise ValueError(f"cutoff {cutoff} exceeds the dealias bound n/3 = {grid.n / 3:g}")
 
-    if cutoff is None:
-        def apply_j(vals: np.ndarray) -> np.ndarray:
-            return dealias_values(grid, vals)
-    else:
-        def apply_j(vals: np.ndarray) -> np.ndarray:
-            return truncate_values(grid, vals, cutoff)
+    mask = grid.dealias_mask if cutoff is None else grid.k_sq <= cutoff * cutoff
 
-    def v_at(k: int) -> np.ndarray | None:
-        if v_provider is None:
-            return None
-        return v_provider(k * cfg.dt).values
+    def v_at(t: float) -> np.ndarray | None:
+        return None if v_provider is None else v_provider(t).values
 
-    def h_at(t: float) -> np.ndarray | None:
-        if h_ext is None:
-            return None
-        field = h_ext.evaluate(grid, t)
-        return None if field is None else field.values
-
-    m0_trunc = apply_j(M0.values)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    m0_trunc = grid.ifft(grid.fft(M0.values) * mask)
+    n_steps = _step_count(cfg.t_end, cfg.dt)
     times: list[float] = []
     e_eps: list[float] = []
     d_eps: list[float] = []
@@ -187,7 +170,7 @@ def solve_llg_given_v(
         if cfg.snapshot_every > 0 and (k % cfg.snapshot_every == 0 or k == n_steps):
             trajectory.append((t, VectorField(grid, m.copy())))
 
-    m_final = _integrate_llg(grid, m0_trunc, v_at, h_at, apply_j, cfg.dt, n_steps, on_node)
+    m_final = _integrate_llg(grid, m0_trunc, v_at, h_ext, mask, cfg.dt, n_steps, on_node)
     return MollifierRun(
         cutoff=cutoff,
         s=s,
@@ -342,7 +325,8 @@ def picard_iterate(
         raise ValueError("initial magnetization must be unit length")
 
     dt = cfg.dt
-    n_steps = int(round(T / dt))
+    n_steps = _step_count(T, dt)
+    mask = _mask(grid, dealias)
     nodes = n_steps + 1
     d = grid.dim
 
@@ -360,59 +344,60 @@ def picard_iterate(
 
     for n in range(1, n_max + 1):
         with _stage("velocity", n):
-            sources = np.empty_like(prev_v)
-            for k in range(nodes):
-                sources[k] = momentum_explicit_A(
-                    VectorField(grid, prev_v[k]),
-                    MatrixField(grid, prev_f[k]),
-                    VectorField(grid, prev_m[k]),
-                    params.h_ext,
-                    k * dt,
-                    dealias,
-                ).values
+
+            def source_hat(k: int) -> np.ndarray:
+                return grid.fft(
+                    momentum_explicit_A(
+                        VectorField(grid, prev_v[k]),
+                        MatrixField(grid, prev_f[k]),
+                        VectorField(grid, prev_m[k]),
+                        params.h_ext,
+                        k * dt,
+                        dealias,
+                    ).values
+                )
+
             new_v = np.empty_like(prev_v)
             new_v[0] = initial.v.values
+            n1 = source_hat(0)
             for k in range(n_steps):
-                avg = 0.5 * (sources[k] + sources[k + 1])
-                stepped = cn_diffusion_solve(grid, new_v[k], avg, params.nu, dt)
-                new_v[k + 1] = leray_values(grid, stepped)
+                n2 = source_hat(k + 1)
+                hat = _cn_stage(grid, grid.fft(new_v[k]), n1, n2, params.nu, dt)
+                new_v[k + 1] = grid.ifft(leray_hat(grid, hat))
+                n1 = n2
             if not np.all(np.isfinite(new_v)):
                 raise BlowUpError(T)
 
         with _stage("deformation", n):
+
+            def deformation_hat(v: np.ndarray, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
+                jac_v, jac_f = jacobian_values(grid, v), jacobian_from_hat(grid, f_hat)
+                return _deformation_hat(grid, v, f, jac_v, jac_f, mask)
+
             new_f = np.empty_like(prev_f)
             new_f[0] = initial.F.values
             if variant == "frozen":
-                rhs = np.empty_like(prev_f)
-                for k in range(nodes):
-                    rhs[k] = deformation_rhs(
-                        VectorField(grid, prev_v[k]),
-                        MatrixField(grid, prev_f[k]),
-                        0.0,
-                        dealias,
-                    ).values
+                n1 = deformation_hat(prev_v[0], prev_f[0], grid.fft(prev_f[0]))
                 for k in range(n_steps):
-                    avg = 0.5 * (rhs[k] + rhs[k + 1])
-                    new_f[k + 1] = cn_diffusion_solve(grid, new_f[k], avg, params.kappa, dt)
+                    n2 = deformation_hat(prev_v[k + 1], prev_f[k + 1], grid.fft(prev_f[k + 1]))
+                    hat = _cn_stage(grid, grid.fft(new_f[k]), n1, n2, params.kappa, dt)
+                    new_f[k + 1] = grid.ifft(hat)
+                    n1 = n2
             else:
+
+                def tendency(values, hats, t):
+                    return (deformation_hat(prev_v[round(t / dt)], values[0], hats[0]),)
+
                 for k in range(n_steps):
-                    r1 = deformation_rhs(
-                        VectorField(grid, prev_v[k]),
-                        MatrixField(grid, new_f[k]),
-                        0.0,
-                        dealias,
-                    ).values
-                    star = implicit_diffusion_solve(
-                        grid, new_f[k] + dt * r1, params.kappa, dt
-                    ) if params.kappa > 0 else new_f[k] + dt * r1
-                    r2 = deformation_rhs(
-                        VectorField(grid, prev_v[k + 1]),
-                        MatrixField(grid, star),
-                        0.0,
-                        dealias,
-                    ).values
-                    new_f[k + 1] = cn_diffusion_solve(
-                        grid, new_f[k], 0.5 * (r1 + r2), params.kappa, dt
+                    (new_f[k + 1],) = _imex2(
+                        grid,
+                        (new_f[k],),
+                        (grid.fft(new_f[k]),),
+                        k * dt,
+                        dt,
+                        tendency,
+                        (params.kappa,),
+                        (None,),
                     )
             if not np.all(np.isfinite(new_f)):
                 raise BlowUpError(T)
@@ -423,21 +408,12 @@ def picard_iterate(
             def on_node(k: int, t: float, m: np.ndarray) -> None:
                 new_m[k] = m
 
-            def h_at(t: float) -> np.ndarray | None:
-                if params.h_ext.is_zero:
-                    return None
-                field = params.h_ext.evaluate(grid, t)
-                return None if field is None else field.values
-
-            def apply_j(vals: np.ndarray) -> np.ndarray:
-                return dealias_values(grid, vals) if dealias else vals
-
             _integrate_llg(
                 grid,
                 initial.M.values.copy(),
-                lambda k: prev_v[k],
-                h_at,
-                apply_j,
+                lambda t: prev_v[round(t / dt)],
+                params.h_ext,
+                mask,
                 dt,
                 n_steps,
                 on_node,

@@ -20,7 +20,6 @@ from .energetics import grad_sobolev_norm_sq, laplacian_sobolev_norm_sq, sobolev
 from .fields import PhysParams, StateB, grad_potential
 from .spectral import (
     ScalarField,
-    TorusGrid,
     VectorField,
     divergence_values,
     mean_value,

@@ -276,6 +276,12 @@ class TestCli:
         assert main(["run", str(tmp_path / "none.json")]) == 2
         capsys.readouterr()
 
+    def test_t_end_off_the_time_grid_is_usage_error(self, tmp_path: Path, capsys) -> None:
+        config = write_config(tmp_path, dt=0.3, t_end=1.0)
+        assert main(["run", str(config)]) == 2
+        assert not (tmp_path / "diagnostics.csv").exists()
+        capsys.readouterr()
+
     def test_unknown_scenario_is_usage_error(self, tmp_path: Path, capsys) -> None:
         config = write_config(tmp_path)
         assert main(["scenario", "warp", str(config)]) == 2

@@ -1,0 +1,33 @@
+"""The benchmark's traced entry points still name callables in the package."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_entry_point_resolves_to_a_callable() -> None:
+    entry_points = load_tracing().ENTRY_POINTS
+    assert entry_points
+    missing = [
+        f"{ep.module}.{ep.attr}"
+        for ep in entry_points
+        if not (ep.module == "elastomag" or ep.module.startswith("elastomag."))
+        or not callable(getattr(importlib.import_module(ep.module), ep.attr, None))
+    ]
+    assert missing == []

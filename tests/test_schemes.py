@@ -79,6 +79,11 @@ class TestSolveLlgGivenV:
         with pytest.raises(ValueError):
             solve_llg_given_v(None, constant_m(grid2), None, grid2.n / 3.0 + 1.0, 2, cfg)
 
+    def test_rejects_nonpositive_cutoff(self, grid2: TorusGrid) -> None:
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+        with pytest.raises(ValueError, match="cutoff must be > 0"):
+            solve_llg_given_v(None, constant_m(grid2), None, 0.0, 2, cfg)
+
     def test_constant_magnetization_is_fixed(self, grid2: TorusGrid) -> None:
         m0 = constant_m(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
@@ -187,6 +192,11 @@ class TestPicardGuards:
             picard_iterate(
                 steady_circle_state(grid2), PARAMS, 0.01, 1, cfg, 2, variant="exotic"
             )
+
+    def test_rejects_horizon_off_the_time_grid(self, grid2: TorusGrid) -> None:
+        cfg = IntegratorConfig(dt=3e-3, t_end=0.009)
+        with pytest.raises(ValueError, match="multiple of dt"):
+            picard_iterate(steady_circle_state(grid2), PARAMS, 0.01, 1, cfg, 2)
 
 
 class TestPicardIteration:

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from elastomag.errors import CflError
-from elastomag.fields import HExt, PhysParams, StateA, StateB, identity_matrix_field
+from elastomag.fields import (
+    HExt,
+    PhysParams,
+    StateA,
+    StateB,
+    identity_matrix_field,
+    state_B_to_A,
+)
 from elastomag.harness import generate_initial_data
-from elastomag.spectral import TorusGrid, VectorField
+from elastomag.spectral import MatrixField, TorusGrid, VectorField
 from elastomag.timestepper import (
     IntegratorConfig,
-    cn_diffusion_solve,
-    implicit_diffusion_solve,
+    _cn_stage,
+    _implicit_stage,
     run,
     step_A,
     step_B,
@@ -28,16 +35,6 @@ def const_m(grid: TorusGrid, direction: tuple[float, float, float]) -> VectorFie
     return VectorField(grid, vals)
 
 
-def uniform_steady_A(grid: TorusGrid) -> StateA:
-    zero = np.zeros(grid.shape)
-    return StateA(
-        t=0.0,
-        v=vector(grid, zero, zero),
-        F=identity_matrix_field(grid),
-        M=const_m(grid, (0.0, 0.0, 1.0)),
-    )
-
-
 def circle_steady_A(grid: TorusGrid) -> StateA:
     zero = np.zeros(grid.shape)
     mvals = np.zeros((3,) + grid.shape)
@@ -51,14 +48,35 @@ def circle_steady_A(grid: TorusGrid) -> StateA:
     )
 
 
-def zero_state_B(grid: TorusGrid) -> StateB:
-    zero = np.zeros(grid.shape)
-    return StateB(
-        t=0.0,
-        v=vector(grid, zero, zero),
-        psi=vector(grid, zero, zero),
-        M=const_m(grid, (0.0, 0.0, 1.0)),
+def uniform_steady(grid: TorusGrid, formulation: str) -> StateA | StateB:
+    """Zero velocity, zero strain and constant magnetization in any dimension."""
+    zero = VectorField(grid, np.zeros((grid.dim,) + grid.shape))
+    m = const_m(grid, (0.0, 0.0, 1.0))
+    if formulation == "A":
+        return StateA(t=0.0, v=zero, F=identity_matrix_field(grid), M=m)
+    return StateB(t=0.0, v=zero, psi=zero, M=m)
+
+
+def max_state_change(a: StateA | StateB, b: StateA | StateB) -> float:
+    second = (a.F.values - b.F.values) if isinstance(a, StateA) else (a.psi.values - b.psi.values)
+    return max(
+        float(np.max(np.abs(a.v.values - b.v.values))),
+        float(np.max(np.abs(second))),
+        float(np.max(np.abs(a.M.values - b.M.values))),
     )
+
+
+def assert_formulations_agree(grid: TorusGrid) -> None:
+    """Matched small data stepped 20 times through A and through B."""
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0)
+    state_a = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5)
+    state_b = generate_initial_data(grid, "random_small", "B", amplitude=1e-2, seed=5)
+    for _ in range(20):
+        state_a = step_A(state_a, PARAMS, cfg)
+        state_b = step_B(state_b, PARAMS, cfg)
+    converted = state_B_to_A(state_b)
+    assert np.max(np.abs(converted.F.values - state_a.F.values)) <= 1e-6
+    assert np.max(np.abs(converted.v.values - state_a.v.values)) <= 1e-6
 
 
 PARAMS = PhysParams(nu=1.0, kappa=0.0, h_ext=HExt())
@@ -81,23 +99,35 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-3, t_end=1.0, scheme="euler")
 
+    def test_rejects_t_end_off_the_time_grid(self) -> None:
+        with pytest.raises(ValueError, match="multiple of dt"):
+            IntegratorConfig(dt=0.3, t_end=1.0)
+
+    def test_accepts_multiples_up_to_rounding(self, grid2: TorusGrid) -> None:
+        horizon = 0.1
+        IntegratorConfig(dt=horizon / 800, t_end=horizon)
+        cfg = IntegratorConfig(dt=0.1, t_end=0.3)  # 0.3 / 0.1 = 2.9999999999999996
+        result = run(uniform_steady(grid2, "A"), PARAMS, cfg)
+        assert result.status == "completed"
+        assert result.steps == 3
+
 
 class TestDiffusionSolves:
     def test_implicit_solve_damps_single_mode(self, grid2: TorusGrid) -> None:
         c, dt = 2.0, 0.1
         values = np.sin(grid2.x[0])
-        out = implicit_diffusion_solve(grid2, values, c, dt)
+        out = grid2.ifft(_implicit_stage(grid2, grid2.fft(values), 0.0, c, dt))
         assert np.max(np.abs(out - values / (1.0 + c * dt))) <= 1e-13
 
     def test_implicit_solve_keeps_constants(self, grid2: TorusGrid) -> None:
         values = np.full(grid2.shape, 1.5)
-        out = implicit_diffusion_solve(grid2, values, 2.0, 0.1)
+        out = grid2.ifft(_implicit_stage(grid2, grid2.fft(values), 0.0, 2.0, 0.1))
         assert np.max(np.abs(out - values)) <= 1e-13
 
     def test_crank_nicolson_single_mode(self, grid2: TorusGrid) -> None:
         c, dt = 1.0, 0.2
         values = np.sin(grid2.x[0])
-        out = cn_diffusion_solve(grid2, values, np.zeros(grid2.shape), c, dt)
+        out = grid2.ifft(_cn_stage(grid2, grid2.fft(values), 0.0, 0.0, c, dt))
         factor = (1.0 - 0.5 * c * dt) / (1.0 + 0.5 * c * dt)
         assert np.max(np.abs(out - factor * values)) <= 1e-13
 
@@ -105,7 +135,7 @@ class TestDiffusionSolves:
 class TestSteadyStates:
     def test_uniform_steady_state_100_steps(self, grid2: TorusGrid) -> None:
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0)
-        state = uniform_steady_A(grid2)
+        state = uniform_steady(grid2, "A")
         current = state
         for _ in range(100):
             current = step_A(current, PARAMS, cfg)
@@ -125,11 +155,21 @@ class TestSteadyStates:
 
     def test_zero_state_B_is_fixed_point(self, grid2: TorusGrid) -> None:
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0)
-        state = zero_state_B(grid2)
+        state = uniform_steady(grid2, "B")
         out = step_B(state, PARAMS, cfg)
         assert np.array_equal(out.v.values, state.v.values)
         assert np.array_equal(out.psi.values, state.psi.values)
         assert np.array_equal(out.M.values, state.M.values)
+
+    def test_uniform_steady_states_3d(self) -> None:
+        grid = TorusGrid(dim=3, n=16)
+        cfg = IntegratorConfig(dt=1e-3, t_end=1.0)
+        for formulation, stepper in (("A", step_A), ("B", step_B)):
+            state = uniform_steady(grid, formulation)
+            current = state
+            for _ in range(20):
+                current = stepper(current, PARAMS, cfg)
+            assert max_state_change(current, state) <= 1e-12
 
     def test_renormalization_keeps_unit_length(self, grid2: TorusGrid) -> None:
         from elastomag.fields import sphere_residual
@@ -139,6 +179,26 @@ class TestSteadyStates:
         for _ in range(5):
             state = step_A(state, PARAMS, cfg)
         assert sphere_residual(state.M) <= 1e-14
+
+
+class TestDeformationDiffusion:
+    def test_kappa_step_damps_a_stress_free_shear(self, grid2: TorusGrid) -> None:
+        # F = I + eps cos(x2) e1 (x) e1 has div(F F^T) = 0, so with v = 0 and a
+        # constant M only kappa Delta F acts, and one step is the CN factor.
+        eps, kappa, dt = 1e-2, 0.5, 1e-2
+        fvals = identity_matrix_field(grid2).values.copy()
+        fvals[0, 0] += eps * np.cos(grid2.x[1])
+        state = uniform_steady(grid2, "A")
+        state = StateA(t=0.0, v=state.v, F=MatrixField(grid2, fvals), M=state.M)
+        params = PhysParams(nu=1.0, kappa=kappa, h_ext=HExt())
+        out = step_A(state, params, IntegratorConfig(dt=dt, t_end=1.0))
+        factor = (1.0 - 0.5 * kappa * dt) / (1.0 + 0.5 * kappa * dt)
+        expected = np.zeros_like(fvals)
+        expected[0, 0] = eps * np.cos(grid2.x[1]) * factor
+        strain = out.F.values - identity_matrix_field(grid2).values
+        assert np.max(np.abs(strain - expected)) <= 1e-14
+        assert np.max(np.abs(out.v.values)) <= 1e-14
+        assert np.max(np.abs(out.M.values - state.M.values)) <= 1e-14
 
 
 class TestGuards:
@@ -169,7 +229,7 @@ class TestGuards:
         assert result.message
 
     def test_run_reports_blowup_on_nonfinite_values(self, grid2: TorusGrid) -> None:
-        state = uniform_steady_A(grid2)
+        state = uniform_steady(grid2, "A")
         poisoned = np.array(state.v.values)
         poisoned[0, 0, 0] = np.nan
         bad = StateA(t=0.0, v=VectorField(grid2, poisoned), F=state.F, M=state.M)
@@ -183,7 +243,7 @@ class TestRunLoop:
     def test_zero_horizon_emits_single_row(self, grid2: TorusGrid) -> None:
         records = []
         cfg = IntegratorConfig(dt=1e-3, t_end=0.0)
-        result = run(uniform_steady_A(grid2), PARAMS, cfg, diag_sink=records.append)
+        result = run(uniform_steady(grid2, "A"), PARAMS, cfg, diag_sink=records.append)
         assert result.status == "completed"
         assert result.steps == 0
         assert len(records) == 1
@@ -192,7 +252,7 @@ class TestRunLoop:
     def test_diag_cadence_includes_endpoints(self, grid2: TorusGrid) -> None:
         records = []
         cfg = IntegratorConfig(dt=1e-3, t_end=1e-2, diag_every=3)
-        result = run(uniform_steady_A(grid2), PARAMS, cfg, diag_sink=records.append)
+        result = run(uniform_steady(grid2, "A"), PARAMS, cfg, diag_sink=records.append)
         assert result.status == "completed"
         assert result.steps == 10
         times = [round(r.t / 1e-3) for r in records]
@@ -202,7 +262,7 @@ class TestRunLoop:
         snaps = []
         cfg = IntegratorConfig(dt=1e-3, t_end=1e-2, snapshot_every=5)
         run(
-            uniform_steady_A(grid2),
+            uniform_steady(grid2, "A"),
             PARAMS,
             cfg,
             snap_sink=lambda state, k: snaps.append(k),
@@ -213,7 +273,7 @@ class TestRunLoop:
         snaps = []
         cfg = IntegratorConfig(dt=1e-3, t_end=5e-3)
         run(
-            uniform_steady_A(grid2),
+            uniform_steady(grid2, "A"),
             PARAMS,
             cfg,
             snap_sink=lambda state, k: snaps.append(k),
@@ -222,22 +282,14 @@ class TestRunLoop:
 
     def test_final_time_stamp(self, grid2: TorusGrid) -> None:
         cfg = IntegratorConfig(dt=1e-3, t_end=7e-3)
-        result = run(uniform_steady_A(grid2), PARAMS, cfg)
+        result = run(uniform_steady(grid2, "A"), PARAMS, cfg)
         assert result.t_reached == pytest.approx(7e-3, rel=1e-12)
         assert result.state.t == pytest.approx(7e-3, rel=1e-12)
 
 
 class TestFormulationAgreement:
     def test_matched_small_data_stays_close(self) -> None:
-        from elastomag.fields import state_B_to_A
+        assert_formulations_agree(TorusGrid(dim=2, n=16))
 
-        grid = TorusGrid(dim=2, n=16)
-        cfg = IntegratorConfig(dt=1e-3, t_end=1.0)
-        state_a = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5)
-        state_b = generate_initial_data(grid, "random_small", "B", amplitude=1e-2, seed=5)
-        for _ in range(20):
-            state_a = step_A(state_a, PARAMS, cfg)
-            state_b = step_B(state_b, PARAMS, cfg)
-        converted = state_B_to_A(state_b)
-        assert np.max(np.abs(converted.F.values - state_a.F.values)) <= 1e-6
-        assert np.max(np.abs(converted.v.values - state_a.v.values)) <= 1e-6
+    def test_matched_small_data_stays_close_3d(self) -> None:
+        assert_formulations_agree(TorusGrid(dim=3, n=16))
