@@ -7,7 +7,7 @@ and the reformulated (v, psi, M) system whose elastic state is the
 potential of G = F^{-1} - I.
 
 Subpackage layout:
-    spectral     grid, FFT derivative/projection/truncation operators
+    spectral     grid, field containers, array-level FFT operators
     fields       state containers, parameters, geometric residuals
     dynamics     right-hand sides of both formulations
     energetics   Sobolev-norm functionals and diagnostic records

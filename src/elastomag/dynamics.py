@@ -1,7 +1,6 @@
 """Right-hand-side evaluation for both formulations.
 
-Every nonlinear term of the momentum / deformation / magnetization system is
-a separately testable operation. Index conventions:
+Index conventions:
 
     (grad v)_{ij}          = d_j v^i
     (div G)_i              = d_j G^{ji}
@@ -15,12 +14,14 @@ series, which keeps the two formulations algebraically equivalent up to
 rounding. The simplified coefficient choice (elastic energy (1/2)|F|^2,
 unit exchange/gyromagnetic/damping constants) is hard-coded.
 
-The public per-term functions each transform their own inputs. The stepping
-hot path instead goes through the fused kernels (one forward transform per
-state variable, jacobians shared across terms, tendencies returned in
-Fourier space); both paths compose the same operations, so they agree to
-rounding. The schemes' magnetization flow calls _llg_hat directly, with the
-mask of its own projection.
+There is one tendency implementation: the fused kernels _tendency_hats_A
+and _tendency_hats_B (one forward transform per state variable, jacobians
+shared across terms, tendencies returned in Fourier space). rhs_A and rhs_B
+add the stiff terms and return grid values; the steppers, stokes.w_diagnostic
+and the schemes call the kernels or their pieces (_momentum_hat_A,
+_deformation_hat, _llg_hat) directly. tests/oracles.py rebuilds every term
+from the PDE with the public spectral operators, as the independent
+reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ import numpy as np
 from .fields import HExt, StateA, StateB, inverse_values
 from .spectral import (
     MatrixField,
-    ScalarField,
     TorusGrid,
     VectorField,
-    dealias_values,
     jacobian_from_hat,
     jacobian_values,
     leray_hat,
@@ -60,10 +59,6 @@ class RhsB:
     dM: VectorField
 
 
-def _dealias(grid: TorusGrid, values: np.ndarray, enabled: bool) -> np.ndarray:
-    return dealias_values(grid, values) if enabled else values
-
-
 def _mask(grid: TorusGrid, enabled: bool) -> np.ndarray | None:
     return grid.dealias_mask if enabled else None
 
@@ -76,47 +71,17 @@ def _masked_fft(grid: TorusGrid, values: np.ndarray, mask: np.ndarray | None) ->
     return hat
 
 
-def _advect(grid: TorusGrid, v: np.ndarray, field: np.ndarray, dealias: bool) -> np.ndarray:
-    """(v . grad) field for a component stack; product dealiased."""
-    jac = jacobian_values(grid, field)
-    out = np.zeros_like(field)
-    spatial = (slice(None),) * grid.dim
-    for i in range(grid.dim):
-        out += v[i] * jac[(Ellipsis, i) + spatial]
-    return _dealias(grid, out, dealias)
-
-
 def _div_rows_hat(grid: TorusGrid, mat_hat: np.ndarray) -> np.ndarray:
     """(div G)_i = d_j G^{ji} as the mode sum sum_j i k_j Ghat^{ji}."""
     return np.einsum("j...,ji...->i...", 1j * grid.k, mat_hat)
 
 
-def _div_rows(grid: TorusGrid, mat: np.ndarray) -> np.ndarray:
-    """(div G)_i = d_j G^{ji}."""
-    return grid.ifft(_div_rows_hat(grid, grid.fft(mat)))
-
-
-def _h_values(h_ext: HExt | VectorField | None, grid: TorusGrid, t: float) -> np.ndarray | None:
-    """Normalize the external-field argument to a (3,)+shape array or None."""
+def _h_values(h_ext: HExt | None, grid: TorusGrid, t: float) -> np.ndarray | None:
+    """Sample the external field as a (3,)+shape array, or None if it is zero."""
     if h_ext is None:
         return None
-    if isinstance(h_ext, VectorField):
-        return h_ext.values
     sampled = h_ext.evaluate(grid, t)
     return None if sampled is None else sampled.values
-
-
-def lagrange_multiplier(
-    M: VectorField, h_ext: HExt | VectorField | None = None, t: float = 0.0
-) -> ScalarField:
-    """Gamma(M) = |grad M|^2 - M . H_ext with |grad M|^2 = sum_{i,k} (d_i M_k)^2."""
-    grid = M.grid
-    jac = jacobian_values(grid, M.values)
-    gamma = np.einsum("ki...,ki...->...", jac, jac)
-    h = _h_values(h_ext, grid, t)
-    if h is not None:
-        gamma = gamma - np.einsum("k...,k...->...", M.values, h)
-    return ScalarField(grid, gamma)
 
 
 def _llg_hat(
@@ -143,42 +108,6 @@ def _llg_hat(
     return out
 
 
-def llg_rhs(
-    v: VectorField | None,
-    M: VectorField,
-    h_ext: HExt | VectorField | None = None,
-    t: float = 0.0,
-    dealias: bool = True,
-) -> VectorField:
-    """-v.grad M + Delta M + H + Gamma(M) M - M x (Delta M + H)."""
-    grid = M.grid
-    h = _h_values(h_ext, grid, t)
-    m_hat = grid.fft(M.values)
-    jac_m = jacobian_from_hat(grid, m_hat)
-    lap_hat = m_hat * (-grid.k_sq)
-    lap_m = grid.ifft(lap_hat)
-    vv = None if v is None else v.values
-    hat = _llg_hat(grid, vv, M.values, jac_m, lap_m, h, _mask(grid, dealias)) + lap_hat
-    return VectorField(grid, grid.ifft(hat))
-
-
-def ericksen_stress_div(M: VectorField, dealias: bool = True) -> VectorField:
-    """Components d_j (d_i M_k d_j M_k) of div(grad M (.) grad M)."""
-    grid = M.grid
-    jac = jacobian_values(grid, M.values)  # jac[k, i] = d_i M_k
-    sigma = np.einsum("ki...,kj...->ij...", jac, jac)
-    hat = _masked_fft(grid, sigma, _mask(grid, dealias))
-    return VectorField(grid, grid.ifft(_div_rows_hat(grid, hat)))
-
-
-def elastic_stress_div(F: MatrixField, dealias: bool = True) -> VectorField:
-    """Components d_j (F^{ik} F^{jk}) of div(F F^T)."""
-    grid = F.grid
-    tau = np.einsum("ik...,jk...->ij...", F.values, F.values)
-    hat = _masked_fft(grid, tau, _mask(grid, dealias))
-    return VectorField(grid, grid.ifft(_div_rows_hat(grid, hat)))
-
-
 def _momentum_hat_A(
     grid: TorusGrid,
     v: np.ndarray,
@@ -201,47 +130,6 @@ def _momentum_hat_A(
     )
 
 
-def momentum_explicit_A(
-    v: VectorField,
-    F: MatrixField,
-    M: VectorField,
-    h_ext: HExt | VectorField | None = None,
-    t: float = 0.0,
-    dealias: bool = True,
-) -> VectorField:
-    """Leray[-v.grad v - div(grad M (.) grad M) + div(F F^T) + (grad H)^T M]."""
-    grid = v.grid
-    h = _h_values(h_ext, grid, t)
-    jac_v = jacobian_values(grid, v.values)
-    jac_m = jacobian_values(grid, M.values)
-    hat = _momentum_hat_A(
-        grid, v.values, F.values, M.values, jac_v, jac_m, h, _mask(grid, dealias)
-    )
-    return VectorField(grid, grid.ifft(leray_hat(grid, hat)))
-
-
-def momentum_rhs_A(
-    v: VectorField,
-    F: MatrixField,
-    M: VectorField,
-    h_ext: HExt | VectorField | None = None,
-    nu: float = 1.0,
-    t: float = 0.0,
-    dealias: bool = True,
-) -> VectorField:
-    """Full projected momentum tendency of formulation A, including nu Delta v."""
-    grid = v.grid
-    h = _h_values(h_ext, grid, t)
-    v_hat = grid.fft(v.values)
-    jac_v = jacobian_from_hat(grid, v_hat)
-    jac_m = jacobian_values(grid, M.values)
-    hat = _momentum_hat_A(
-        grid, v.values, F.values, M.values, jac_v, jac_m, h, _mask(grid, dealias)
-    )
-    hat += nu * (-grid.k_sq) * v_hat
-    return VectorField(grid, grid.ifft(leray_hat(grid, hat)))
-
-
 def _deformation_hat(
     grid: TorusGrid,
     v: np.ndarray,
@@ -256,20 +144,6 @@ def _deformation_hat(
     return _masked_fft(grid, combo, mask)
 
 
-def deformation_rhs(
-    v: VectorField, F: MatrixField, kappa: float = 0.0, dealias: bool = True
-) -> MatrixField:
-    """-v.grad F + (grad v) F + kappa Delta F."""
-    grid = v.grid
-    jac_v = jacobian_values(grid, v.values)  # jac_v[i, j] = d_j v^i = (grad v)_{ij}
-    f_hat = grid.fft(F.values)
-    jac_f = jacobian_from_hat(grid, f_hat)
-    hat = _deformation_hat(grid, v.values, F.values, jac_v, jac_f, _mask(grid, dealias))
-    if kappa != 0.0:
-        hat += kappa * (-grid.k_sq) * f_hat
-    return MatrixField(grid, grid.ifft(hat))
-
-
 def _g_values(grid: TorusGrid, g_vals: np.ndarray) -> np.ndarray:
     """g(G) = (I+G)^{-1} (I+G)^{-T} - I + G + G^T on raw (d, d) + shape values."""
     a = g_vals.copy()
@@ -282,14 +156,6 @@ def _g_values(grid: TorusGrid, g_vals: np.ndarray) -> np.ndarray:
     out += g_vals
     out += np.swapaxes(g_vals, 0, 1)
     return out
-
-
-def g_of_G(G: MatrixField) -> MatrixField:
-    """g(G) = (I+G)^{-1} (I+G)^{-T} - I + G + G^T by exact pointwise algebra.
-
-    Requires min |det(I+G)| >= 0.1; g(G) = O(|G|^2) for small G.
-    """
-    return MatrixField(G.grid, _g_values(G.grid, G.values))
 
 
 def _momentum_hat_B(
@@ -310,34 +176,6 @@ def _momentum_hat_B(
     )
     hat += grid.k_sq * psi_hat
     return hat
-
-
-def momentum_rhs_B(
-    v: VectorField,
-    psi: VectorField,
-    M: VectorField,
-    nu: float = 1.0,
-    dealias: bool = True,
-) -> VectorField:
-    """Full projected momentum tendency of formulation B (external field zero)."""
-    grid = v.grid
-    psi_hat = grid.fft(psi.values)
-    v_hat = grid.fft(v.values)
-    jac_v = jacobian_from_hat(grid, v_hat)
-    jac_psi = jacobian_from_hat(grid, psi_hat)
-    jac_m = jacobian_values(grid, M.values)
-    hat = _momentum_hat_B(
-        grid, v.values, psi_hat, jac_v, jac_psi, jac_m, _mask(grid, dealias)
-    )
-    hat += nu * (-grid.k_sq) * v_hat
-    return VectorField(grid, grid.ifft(leray_hat(grid, hat)))
-
-
-def psi_rhs(v: VectorField, psi: VectorField, dealias: bool = True) -> VectorField:
-    """-v - v.grad psi."""
-    grid = v.grid
-    out = -v.values - _advect(grid, v.values, psi.values, dealias)
-    return VectorField(grid, out)
 
 
 def _tendency_hats_A(

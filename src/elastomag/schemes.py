@@ -32,7 +32,7 @@ from .dynamics import (
     _h_values,
     _llg_hat,
     _mask,
-    momentum_explicit_A,
+    _momentum_hat_A,
 )
 from .energetics import (
     grad_sobolev_norm_sq,
@@ -346,16 +346,10 @@ def picard_iterate(
         with _stage("velocity", n):
 
             def source_hat(k: int) -> np.ndarray:
-                return grid.fft(
-                    momentum_explicit_A(
-                        VectorField(grid, prev_v[k]),
-                        MatrixField(grid, prev_f[k]),
-                        VectorField(grid, prev_m[k]),
-                        params.h_ext,
-                        k * dt,
-                        dealias,
-                    ).values
-                )
+                v, f, m = prev_v[k], prev_f[k], prev_m[k]
+                jac_v, jac_m = jacobian_values(grid, v), jacobian_values(grid, m)
+                h = _h_values(params.h_ext, grid, k * dt)
+                return leray_hat(grid, _momentum_hat_A(grid, v, f, m, jac_v, jac_m, h, mask))
 
             new_v = np.empty_like(prev_v)
             new_v[0] = initial.v.values

@@ -4,6 +4,13 @@ Fields are sampled on a uniform grid with n points per axis. Derivatives,
 the Leray projection, sharp frequency truncation and 2/3-rule dealiasing are
 all diagonal in Fourier space, hence exact (to rounding) on resolved modes.
 
+There is one operator API. It acts on raw arrays with arbitrary leading
+component axes: the *_values functions take and return grid samples, and
+the hat-level pieces (jacobian_from_hat, leray_hat and the grid's k, k_sq,
+inv_k_sq and dealias_mask multipliers) let callers chain Fourier
+multipliers on one transform without round trips. ScalarField, VectorField
+and MatrixField are plain shape-checked containers with no operators.
+
 All fields are real, so transforms use the half spectrum: the last axis keeps
 only the n//2 + 1 nonnegative frequencies and the conjugate modes are implied.
 The forward transform is the unnormalized DFT fhat(k) = sum_x f(x) exp(-i k.x)
@@ -187,37 +194,6 @@ class MatrixField:
 Field = ScalarField | VectorField | MatrixField
 
 
-def _wrap_like(field: Field, values: np.ndarray) -> Field:
-    return type(field)(field.grid, values)
-
-
-def field_hat(f: Field) -> np.ndarray:
-    """Half-spectrum transform of a field, cached on the instance.
-
-    Containers are frozen and no code path mutates values after
-    construction, so the cache cannot go stale. Treat the returned array
-    as read-only.
-    """
-    hat = getattr(f, "_hat", None)
-    if hat is None:
-        hat = f.grid.fft(f.values)
-        object.__setattr__(f, "_hat", hat)
-    return hat
-
-
-def _wrap_hat(kind: type, grid: TorusGrid, hat: np.ndarray) -> Field:
-    """Build a field from its transform, keeping the exact hat cached.
-
-    Chained Fourier-multiplier operations (derivative, projection,
-    truncation) then compose without forward/backward round trips, which
-    is what makes truncation exactly idempotent and multipliers exactly
-    commutative at the field level.
-    """
-    out = kind(grid, grid.ifft(hat))
-    object.__setattr__(out, "_hat", hat)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Array-level operators (arbitrary leading component axes)
 # --------------------------------------------------------------------------
@@ -273,90 +249,6 @@ def leray_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
     return hat - grid.k * dot
 
 
-def leray_values(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:
-    """Remove the gradient part: uhat -> uhat - k (k.uhat)/|k|^2; zero mode unchanged."""
-    return grid.ifft(leray_hat(grid, grid.fft(vec)))
-
-
-def truncate_values(grid: TorusGrid, values: np.ndarray, cutoff: float) -> np.ndarray:
-    """Zero all modes with |k| > cutoff (sharp Fourier ball truncation)."""
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    mask = grid.k_sq <= cutoff * cutoff
-    return grid.ifft(grid.fft(values) * mask)
-
-
-def dealias_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Zero all modes with any |k_i| > n/3 (2/3-rule guard for products)."""
-    return grid.ifft(grid.fft(values) * grid.dealias_mask)
-
-
 def l2_norm_sq_values(grid: TorusGrid, values: np.ndarray) -> float:
     """integral |f|^2 dx by the grid sum (cell volume times sum of squares)."""
     return float(grid.cell_volume * np.sum(values**2))
-
-
-def mode_l2_norm_sq_values(grid: TorusGrid, values: np.ndarray) -> float:
-    """integral |f|^2 dx by the weighted Parseval mode sum."""
-    hat = grid.fft(values)
-    total = np.sum(grid.mode_weight * (hat.real**2 + hat.imag**2))
-    return float(grid.volume / grid.n ** (2 * grid.dim) * total)
-
-
-def mean_value(grid: TorusGrid, values: np.ndarray) -> float:
-    return float(np.mean(values))
-
-
-# --------------------------------------------------------------------------
-# Field-level operations
-# --------------------------------------------------------------------------
-
-
-def derivative(f: ScalarField, m: tuple[int, ...]) -> ScalarField:
-    """m-th partial derivative of a scalar field, exact on band-limited fields."""
-    mult = _deriv_multiplier(f.grid, m)
-    return _wrap_hat(ScalarField, f.grid, field_hat(f) * mult)
-
-
-def laplacian(f: Field) -> Field:
-    return _wrap_hat(type(f), f.grid, field_hat(f) * (-f.grid.k_sq))
-
-
-def inverse_laplacian_zero_mean(f: ScalarField) -> ScalarField:
-    """Inverse Laplacian on zero-mean input; rejects input with |mean| > 1e-12."""
-    mean = mean_value(f.grid, f.values)
-    if abs(mean) > 1e-12:
-        raise ValueError(f"inverse Laplacian needs zero-mean input, got mean {mean:g}")
-    return _wrap_hat(ScalarField, f.grid, field_hat(f) * (-f.grid.inv_k_sq))
-
-
-def leray_project(u: VectorField) -> VectorField:
-    """Divergence-free part of u (pressure-gradient removal)."""
-    if u.ncomp != u.grid.dim:
-        raise ValueError(f"Leray projection needs {u.grid.dim} components, got {u.ncomp}")
-    return _wrap_hat(VectorField, u.grid, leray_hat(u.grid, field_hat(u)))
-
-
-def truncate(f: Field, cutoff: float) -> Field:
-    """Sharp Fourier truncation to the ball |k| <= cutoff; an exact projection."""
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    mask = f.grid.k_sq <= cutoff * cutoff
-    return _wrap_hat(type(f), f.grid, field_hat(f) * mask)
-
-
-def dealias(f: Field) -> Field:
-    """2/3-rule dealiasing applied to any field kind."""
-    return _wrap_hat(type(f), f.grid, field_hat(f) * f.grid.dealias_mask)
-
-
-def divergence(u: VectorField) -> ScalarField:
-    if u.ncomp != u.grid.dim:
-        raise ValueError(f"divergence needs {u.grid.dim} components, got {u.ncomp}")
-    hat = np.einsum("i...,i...->...", 1j * u.grid.k, field_hat(u))
-    return _wrap_hat(ScalarField, u.grid, hat)
-
-
-def l2_norm_sq(f: Field) -> float:
-    """integral |f|^2 dx, summed over components."""
-    return l2_norm_sq_values(f.grid, f.values)

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ericksen_stress_div, g_of_G, _advect, _dealias, _div_rows, momentum_rhs_B
+from . import dynamics
 from .energetics import grad_sobolev_norm_sq, laplacian_sobolev_norm_sq, sobolev_norm_sq
-from .fields import PhysParams, StateB, grad_potential
-from .spectral import (
-    ScalarField,
-    VectorField,
-    divergence_values,
-    mean_value,
-)
+from .fields import PhysParams, StateB
+from .spectral import ScalarField, VectorField, divergence_values, leray_hat
 
 MEAN_G_TOL = 1e-12
 
@@ -50,7 +45,7 @@ def solve_generalized_stokes(f: VectorField, g: ScalarField) -> StokesSolution:
         raise ValueError(f"forcing needs {grid.dim} components, got {f.ncomp}")
     if g.grid != grid:
         raise ValueError("forcing and divergence data live on different grids")
-    g_mean = mean_value(grid, g.values)
+    g_mean = float(np.mean(g.values))
     if abs(g_mean) > MEAN_G_TOL:
         raise ValueError(f"divergence data must have zero mean, got {g_mean:g}")
 
@@ -87,17 +82,22 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
 
     The forcing is f = -dt_v - v.grad v + div g(grad psi) - div(grad M (.)
     grad M) with dt_v the instantaneous projected momentum tendency, and
-    g = -div psi. The recovered w equals nu v - psi to rounding when v and
-    psi are zero-mean.
+    g = -div psi. Every term comes from one call to the fused kernel
+    dynamics._tendency_hats_B, whose unprojected momentum hat is
+    raw = -v.grad v + div g(grad psi) - div(grad M (.) grad M) + |k|^2 psihat;
+    so dt_v = Leray(raw - nu |k|^2 vhat) and f = raw - |k|^2 psihat - dt_v.
+    The recovered w equals nu v - psi to rounding when v and psi are
+    zero-mean.
     """
     if s < 2:
         raise ValueError(f"the diagnostic needs s >= 2, got {s}")
     grid = state.grid
-    dv = momentum_rhs_B(state.v, state.psi, state.M, params.nu, dealias)
-    f_vals = -dv.values - _advect(grid, state.v.values, state.v.values, dealias)
-    gmat = g_of_G(grad_potential(state.psi))
-    f_vals += _div_rows(grid, _dealias(grid, gmat.values, dealias))
-    f_vals -= ericksen_stress_div(state.M, dealias).values
+    (v_hat, psi_hat, _), (raw, _, _) = dynamics._tendency_hats_B(
+        grid, state.v.values, state.psi.values, state.M.values, dynamics._mask(grid, dealias)
+    )
+    dv_hat = leray_hat(grid, raw + params.nu * (-grid.k_sq) * v_hat)
+    dv = VectorField(grid, grid.ifft(dv_hat))
+    f_vals = grid.ifft(raw - grid.k_sq * psi_hat - dv_hat)
     g_vals = -divergence_values(grid, state.psi.values)
     sol = solve_generalized_stokes(VectorField(grid, f_vals), ScalarField(grid, g_vals))
 

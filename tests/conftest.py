@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from elastomag.spectral import MatrixField, ScalarField, TorusGrid, VectorField
+from elastomag.spectral import MatrixField, ScalarField, TorusGrid, VectorField, leray_hat
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +61,20 @@ def random_band_limited(
 
 def div_free_vector(grid: TorusGrid, rng: np.random.Generator, band: int = 2) -> VectorField:
     """Band-limited divergence-free velocity built from a stream potential."""
-    from elastomag.spectral import leray_values
-
     raw = random_band_limited(grid, rng, ncomp=grid.dim, band=band)
-    return VectorField(grid, leray_values(grid, raw))
+    return VectorField(grid, leray(grid, raw))
+
+
+def leray(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:
+    """Divergence-free part of a (dim,) + shape stack."""
+    return grid.ifft(leray_hat(grid, grid.fft(vec)))
+
+
+def truncate(grid: TorusGrid, values: np.ndarray, cutoff: float) -> np.ndarray:
+    """Sharp Fourier truncation to the ball |k| <= cutoff."""
+    return grid.ifft(grid.fft(values) * (grid.k_sq <= cutoff * cutoff))
+
+
+def dealiased(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """2/3-rule dealiasing: zero every mode with some |k_i| > n/3."""
+    return grid.ifft(grid.fft(values) * grid.dealias_mask)

@@ -19,6 +19,7 @@ from elastomag.energetics import (
     diagnostic_record,
     global_functionals,
     grad_sobolev_norm_sq,
+    l2_norm_sq_modes,
     local_functionals,
     multiindex_count,
     multiindices,
@@ -31,7 +32,6 @@ from elastomag.spectral import (
     TorusGrid,
     VectorField,
     deriv_values,
-    mode_l2_norm_sq_values,
 )
 
 from conftest import random_band_limited, vector
@@ -110,7 +110,7 @@ class TestSobolevNorms:
         f = random_band_limited(grid, rng, band=4)
         s = 2
         direct = sum(
-            mode_l2_norm_sq_values(grid, deriv_values(grid, f, m))
+            l2_norm_sq_modes(ScalarField(grid, deriv_values(grid, f, m)))
             for m in multiindices(grid.dim, s)
         )
         assert sobolev_norm_sq(ScalarField(grid, f), s) == pytest.approx(direct, rel=1e-12)

@@ -9,18 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastomag.fields import PhysParams, StateB
+from elastomag.energetics import grad_sobolev_norm_sq
+from elastomag.fields import PhysParams, StateB, grad_potential
 from elastomag.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    divergence,
+    divergence_values,
     laplacian_values,
     jacobian_values,
 )
 from elastomag.stokes import solve_generalized_stokes, w_diagnostic
 
 from conftest import div_free_vector, random_band_limited, vector
+from oracles import advect, ericksen_stress_div, g_of_G, momentum_rhs_B, stress_div
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -37,7 +39,7 @@ def residuals(
     momentum = -lap_w + grad_q - f.values
     # remove the mean of f (the zero mode of w is gauged away)
     momentum -= momentum.mean(axis=(-2, -1), keepdims=True)
-    mass = divergence(w).values - g.values
+    mass = divergence_values(grid, w.values) - g.values
     return float(np.max(np.abs(momentum))), float(np.max(np.abs(mass)))
 
 
@@ -136,19 +138,14 @@ class TestWDiagnostic:
 
     def test_recovered_w_matches_definition(self, grid2: TorusGrid) -> None:
         # reconstruct w = nu v - psi directly and compare with the solver
-        # output through the full forcing assembly
-        from elastomag.dynamics import ericksen_stress_div, g_of_G, momentum_rhs_B
-        from elastomag.dynamics import _advect, _dealias, _div_rows
-        from elastomag.fields import grad_potential
-        from elastomag.spectral import divergence_values
-
+        # output through the full forcing assembly, built from the term oracle
         nu = 0.9
         state = self._state(grid2, seed=11)
         grid = grid2
         dv = momentum_rhs_B(state.v, state.psi, state.M, nu)
-        f_vals = -dv.values - _advect(grid, state.v.values, state.v.values, True)
+        f_vals = -dv.values - advect(grid, state.v.values, state.v.values, True)
         gmat = g_of_G(grad_potential(state.psi))
-        f_vals += _div_rows(grid, _dealias(grid, gmat.values, True))
+        f_vals += stress_div(grid, gmat.values, True)
         f_vals -= ericksen_stress_div(state.M, True).values
         g_vals = -divergence_values(grid, state.psi.values)
         sol = solve_generalized_stokes(
@@ -156,3 +153,14 @@ class TestWDiagnostic:
         )
         w_direct = nu * state.v.values - state.psi.values
         assert np.max(np.abs(sol.w.values - w_direct)) <= 1e-8
+
+    @pytest.mark.parametrize("nu", [0.9, 1.0])
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_grad_w_hs_matches_definition(self, seed: int, n: int, nu: float) -> None:
+        # runs the diagnostic's own forcing assembly and solve
+        grid = TorusGrid(dim=2, n=n)
+        state = self._state(grid, seed=seed)
+        diag = w_diagnostic(state, PhysParams(nu=nu), 2)
+        w = VectorField(grid, nu * state.v.values - state.psi.values)
+        assert diag.grad_w_hs == pytest.approx(math.sqrt(grad_sobolev_norm_sq(w, 2)), rel=1e-10)
