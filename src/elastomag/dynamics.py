@@ -17,9 +17,10 @@ unit exchange/gyromagnetic/damping constants) is hard-coded.
 There is one tendency implementation: the fused kernels _tendency_hats_A
 and _tendency_hats_B (one forward transform per state variable, jacobians
 shared across terms, tendencies returned in Fourier space). rhs_A and rhs_B
-add the stiff terms and return grid values; the steppers, stokes.w_diagnostic
-and the schemes call the kernels or their pieces (_momentum_hat_A,
-_deformation_hat, _llg_hat) directly. tests/oracles.py rebuilds every term
+add the stiff terms and return grid values plus the kernel's hats, which
+timestepper.run hands from a record to the next step; the steppers,
+stokes.w_diagnostic and the schemes call the kernels or their pieces
+(_momentum_hat_A, _deformation_hat, _llg_hat) directly. tests/oracles.py rebuilds every term
 from the PDE with the public spectral operators, as the independent
 reference the kernels are tested against.
 """
@@ -43,20 +44,29 @@ from .spectral import (
 
 @dataclass(frozen=True, eq=False)
 class RhsA:
-    """Evaluated tendencies of formulation A; dv is divergence-free."""
+    """Evaluated tendencies of formulation A; dv is divergence-free.
+
+    rhs_A also keeps the state hats of (v, F, M) and the nonstiff stage-1
+    hats of _tendency_hats_A, the first IMEX2 stage of a step from this
+    state; both are None when built from grid values alone.
+    """
 
     dv: VectorField
     dF: MatrixField
     dM: VectorField
+    state_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    stage1_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class RhsB:
-    """Evaluated tendencies of formulation B; dv is divergence-free."""
+    """Evaluated tendencies of formulation B, with hats of (v, psi, M) as in RhsA."""
 
     dv: VectorField
     dpsi: VectorField
     dM: VectorField
+    state_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    stage1_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def _mask(grid: TorusGrid, enabled: bool) -> np.ndarray | None:
@@ -236,37 +246,34 @@ def _tendency_hats_B(
     return (v_hat, psi_hat, m_hat), (dv, dpsi, dm)
 
 
+def _with_stiff_terms(cls, second, grid: TorusGrid, hats: tuple, stage1: tuple, nu: float,
+                      kappa: float):
+    """Add the stiff diffusion to the kernel's stage-1 hats; return grid values and both hats."""
+    (v_hat, x_hat, m_hat), (dv, dx, dm) = hats, stage1
+    dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)
+    if kappa != 0.0:
+        dx = dx + kappa * (-grid.k_sq) * x_hat
+    dm = dm + (-grid.k_sq) * m_hat
+    values = (VectorField(grid, grid.ifft(dv)), second(grid, grid.ifft(dx)),
+              VectorField(grid, grid.ifft(dm)))
+    return cls(*values, state_hats=hats, stage1_hats=stage1)
+
+
 def rhs_A(state: StateA, nu: float, kappa: float = 0.0,
           h_ext: HExt | None = None, dealias: bool = True) -> RhsA:
     """All evaluated tendencies of formulation A at the state's time."""
     grid = state.grid
     h = _h_values(h_ext, grid, state.t)
-    hats, (dv, df, dm) = _tendency_hats_A(
+    hats, stage1 = _tendency_hats_A(
         grid, state.v.values, state.F.values, state.M.values, h, _mask(grid, dealias)
     )
-    v_hat, f_hat, m_hat = hats
-    dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)
-    if kappa != 0.0:
-        df = df + kappa * (-grid.k_sq) * f_hat
-    dm = dm + (-grid.k_sq) * m_hat
-    return RhsA(
-        dv=VectorField(grid, grid.ifft(dv)),
-        dF=MatrixField(grid, grid.ifft(df)),
-        dM=VectorField(grid, grid.ifft(dm)),
-    )
+    return _with_stiff_terms(RhsA, MatrixField, grid, hats, stage1, nu, kappa)
 
 
 def rhs_B(state: StateB, nu: float, dealias: bool = True) -> RhsB:
     """All evaluated tendencies of formulation B (external field zero)."""
     grid = state.grid
-    hats, (dv, dpsi, dm) = _tendency_hats_B(
+    hats, stage1 = _tendency_hats_B(
         grid, state.v.values, state.psi.values, state.M.values, _mask(grid, dealias)
     )
-    v_hat, _, m_hat = hats
-    dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)
-    dm = dm + (-grid.k_sq) * m_hat
-    return RhsB(
-        dv=VectorField(grid, grid.ifft(dv)),
-        dpsi=VectorField(grid, grid.ifft(dpsi)),
-        dM=VectorField(grid, grid.ifft(dm)),
-    )
+    return _with_stiff_terms(RhsB, VectorField, grid, hats, stage1, nu, 0.0)

@@ -21,33 +21,42 @@ Monitored functionals:
 
 The time derivatives entering the global functionals are the instantaneous
 right-hand-side evaluations (supplied as RhsB), never finite differences of
-the trajectory.
+the trajectory. In a run they are the first-stage evaluation of the next
+step: timestepper.run calls rhs_A/rhs_B once at a recorded state, the
+record reads it, and the step reuses its hats.
+
+Every norm is one weighted mode sum over |fhat|^2 (_hat_norm_sq). A record
+sums over the state hats that evaluation carries, forming each |fhat|^2 and
+each distinct norm once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
 from .dynamics import RhsA, RhsB, rhs_A, rhs_B
 from .fields import (
     F_to_G,
+    G_to_F,
     PhysParams,
     StateA,
     StateB,
     curl_residual,
     det_field,
     det_values,
-    grad_potential,
     identity_values,
     sphere_residual,
     state_B_to_A,
 )
-from .spectral import Field, ScalarField, TorusGrid, divergence_values
+from .spectral import (
+    Field, MatrixField, ScalarField, TorusGrid, divergence_from_hat, jacobian_from_hat
+)
 
-_WEIGHT_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def multiindices(d: int, s: int) -> list[tuple[int, ...]]:
@@ -81,100 +90,166 @@ def delta_default(nu: float, c0_hat: float, k_s: int) -> float:
     return min(0.25, nu**2 / (16.0 * c0_hat**2 * k_s**2))
 
 
+@cache
 def sobolev_weight(grid: TorusGrid, s: int) -> np.ndarray:
     """Mode multiplier sum_{|m| <= s} prod_i k_i^{2 m_i}, cached per (grid, s)."""
     if s < 0:
         raise ValueError(f"Sobolev order must be >= 0, got {s}")
-    key = (grid.dim, grid.n, s)
-    if key not in _WEIGHT_CACHE:
-        weight = np.zeros(grid.hat_shape)
-        for m in multiindices(grid.dim, s):
-            term = np.ones(grid.hat_shape)
-            for i, mi in enumerate(m):
-                if mi > 0:
-                    term = term * grid.k[i] ** (2 * mi)
-            weight += term
-        _WEIGHT_CACHE[key] = weight
-    return _WEIGHT_CACHE[key]
+    weight = np.zeros(grid.hat_shape)
+    for m in multiindices(grid.dim, s):
+        term = np.ones(grid.hat_shape)
+        for i, mi in enumerate(m):
+            if mi > 0:
+                term = term * grid.k[i] ** (2 * mi)
+        weight += term
+    return weight
 
 
-def _weighted_mode_sum(grid: TorusGrid, values: np.ndarray, weight: np.ndarray) -> float:
-    hat = grid.fft(values)
-    total = np.sum(weight * grid.mode_weight * (hat.real**2 + hat.imag**2))
+@cache
+def _mode_weight(grid: TorusGrid, s: int, power: int) -> np.ndarray:
+    """sobolev_weight(grid, s) * k_sq**power * mode_weight; k_sq**0 == 1 and
+    k_sq**1 == k_sq exactly, so each power gives the bits of the unshared weight."""
+    return sobolev_weight(grid, s) * grid.k_sq**power * grid.mode_weight
+
+
+def _hat_sq(hat: np.ndarray) -> np.ndarray:
+    """|hat|^2 per mode and component."""
+    return hat.real**2 + hat.imag**2
+
+
+def _hat_norm_sq(grid: TorusGrid, sq: np.ndarray, s: int, power: int = 0) -> float:
+    """||f||^2_{H^s}, ||grad f||^2_{H^s} or ||Delta f||^2_{H^s} (power 0, 1, 2)
+    from sq = |fhat|^2."""
+    total = np.sum(_mode_weight(grid, s, power) * sq)
     return float(grid.volume / grid.n ** (2 * grid.dim) * total)
+
+
+def _field_norm_sq(f: Field, s: int, power: int) -> float:
+    return _hat_norm_sq(f.grid, _hat_sq(f.grid.fft(f.values)), s, power)
 
 
 def sobolev_norm_sq(f: Field, s: int) -> float:
     """||f||^2_{H^s} summed over components."""
-    grid = f.grid
-    return _weighted_mode_sum(grid, f.values, sobolev_weight(grid, s))
+    return _field_norm_sq(f, s, 0)
 
 
 def grad_sobolev_norm_sq(f: Field, s: int) -> float:
     """||grad f||^2_{H^s} via the |k|^2-weighted mode sum (no gradient storage)."""
-    grid = f.grid
-    return _weighted_mode_sum(grid, f.values, sobolev_weight(grid, s) * grid.k_sq)
+    return _field_norm_sq(f, s, 1)
 
 
 def laplacian_sobolev_norm_sq(f: Field, s: int) -> float:
     """||Delta f||^2_{H^s} via the |k|^4-weighted mode sum."""
-    grid = f.grid
-    return _weighted_mode_sum(grid, f.values, sobolev_weight(grid, s) * grid.k_sq**2)
+    return _field_norm_sq(f, s, 2)
 
 
 def l2_norm_sq_modes(f: Field) -> float:
     """||f||^2_{L^2} via the plain Parseval mode sum."""
-    grid = f.grid
-    return _weighted_mode_sum(grid, f.values, np.ones(grid.hat_shape))
+    return _field_norm_sq(f, 0, 0)
+
+
+Norm = Callable[[str, int, int], float]
+
+
+def _norms(grid: TorusGrid, hats: dict[str, np.ndarray]) -> Norm:
+    """norm(name, s, power) over named hats, each distinct norm summed once."""
+    sq = {name: _hat_sq(hat) for name, hat in hats.items()}
+    done: dict[tuple[str, int, int], float] = {}
+
+    def norm(name: str, s: int, power: int = 0) -> float:
+        key = (name, s, power)
+        if key not in done:
+            done[key] = _hat_norm_sq(grid, sq[name], s, power)
+        return done[key]
+
+    return norm
+
+
+def _ffts(grid: TorusGrid, owner: object, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    return {name: grid.fft(getattr(owner, name).values) for name in names}
+
+
+def _basic(norm: Norm) -> float:
+    return 0.5 * (norm("v", 0) + norm("F", 0) + norm("M", 0, 1))
+
+
+def _local(norm: Norm, nu: float, s: int) -> tuple[float, float]:
+    e_s = norm("v", s) + norm("F", s) + norm("M", s, 1)
+    d_s = nu * norm("v", s, 1) + norm("M", s, 2)
+    return e_s, d_s
+
+
+def _global(norm: Norm, nu: float, s: int, delta: float) -> tuple[float, float]:
+    if s < 2:
+        raise ValueError(f"global functionals need s >= 2, got {s}")
+    e_glob = (
+        delta**2 * norm("v", s)
+        + norm("M", s, 1)
+        + delta * norm("psi", s, 1)
+        + norm("dv", s - 2)
+        + norm("dpsi", s - 2, 1)
+    )
+    d_glob = (
+        0.5 * delta**2 * nu * norm("v", s, 1)
+        + delta**2 * nu * norm("dpsi", s - 2, 1)
+        + 2.0 * norm("M", s, 2)
+        + delta / (2.0 * nu) * norm("psi", s, 1)
+        + nu * norm("dv", s - 2, 1)
+    )
+    return e_glob, d_glob
 
 
 def basic_energy(state: StateA | StateB) -> float:
     """(1/2)(||v||^2 + ||F||^2 + ||grad M||^2)_{L^2}; B states convert F on the fly."""
     a_state = state_B_to_A(state) if isinstance(state, StateB) else state
-    return 0.5 * (
-        l2_norm_sq_modes(a_state.v)
-        + l2_norm_sq_modes(a_state.F)
-        + grad_sobolev_norm_sq(a_state.M, 0)
-    )
+    return _basic(_norms(state.grid, _ffts(state.grid, a_state, ("v", "F", "M"))))
 
 
 def local_functionals(state: StateA, nu: float, s: int) -> tuple[float, float]:
     """(E_s, D_s) of the primitive formulation."""
-    e_s = (
-        sobolev_norm_sq(state.v, s)
-        + sobolev_norm_sq(state.F, s)
-        + grad_sobolev_norm_sq(state.M, s)
-    )
-    d_s = nu * grad_sobolev_norm_sq(state.v, s) + laplacian_sobolev_norm_sq(state.M, s)
-    return e_s, d_s
+    return _local(_norms(state.grid, _ffts(state.grid, state, ("v", "F", "M"))), nu, s)
 
 
 def global_functionals(
     state: StateB, rhs: RhsB, nu: float, s: int, delta: float
 ) -> tuple[float, float]:
     """(E_glob, D_glob) with dt v / dt psi supplied as evaluated tendencies."""
-    if s < 2:
-        raise ValueError(f"global functionals need s >= 2, got {s}")
-    e_glob = (
-        delta**2 * sobolev_norm_sq(state.v, s)
-        + grad_sobolev_norm_sq(state.M, s)
-        + delta * grad_sobolev_norm_sq(state.psi, s)
-        + sobolev_norm_sq(rhs.dv, s - 2)
-        + grad_sobolev_norm_sq(rhs.dpsi, s - 2)
-    )
-    d_glob = (
-        0.5 * delta**2 * nu * grad_sobolev_norm_sq(state.v, s)
-        + delta**2 * nu * grad_sobolev_norm_sq(rhs.dpsi, s - 2)
-        + 2.0 * laplacian_sobolev_norm_sq(state.M, s)
-        + delta / (2.0 * nu) * grad_sobolev_norm_sq(state.psi, s)
-        + nu * grad_sobolev_norm_sq(rhs.dv, s - 2)
-    )
-    return e_glob, d_glob
+    grid = state.grid
+    hats = _ffts(grid, state, ("v", "psi", "M")) | _ffts(grid, rhs, ("dv", "dpsi"))
+    return _global(_norms(grid, hats), nu, s, delta)
 
 
 # --------------------------------------------------------------------------
 # Constraint residual bundle and the diagnostic record
 # --------------------------------------------------------------------------
+
+
+def _residuals(state: StateA | StateB, v_hat: np.ndarray, psi_hat: np.ndarray | None = None,
+               G: np.ndarray | None = None, s: int | None = None) -> dict[str, float]:
+    """constraint_bundle from the state hats and, for B, G = grad psi; the
+    key_structure_ratio only when s is given."""
+    grid = state.grid
+    out: dict[str, float] = {}
+    out["sphere_res"] = sphere_residual(state.M)
+    out["div_v_res"] = float(np.max(np.abs(divergence_from_hat(grid, v_hat))))
+    if isinstance(state, StateA):
+        out["det_res"] = float(np.max(np.abs(det_field(state.F).values - 1.0)))
+        out["curl_res"] = curl_residual(F_to_G(state.F))
+        out["trG_vs_divpsi_res"] = 0.0
+        return out
+    det_ig = det_values(grid, G + identity_values(grid))
+    out["det_res"] = float(np.max(np.abs(1.0 / det_ig - 1.0)))
+    out["curl_res"] = curl_residual(MatrixField(grid, G))
+    trace = np.zeros(grid.shape)
+    for j in range(grid.dim):
+        trace += G[j, j]
+    div_psi = divergence_from_hat(grid, psi_hat)
+    out["trG_vs_divpsi_res"] = float(np.max(np.abs(div_psi - trace)))
+    if s is not None:
+        tr_norm = math.sqrt(sobolev_norm_sq(ScalarField(grid, trace), s))
+        gpsi_sq = _hat_norm_sq(grid, _hat_sq(psi_hat), s, 1)
+        out["key_structure_ratio"] = tr_norm / gpsi_sq if gpsi_sq > 0 else 0.0
+    return out
 
 
 def constraint_bundle(state: StateA | StateB, s: int = 2) -> dict[str, float]:
@@ -188,27 +263,11 @@ def constraint_bundle(state: StateA | StateB, s: int = 2) -> dict[str, float]:
     key_structure_ratio = ||tr G||_{H^s} / ||grad psi||^2_{H^s}.
     """
     grid = state.grid
-    out: dict[str, float] = {}
-    out["sphere_res"] = sphere_residual(state.M)
-    out["div_v_res"] = float(np.max(np.abs(divergence_values(grid, state.v.values))))
+    v_hat = grid.fft(state.v.values)
     if isinstance(state, StateA):
-        out["det_res"] = float(np.max(np.abs(det_field(state.F).values - 1.0)))
-        out["curl_res"] = curl_residual(F_to_G(state.F))
-        out["trG_vs_divpsi_res"] = 0.0
-    else:
-        G = grad_potential(state.psi)
-        det_ig = det_values(grid, G.values + identity_values(grid))
-        out["det_res"] = float(np.max(np.abs(1.0 / det_ig - 1.0)))
-        out["curl_res"] = curl_residual(G)
-        trace = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            trace += G.values[j, j]
-        div_psi = divergence_values(grid, state.psi.values)
-        out["trG_vs_divpsi_res"] = float(np.max(np.abs(div_psi - trace)))
-        tr_norm = math.sqrt(sobolev_norm_sq(ScalarField(grid, trace), s))
-        gpsi_sq = grad_sobolev_norm_sq(state.psi, s)
-        out["key_structure_ratio"] = tr_norm / gpsi_sq if gpsi_sq > 0 else 0.0
-    return out
+        return _residuals(state, v_hat)
+    psi_hat = grid.fft(state.psi.values)
+    return _residuals(state, v_hat, psi_hat, jacobian_from_hat(grid, psi_hat), s)
 
 
 @dataclass(frozen=True)
@@ -252,38 +311,32 @@ def diagnostic_record(
     """Assemble the full diagnostic row for one state.
 
     The tendency norms use instantaneous RHS evaluations; pass rhs to reuse
-    an evaluation already computed by the caller.
+    an evaluation already computed by the caller, and its state hats if any.
     """
-    bundle = constraint_bundle(state, s)
-    if isinstance(state, StateA):
-        if rhs is None:
+    grid = state.grid
+    is_a = isinstance(state, StateA)
+    if rhs is None:
+        if is_a:
             rhs = rhs_A(state, params.nu, params.kappa, params.h_ext, dealias)
-        e_s, d_s = local_functionals(state, params.nu, s)
-        e_glob, d_glob = 0.0, 0.0
-        dt_v = sobolev_norm_sq(rhs.dv, s - 2)
-        dt_psi = 0.0
-        e_b = basic_energy(state)
-    else:
-        if rhs is None:
+        else:
             rhs = rhs_B(state, params.nu, dealias)
-        a_state = state_B_to_A(state)
-        e_s, d_s = local_functionals(a_state, params.nu, s)
-        e_glob, d_glob = global_functionals(state, rhs, params.nu, s, delta)
-        dt_v = sobolev_norm_sq(rhs.dv, s - 2)
-        dt_psi = grad_sobolev_norm_sq(rhs.dpsi, s - 2)
-        e_b = basic_energy(a_state)
+    names = ("v", "F", "M") if is_a else ("v", "psi", "M")
+    hats = _ffts(grid, state, names) if rhs.state_hats is None else dict(zip(names, rhs.state_hats))
+    if is_a:
+        bundle = _residuals(state, hats["v"])
+    else:
+        G = jacobian_from_hat(grid, hats["psi"])
+        bundle = _residuals(state, hats["v"], hats["psi"], G)
+        hats["F"] = grid.fft(G_to_F(MatrixField(grid, G)).values)
+        hats["dpsi"] = grid.fft(rhs.dpsi.values)
+    hats["dv"] = grid.fft(rhs.dv.values)
+    norm = _norms(grid, hats)
+    e_s, d_s = _local(norm, params.nu, s)
+    if is_a:
+        e_glob, d_glob, dt_psi = 0.0, 0.0, 0.0
+    else:
+        e_glob, d_glob = _global(norm, params.nu, s, delta)
+        dt_psi = norm("dpsi", s - 2, 1)
     return DiagnosticRecord(
-        t=state.t,
-        e_basic=e_b,
-        e_s=e_s,
-        d_s=d_s,
-        e_global=e_glob,
-        d_global=d_glob,
-        dt_v_norm=dt_v,
-        dt_psi_norm=dt_psi,
-        sphere_res=bundle["sphere_res"],
-        det_res=bundle["det_res"],
-        curl_res=bundle["curl_res"],
-        div_v_res=bundle["div_v_res"],
-        trG_vs_divpsi_res=bundle["trG_vs_divpsi_res"],
+        state.t, _basic(norm), e_s, d_s, e_glob, d_glob, norm("dv", s - 2), dt_psi, **bundle
     )

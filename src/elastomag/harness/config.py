@@ -9,7 +9,7 @@ reproduce a run byte for byte, so nothing here is environment-dependent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -258,28 +258,4 @@ class SimulationConfig:
                 "component": self.h_ext.component,
                 "omega": self.h_ext.omega,
             }
-        return {
-            "dim": self.dim,
-            "n": self.n,
-            "nu": self.nu,
-            "kappa": self.kappa,
-            "h_ext": h,
-            "formulation": self.formulation,
-            "initial_data": self.initial_data,
-            "amplitude": self.amplitude,
-            "snapshot_path": self.snapshot_path,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "scheme": self.scheme,
-            "renormalize_m": self.renormalize_m,
-            "cfl_guard": self.cfl_guard,
-            "snapshot_every": self.snapshot_every,
-            "diag_every": self.diag_every,
-            "s": self.s,
-            "delta": self.delta,
-            "c0_hat": self.c0_hat,
-            "dealias": self.dealias,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "csv_name": self.csv_name,
-        }
+        return {f.name: h if f.name == "h_ext" else getattr(self, f.name) for f in fields(self)}

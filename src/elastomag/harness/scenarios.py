@@ -47,7 +47,7 @@ from ..stokes import solve_generalized_stokes
 from ..timestepper import RunResult, run
 from .config import SimulationConfig
 from .initial_data import generate_initial_data, random_trig_field
-from .snapshot import write_snapshot
+from .snapshot import _write_atomic, write_snapshot
 
 DECAY_STEP_SLACK = 1e-8
 DECAY_FINAL_RATIO = 0.9
@@ -93,7 +93,7 @@ class RunArtifacts:
 def _write_csv(path: Path, records: list[DiagnosticRecord]) -> None:
     lines = [CSV_HEADER]
     lines.extend(r.to_csv_row() for r in records)
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _suffixed(csv_name: str, suffix: str) -> str:
@@ -353,7 +353,7 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
         rows.extend(_picard_rows(prun, reference, config.s))
     csv_path = out_dir / config.csv_name
     header = "variant,iterate,diff,ratio,e_sup,d_int,div_v_res,sphere_res,distance_to_reference"
-    csv_path.write_text("\n".join([header, *rows]) + "\n")
+    _write_atomic(csv_path, ("\n".join([header, *rows]) + "\n").encode())
 
     frozen = reports["frozen"]
     max_ratio = max(frozen.ratios) if frozen.ratios else math.inf
@@ -424,7 +424,7 @@ def _mollifier_study(config: SimulationConfig) -> tuple[list[Check], dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / config.csv_name
     header = "cutoff,sup_e_eps,max_d_eps,e_eps_final,diff_to_next"
-    csv_path.write_text("\n".join([header, *_mollifier_rows(report)]) + "\n")
+    _write_atomic(csv_path, ("\n".join([header, *_mollifier_rows(report)]) + "\n").encode())
 
     drops = report.drop_factors
     min_drop = min(drops) if drops else math.inf
@@ -602,5 +602,5 @@ def run_scenario(name: str, config: SimulationConfig) -> tuple[int, Path, dict]:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     verdict_path = out_dir / "verdict.json"
-    verdict_path.write_text(json.dumps(verdict, indent=2) + "\n")
+    _write_atomic(verdict_path, (json.dumps(verdict, indent=2) + "\n").encode())
     return (0 if verdict["pass"] else 1), verdict_path, verdict

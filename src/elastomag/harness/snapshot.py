@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,16 @@ def _layout(dim: int, formulation: str) -> list[tuple[str, int]]:
     if formulation == "A":
         return [("v", dim), ("F", dim * dim), ("M", 3)]
     return [("v", dim), ("psi", dim), ("M", 3)]
+
+
+def _write_atomic(path: str | Path, data: bytes) -> None:
+    """Write beside path, then rename over it: a failed write leaves no partial file."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_snapshot(state: StateA | StateB, path: str | Path) -> None:
@@ -53,7 +64,7 @@ def write_snapshot(state: StateA | StateB, path: str | Path) -> None:
     }
     parts = [json.dumps(header, separators=(",", ":")).encode("ascii"), b"\n"]
     parts.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays)
-    Path(path).write_bytes(b"".join(parts))
+    _write_atomic(path, b"".join(parts))
 
 
 def _expect_int(header: dict, key: str) -> int:

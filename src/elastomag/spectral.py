@@ -238,7 +238,11 @@ def inverse_laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 def divergence_values(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:
     """sum_i d_i vec[i] for a (dim,) + shape stack."""
-    hat = grid.fft(vec)
+    return divergence_from_hat(grid, grid.fft(vec))
+
+
+def divergence_from_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
+    """Divergence values from an already transformed (dim,) + hat_shape stack."""
     return grid.ifft(np.einsum("i...,i...->...", 1j * grid.k, hat))
 
 

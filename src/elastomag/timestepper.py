@@ -26,6 +26,11 @@ per field. A diffusivity of 0 makes a field purely explicit. Three callers
 share it: step_A (diffusivities nu, kappa, 1 for v, F, M), step_B (nu, 0, 1
 for v, psi, M) and schemes._integrate_llg (M alone, diffusivity 1); the
 Picard stages in schemes reuse its stage helpers.
+
+run shares one right-hand-side evaluation between a diagnostic record and
+the next step: at a recorded state it calls dynamics.rhs_A/rhs_B once, the
+record reads it, and the step takes its state hats and nonstiff tendency
+hats as its first stage (_imex2's n1), which they equal bit for bit.
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ class IntegratorConfig:
             raise ValueError(f"cfl_guard must be in (0, 1], got {self.cfl_guard}")
         if self.scheme != "imex2":
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.diag_every < 1:
+            raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
 
 
 @dataclass(frozen=True)
@@ -139,18 +148,21 @@ def _imex2(
     tendency: Callable[..., tuple[np.ndarray, ...]],
     diffusivities: tuple[float, ...],
     posts: tuple[Callable[[TorusGrid, np.ndarray], np.ndarray] | None, ...],
+    n1: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """One IMEX2 step of a set of fields; returns the new values.
 
     tendency(values, hats, t) gives the nonstiff tendency hats of every
     field. Field i diffuses with diffusivities[i] (0: none), and posts[i]
-    (None: identity) is applied to its hat after each stage.
+    (None: identity) is applied to its hat after each stage. n1, when
+    given, is tendency(values, hats, t0) already evaluated.
     """
 
     def post(hat: np.ndarray, op) -> np.ndarray:
         return hat if op is None else op(grid, hat)
 
-    n1 = tendency(values, hats, t0)
+    if n1 is None:
+        n1 = tendency(values, hats, t0)
     stars = tuple(
         post(_implicit_stage(grid, h, n, c, dt), op)
         for h, n, c, op in zip(hats, n1, diffusivities, posts)
@@ -162,71 +174,63 @@ def _imex2(
     )
 
 
-def step_A(
-    state: StateA, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True
-) -> StateA:
-    """Advance a primitive-formulation state by one dt."""
+def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool,
+          rhs: dynamics.RhsA | dynamics.RhsB | None) -> StateA | StateB:
+    """One IMEX2 step of either formulation. rhs, if it carries hats, is rhs_A/rhs_B
+    of this state with the same params and dealias, and supplies the first stage."""
     _check_cfl(state, cfg)
     grid = state.grid
     mask = dynamics._mask(grid, dealias)
+    if isinstance(state, StateA):
+        second = state.F.values
+        diffusivities, posts = (params.nu, params.kappa, 1.0), (leray_hat, None, None)
 
-    def tendency(values, hats, t):
-        h = dynamics._h_values(params.h_ext, grid, t)
-        return dynamics._tendency_hats_A(grid, *values, h, mask, state_hats=hats)[1]
+        def tendency(values, hats, t):
+            h = dynamics._h_values(params.h_ext, grid, t)
+            return dynamics._tendency_hats_A(grid, *values, h, mask, state_hats=hats)[1]
+    else:
+        second = state.psi.values
+        diffusivities, posts = (params.nu, 0.0, 1.0), (leray_hat, _gauge_hat, None)
 
-    values = (state.v.values, state.F.values, state.M.values)
-    v_new, f_new, m_new = _imex2(
-        grid,
-        values,
-        tuple(grid.fft(x) for x in values),
-        state.t,
-        cfg.dt,
-        tendency,
-        (params.nu, params.kappa, 1.0),
-        (leray_hat, None, None),
+        def tendency(values, hats, t):
+            return dynamics._tendency_hats_B(grid, *values, mask, state_hats=hats)[1]
+
+    values = (state.v.values, second, state.M.values)
+    if rhs is None or rhs.stage1_hats is None:
+        hats, n1 = tuple(grid.fft(x) for x in values), None
+    else:
+        hats, n1 = rhs.state_hats, rhs.stage1_hats
+    v_new, second_new, m_new = _imex2(
+        grid, values, hats, state.t, cfg.dt, tendency, diffusivities, posts, n1
     )
     new_m = VectorField(grid, m_new)
     if cfg.renormalize_m:
         new_m = renormalize_M(new_m)
     t1 = state.t + cfg.dt
-    new = StateA(t=t1, v=VectorField(grid, v_new), F=MatrixField(grid, f_new), M=new_m)
+    v = VectorField(grid, v_new)
+    if isinstance(state, StateA):
+        new = StateA(t=t1, v=v, F=MatrixField(grid, second_new), M=new_m)
+    else:
+        new = StateB(t=t1, v=v, psi=VectorField(grid, second_new), M=new_m)
     _check_finite(new, t1)
     return new
 
 
-def step_B(
-    state: StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True
-) -> StateB:
-    """Advance a reformulated-system state by one dt.
+def step_A(state: StateA, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True,
+           _rhs: dynamics.RhsA | None = None) -> StateA:
+    """Advance a primitive-formulation state by one dt; v, F and M diffuse with
+    nu, kappa and 1. _rhs is rhs_A of this state, reused as the first stage."""
+    return _step(state, params, cfg, dealias, _rhs)
+
+
+def step_B(state: StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True,
+           _rhs: dynamics.RhsB | None = None) -> StateB:
+    """Advance a reformulated-system state by one dt; _rhs as in step_A.
 
     psi has no implicit part (the -Delta psi coupling in the momentum
     equation is explicit); v is implicit in nu Delta v, M in Delta M.
     """
-    _check_cfl(state, cfg)
-    grid = state.grid
-    mask = dynamics._mask(grid, dealias)
-
-    def tendency(values, hats, t):
-        return dynamics._tendency_hats_B(grid, *values, mask, state_hats=hats)[1]
-
-    values = (state.v.values, state.psi.values, state.M.values)
-    v_new, p_new, m_new = _imex2(
-        grid,
-        values,
-        tuple(grid.fft(x) for x in values),
-        state.t,
-        cfg.dt,
-        tendency,
-        (params.nu, 0.0, 1.0),
-        (leray_hat, _gauge_hat, None),
-    )
-    new_m = VectorField(grid, m_new)
-    if cfg.renormalize_m:
-        new_m = renormalize_M(new_m)
-    t1 = state.t + cfg.dt
-    new = StateB(t=t1, v=VectorField(grid, v_new), psi=VectorField(grid, p_new), M=new_m)
-    _check_finite(new, t1)
-    return new
+    return _step(state, params, cfg, dealias, _rhs)
 
 
 def run(
@@ -243,21 +247,29 @@ def run(
 
     Terminates at t_end or on a numerical error; the result carries the
     reached time (the empirical lifespan) and a status string instead of
-    raising, so callers can report blow-up cleanly.
+    raising, so callers can report blow-up cleanly. A recorded state's
+    right-hand side serves its record and the next step's first stage.
     """
-    stepper = step_A if isinstance(state, StateA) else step_B
+    is_a = isinstance(state, StateA)
+    stepper = step_A if is_a else step_B
     n_steps = _step_count(cfg.t_end, cfg.dt)
 
-    def emit(st: StateA | StateB) -> None:
-        if diag_sink is not None:
-            diag_sink(diagnostic_record(st, params, s, delta, dealias))
+    def emit(st: StateA | StateB) -> dynamics.RhsA | dynamics.RhsB | None:
+        if diag_sink is None:
+            return None
+        if is_a:
+            rhs = dynamics.rhs_A(st, params.nu, params.kappa, params.h_ext, dealias)
+        else:
+            rhs = dynamics.rhs_B(st, params.nu, dealias)
+        diag_sink(diagnostic_record(st, params, s, delta, dealias, rhs))
+        return rhs
 
-    emit(state)
+    rhs = emit(state)
     if snap_sink is not None and cfg.snapshot_every > 0:
         snap_sink(state, 0)
     for k in range(1, n_steps + 1):
         try:
-            state = stepper(state, params, cfg, dealias)
+            state = stepper(state, params, cfg, dealias, rhs)
         except NumericalError as err:
             if isinstance(err, BlowUpError):
                 status = "blowup"
@@ -267,8 +279,9 @@ def run(
                 status = "numerical_guard"
             return RunResult(state, state.t, status, k - 1, str(err))
         state = replace(state, t=k * cfg.dt)
+        rhs = None
         if k % cfg.diag_every == 0 or k == n_steps:
-            emit(state)
+            rhs = emit(state)
         if snap_sink is not None and cfg.snapshot_every > 0 and (
             k % cfg.snapshot_every == 0 or k == n_steps
         ):

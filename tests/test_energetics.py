@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastomag.dynamics import RhsB
+from elastomag.dynamics import RhsB, rhs_B
 from elastomag.energetics import (
     CSV_HEADER,
     DiagnosticRecord,
+    _hat_norm_sq,
+    _hat_sq,
     basic_energy,
     constraint_bundle,
     delta_default,
@@ -20,10 +22,12 @@ from elastomag.energetics import (
     global_functionals,
     grad_sobolev_norm_sq,
     l2_norm_sq_modes,
+    laplacian_sobolev_norm_sq,
     local_functionals,
     multiindex_count,
     multiindices,
     sobolev_norm_sq,
+    sobolev_weight,
 )
 from elastomag.fields import HExt, PhysParams, StateA, StateB, identity_matrix_field
 from elastomag.spectral import (
@@ -34,7 +38,7 @@ from elastomag.spectral import (
     deriv_values,
 )
 
-from conftest import random_band_limited, vector
+from conftest import div_free_vector, random_band_limited, vector
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PI_SQ = math.pi**2
@@ -114,6 +118,34 @@ class TestSobolevNorms:
             for m in multiindices(grid.dim, s)
         )
         assert sobolev_norm_sq(ScalarField(grid, f), s) == pytest.approx(direct, rel=1e-12)
+
+
+class TestHatNorms:
+    """The hat-level mode sum behind every norm and functional."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "matrix"])
+    def test_matches_the_field_norms_exactly(self, dim: int, kind: str) -> None:
+        grid = TorusGrid(dim=dim, n=16 if dim == 2 else 8)
+        rng = np.random.default_rng(dim)
+        if kind == "scalar":
+            field = ScalarField(grid, rng.standard_normal(grid.shape))
+        elif kind == "vector":
+            field = VectorField(grid, rng.standard_normal((3,) + grid.shape))
+        else:
+            field = MatrixField(grid, rng.standard_normal((dim, dim) + grid.shape))
+        hat = grid.fft(field.values)
+        sq = _hat_sq(hat)
+        scale = grid.volume / grid.n ** (2 * dim)
+        norms = (sobolev_norm_sq, grad_sobolev_norm_sq, laplacian_sobolev_norm_sq)
+        for s in range(4):
+            for power, norm in enumerate(norms):
+                weight = sobolev_weight(grid, s) * grid.k_sq**power
+                parseval = float(
+                    scale * np.sum(weight * grid.mode_weight * (hat.real**2 + hat.imag**2))
+                )
+                assert _hat_norm_sq(grid, sq, s, power) == norm(field, s) == parseval
+        assert _hat_norm_sq(grid, sq, 0) == l2_norm_sq_modes(field)
 
 
 class TestLocalFunctionals:
@@ -325,3 +357,15 @@ class TestDiagnosticRecord:
         )
         rec_b = diagnostic_record(state_b, params, s=2, delta=0.1)
         assert rec_b.e_basic == pytest.approx(0.5 * 2.0 * (2 * math.pi) ** 2, rel=1e-13)
+
+    def test_rhs_without_hats_gives_the_same_row(self, grid2: TorusGrid) -> None:
+        rng = np.random.default_rng(3)
+        psi = VectorField(grid2, 0.05 * random_band_limited(grid2, rng, ncomp=2, band=2))
+        state = StateB(t=0.0, v=div_free_vector(grid2, rng), psi=psi,
+                       M=const_m(grid2, (0.0, 0.0, 1.0)))
+        params = PhysParams(nu=0.8)
+        rhs = rhs_B(state, params.nu)
+        values_only = RhsB(dv=rhs.dv, dpsi=rhs.dpsi, dM=rhs.dM)
+        with_hats = diagnostic_record(state, params, s=2, delta=0.1, rhs=rhs)
+        assert values_only.state_hats is None
+        assert diagnostic_record(state, params, s=2, delta=0.1, rhs=values_only) == with_hats

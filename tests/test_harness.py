@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from elastomag.harness import (
     write_snapshot,
 )
 from elastomag.harness.cli import main
+from elastomag.harness.scenarios import _write_csv
 from elastomag.spectral import TorusGrid, divergence_values
 
 from oracles import momentum_rhs_A
@@ -236,6 +238,34 @@ class TestSnapshot:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(SnapshotError, match="trailing"):
             load_snapshot(path)
+
+
+class TestAtomicWrites:
+    """A failed write keeps the previous file and leaves no temporary behind."""
+
+    @staticmethod
+    def _failing_replace(src, dst) -> None:
+        raise OSError("simulated failure at rename")
+
+    def test_failed_snapshot_write_keeps_the_old_file(self, grid2, tmp_path, monkeypatch) -> None:
+        path = tmp_path / "state.snap"
+        write_snapshot(generate_initial_data(grid2, "zero_steady", "A"), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "replace", self._failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            write_snapshot(generate_initial_data(grid2, "random_small", "A", seed=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.snap"]
+
+    def test_failed_csv_write_keeps_the_old_file(self, tmp_path, monkeypatch) -> None:
+        artifacts = run_simulation(tiny_config(tmp_path))
+        before = artifacts.csv_path.read_bytes()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.setattr(os, "replace", self._failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            _write_csv(artifacts.csv_path, artifacts.records[:1])
+        assert artifacts.csv_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 class TestRunSimulation:

@@ -31,3 +31,33 @@ def test_every_entry_point_resolves_to_a_callable() -> None:
         or not callable(getattr(importlib.import_module(ep.module), ep.attr, None))
     ]
     assert missing == []
+
+
+def test_run_path_passes_the_entry_point_guard(tmp_path) -> None:
+    """A small A and B run calls every entry point the run workloads trace,
+    rhs_A and rhs_B included."""
+    import elastomag
+
+    tracing = load_tracing()
+    probe = tracing.Probe()
+    try:
+        probe.install_counter()
+        probe.install_entry_points()
+        for formulation in ("A", "B"):
+            config = elastomag.SimulationConfig.from_dict(
+                {
+                    "dim": 2,
+                    "n": 16,
+                    "dt": 1e-3,
+                    "t_end": 2e-3,
+                    "formulation": formulation,
+                    "initial_data": "random_small",
+                    "snapshot_every": 1,
+                    "out_dir": str(tmp_path / formulation),
+                }
+            )
+            art = elastomag.run_simulation(config)
+            elastomag.load_snapshot(art.final_snapshot)
+        assert tracing.entry_point_guard(probe, "run2d_diag") == []
+    finally:
+        probe.uninstall()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from elastomag import dynamics
+from elastomag.energetics import diagnostic_record
 from elastomag.errors import CflError
 from elastomag.fields import (
     HExt,
@@ -102,6 +106,14 @@ class TestIntegratorConfig:
     def test_rejects_t_end_off_the_time_grid(self) -> None:
         with pytest.raises(ValueError, match="multiple of dt"):
             IntegratorConfig(dt=0.3, t_end=1.0)
+
+    @pytest.mark.parametrize(
+        "cadence", [{"diag_every": 0}, {"diag_every": -2}, {"snapshot_every": -1}]
+    )
+    def test_rejects_bad_output_cadence(self, cadence: dict) -> None:
+        # run() takes k % diag_every, so a zero cadence must fail before any step
+        with pytest.raises(ValueError, match="_every must be"):
+            IntegratorConfig(dt=1e-3, t_end=1e-2, **cadence)
 
     def test_accepts_multiples_up_to_rounding(self, grid2: TorusGrid) -> None:
         horizon = 0.1
@@ -293,3 +305,91 @@ class TestFormulationAgreement:
 
     def test_matched_small_data_stays_close_3d(self) -> None:
         assert_formulations_agree(TorusGrid(dim=3, n=16))
+
+
+REUSE_GRIDS = [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)]
+REUSE_CASES = {
+    # name: (formulation, kappa and single_mode h_ext, dealias, diag_every, renormalize_m)
+    "A_kappa_hext": ("A", True, True, 1, False),
+    "B": ("B", False, True, 1, False),
+    "A_no_dealias": ("A", True, False, 1, False),
+    "B_no_dealias": ("B", False, False, 1, False),
+    "B_diag3_renorm": ("B", False, True, 3, True),
+    "A_diag3_renorm": ("A", True, True, 3, True),
+}
+
+
+def reuse_setup(grid: TorusGrid, case: str):
+    formulation, forced, dealias, diag_every, renorm = REUSE_CASES[case]
+    params = PARAMS
+    if forced:
+        wavevector = (1,) + (0,) * (grid.dim - 1)
+        h_ext = HExt(
+            kind="single_mode", amplitude=0.1, wavevector=wavevector, component=0, omega=2.0
+        )
+        params = PhysParams(nu=1.0, kappa=0.1, h_ext=h_ext)
+    state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+    cfg = IntegratorConfig(
+        dt=1e-3, t_end=7e-3, diag_every=diag_every, renormalize_m=renorm, snapshot_every=1
+    )
+    return state, params, cfg, dealias
+
+
+def evaluate_rhs(state: StateA | StateB, params: PhysParams, dealias: bool):
+    if isinstance(state, StateA):
+        return dynamics.rhs_A(state, params.nu, params.kappa, params.h_ext, dealias)
+    return dynamics.rhs_B(state, params.nu, dealias)
+
+
+def state_bytes(state: StateA | StateB) -> list[bytes]:
+    second = state.F if isinstance(state, StateA) else state.psi
+    return [state.t.hex().encode()] + [f.values.tobytes() for f in (state.v, second, state.M)]
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+@pytest.mark.parametrize("grid", REUSE_GRIDS, ids=lambda g: f"{g.dim}d_n{g.n}")
+class TestSharedEvaluation:
+    """run() evaluates a recorded state's right-hand side once, for the record
+    and for the next step's first stage; both must read as if unshared."""
+
+    def test_records_equal_fresh_records(self, grid: TorusGrid, case: str, monkeypatch) -> None:
+        state, params, cfg, dealias = reuse_setup(grid, case)
+        kernel = "_tendency_hats_A" if isinstance(state, StateA) else "_tendency_hats_B"
+        original = getattr(dynamics, kernel)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, kernel, counted)
+        records, states = [], {}
+        result = run(
+            state,
+            params,
+            cfg,
+            dealias=dealias,
+            diag_sink=records.append,
+            snap_sink=lambda st, k: states.setdefault(k, st),
+        )
+        monkeypatch.undo()
+        assert result.status == "completed"
+        steps = [round(r.t / cfg.dt) for r in records]
+        assert steps == ([0, 1, 2, 3, 4, 5, 6, 7] if cfg.diag_every == 1 else [0, 3, 6, 7])
+        # two stages per step plus one evaluation for the last record only
+        assert len(calls) == 2 * 7 + 1
+        for k, record in zip(steps, records):
+            fresh = diagnostic_record(states[k], params, 2, 0.25, dealias)
+            assert record.to_csv_row() == fresh.to_csv_row()
+        stepper = step_A if isinstance(state, StateA) else step_B
+        for k in range(1, 8):
+            state = replace(stepper(state, params, cfg, dealias), t=k * cfg.dt)
+            assert state_bytes(state) == state_bytes(states[k])
+
+    def test_step_with_rhs_is_bitwise_the_plain_step(self, grid: TorusGrid, case: str) -> None:
+        state, params, cfg, dealias = reuse_setup(grid, case)
+        state = replace(state, t=3e-3)  # a forced run samples h_ext at the state's time
+        stepper = step_A if isinstance(state, StateA) else step_B
+        shared = stepper(state, params, cfg, dealias, evaluate_rhs(state, params, dealias))
+        plain = stepper(state, params, cfg, dealias)
+        assert state_bytes(shared) == state_bytes(plain)
