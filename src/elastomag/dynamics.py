@@ -15,14 +15,17 @@ rounding. The simplified coefficient choice (elastic energy (1/2)|F|^2,
 unit exchange/gyromagnetic/damping constants) is hard-coded.
 
 There is one tendency implementation: the fused kernels _tendency_hats_A
-and _tendency_hats_B (one forward transform per state variable, jacobians
-shared across terms, tendencies returned in Fourier space). rhs_A and rhs_B
-add the stiff terms and return grid values plus the kernel's hats, which
-timestepper.run hands from a record to the next step; the steppers,
-stokes.w_diagnostic and the schemes call the kernels or their pieces
-(_momentum_hat_A, _deformation_hat, _llg_hat) directly. tests/oracles.py rebuilds every term
-from the PDE with the public spectral operators, as the independent
-reference the kernels are tested against.
+and _tendency_hats_B (they take the state hats, share jacobians across
+terms and return tendencies in Fourier space). rhs_A and rhs_B transform
+the state once, add the stiff terms to the kernel's tendencies in Fourier
+space and return one Rhs of hats only: the state hats, the kernel's
+nonstiff hats and the full tendency hats. That one evaluation serves a
+diagnostic record, the next step's first stage (timestepper.run hands it
+over) and stokes.w_diagnostic. The steppers and the schemes call the
+kernels or their pieces (_momentum_hat_A, _deformation_hat, _llg_hat)
+directly. tests/oracles.py rebuilds every term from the PDE with the
+public spectral operators, as the independent reference the kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -33,40 +36,29 @@ import numpy as np
 
 from .fields import HExt, StateA, StateB, inverse_values
 from .spectral import (
-    MatrixField,
     TorusGrid,
-    VectorField,
     jacobian_from_hat,
     jacobian_values,
     leray_hat,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class RhsA:
-    """Evaluated tendencies of formulation A; dv is divergence-free.
+Hats = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    rhs_A also keeps the state hats of (v, F, M) and the nonstiff stage-1
-    hats of _tendency_hats_A, the first IMEX2 stage of a step from this
-    state; both are None when built from grid values alone.
+
+@dataclass(frozen=True, eq=False)
+class Rhs:
+    """One right-hand-side evaluation at a state, as hats ordered (v, F|psi, M).
+
+    state_hats are the transforms of the state; stage1_hats are the nonstiff
+    kernel hats, the first IMEX2 stage of a step from this state (_imex2's
+    n1); tendency_hats are the full tendencies, with the stiff terms added
+    and dv Leray-projected.
     """
 
-    dv: VectorField
-    dF: MatrixField
-    dM: VectorField
-    state_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    stage1_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class RhsB:
-    """Evaluated tendencies of formulation B, with hats of (v, psi, M) as in RhsA."""
-
-    dv: VectorField
-    dpsi: VectorField
-    dM: VectorField
-    state_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    stage1_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    state_hats: Hats
+    stage1_hats: Hats
+    tendency_hats: Hats
 
 
 def _mask(grid: TorusGrid, enabled: bool) -> np.ndarray | None:
@@ -195,19 +187,15 @@ def _tendency_hats_A(
     m: np.ndarray,
     h: np.ndarray | None,
     mask: np.ndarray | None,
-    state_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    state_hats: Hats,
+) -> Hats:
     """All nonstiff tendency hats of formulation A with shared transforms.
 
-    Returns ((vhat, Fhat, Mhat), (dv_hat, dF_hat, dM_hat)); dv_hat is not
-    Leray-projected and no stiff diffusion term is included. state_hats,
-    when supplied, must be the transforms of (v, f, m) and skips
-    recomputing them.
+    state_hats are the transforms of (v, f, m). Returns (dv_hat, dF_hat,
+    dM_hat); dv_hat is not Leray-projected and no stiff diffusion term is
+    included.
     """
-    if state_hats is None:
-        v_hat, f_hat, m_hat = grid.fft(v), grid.fft(f), grid.fft(m)
-    else:
-        v_hat, f_hat, m_hat = state_hats
+    v_hat, f_hat, m_hat = state_hats
     jac_v = jacobian_from_hat(grid, v_hat)
     jac_f = jacobian_from_hat(grid, f_hat)
     jac_m = jacobian_from_hat(grid, m_hat)
@@ -215,7 +203,7 @@ def _tendency_hats_A(
     dv = _momentum_hat_A(grid, v, f, m, jac_v, jac_m, h, mask)
     df = _deformation_hat(grid, v, f, jac_v, jac_f, mask)
     dm = _llg_hat(grid, v, m, jac_m, lap_m, h, mask)
-    return (v_hat, f_hat, m_hat), (dv, df, dm)
+    return dv, df, dm
 
 
 def _tendency_hats_B(
@@ -224,17 +212,15 @@ def _tendency_hats_B(
     psi: np.ndarray,
     m: np.ndarray,
     mask: np.ndarray | None,
-    state_hats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    state_hats: Hats,
+) -> Hats:
     """All nonstiff tendency hats of formulation B with shared transforms.
 
-    Returns ((vhat, psihat, Mhat), (dv_hat, dpsi_hat, dM_hat)); dv_hat is
-    not Leray-projected and no stiff diffusion term is included.
+    state_hats are the transforms of (v, psi, m). Returns (dv_hat, dpsi_hat,
+    dM_hat); dv_hat is not Leray-projected and no stiff diffusion term is
+    included.
     """
-    if state_hats is None:
-        v_hat, psi_hat, m_hat = grid.fft(v), grid.fft(psi), grid.fft(m)
-    else:
-        v_hat, psi_hat, m_hat = state_hats
+    v_hat, psi_hat, m_hat = state_hats
     jac_v = jacobian_from_hat(grid, v_hat)
     jac_psi = jacobian_from_hat(grid, psi_hat)
     jac_m = jacobian_from_hat(grid, m_hat)
@@ -243,37 +229,35 @@ def _tendency_hats_B(
     adv_psi = np.einsum("a...,ka...->k...", v, jac_psi)
     dpsi = -v_hat - _masked_fft(grid, adv_psi, mask)
     dm = _llg_hat(grid, v, m, jac_m, lap_m, None, mask)
-    return (v_hat, psi_hat, m_hat), (dv, dpsi, dm)
+    return dv, dpsi, dm
 
 
-def _with_stiff_terms(cls, second, grid: TorusGrid, hats: tuple, stage1: tuple, nu: float,
-                      kappa: float):
-    """Add the stiff diffusion to the kernel's stage-1 hats; return grid values and both hats."""
+def _with_stiff_terms(grid: TorusGrid, hats: Hats, stage1: Hats, nu: float,
+                      kappa: float) -> Rhs:
+    """Add the stiff diffusion to the kernel's stage-1 hats and Leray-project dv."""
     (v_hat, x_hat, m_hat), (dv, dx, dm) = hats, stage1
     dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)
     if kappa != 0.0:
         dx = dx + kappa * (-grid.k_sq) * x_hat
     dm = dm + (-grid.k_sq) * m_hat
-    values = (VectorField(grid, grid.ifft(dv)), second(grid, grid.ifft(dx)),
-              VectorField(grid, grid.ifft(dm)))
-    return cls(*values, state_hats=hats, stage1_hats=stage1)
+    return Rhs(hats, stage1, (dv, dx, dm))
 
 
 def rhs_A(state: StateA, nu: float, kappa: float = 0.0,
-          h_ext: HExt | None = None, dealias: bool = True) -> RhsA:
+          h_ext: HExt | None = None, dealias: bool = True) -> Rhs:
     """All evaluated tendencies of formulation A at the state's time."""
     grid = state.grid
     h = _h_values(h_ext, grid, state.t)
-    hats, stage1 = _tendency_hats_A(
-        grid, state.v.values, state.F.values, state.M.values, h, _mask(grid, dealias)
-    )
-    return _with_stiff_terms(RhsA, MatrixField, grid, hats, stage1, nu, kappa)
+    values = (state.v.values, state.F.values, state.M.values)
+    hats = tuple(grid.fft(x) for x in values)
+    stage1 = _tendency_hats_A(grid, *values, h, _mask(grid, dealias), hats)
+    return _with_stiff_terms(grid, hats, stage1, nu, kappa)
 
 
-def rhs_B(state: StateB, nu: float, dealias: bool = True) -> RhsB:
+def rhs_B(state: StateB, nu: float, dealias: bool = True) -> Rhs:
     """All evaluated tendencies of formulation B (external field zero)."""
     grid = state.grid
-    hats, stage1 = _tendency_hats_B(
-        grid, state.v.values, state.psi.values, state.M.values, _mask(grid, dealias)
-    )
-    return _with_stiff_terms(RhsB, VectorField, grid, hats, stage1, nu, 0.0)
+    values = (state.v.values, state.psi.values, state.M.values)
+    hats = tuple(grid.fft(x) for x in values)
+    stage1 = _tendency_hats_B(grid, *values, _mask(grid, dealias), hats)
+    return _with_stiff_terms(grid, hats, stage1, nu, 0.0)

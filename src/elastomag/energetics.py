@@ -20,14 +20,14 @@ Monitored functionals:
              + nu ||grad dt v||^2_{H^{s-2}}
 
 The time derivatives entering the global functionals are the instantaneous
-right-hand-side evaluations (supplied as RhsB), never finite differences of
-the trajectory. In a run they are the first-stage evaluation of the next
-step: timestepper.run calls rhs_A/rhs_B once at a recorded state, the
-record reads it, and the step reuses its hats.
+right-hand-side evaluations (the tendency hats of a dynamics.Rhs), never
+finite differences of the trajectory. In a run they are the first-stage
+evaluation of the next step: timestepper.run calls rhs_A/rhs_B once at a
+recorded state, the record reads its hats, and the step reuses them.
 
 Every norm is one weighted mode sum over |fhat|^2 (_hat_norm_sq). A record
-sums over the state hats that evaluation carries, forming each |fhat|^2 and
-each distinct norm once.
+sums over the state hats and tendency hats that evaluation carries, forming
+each |fhat|^2 and each distinct norm once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import RhsA, RhsB, rhs_A, rhs_B
+from .dynamics import Rhs
 from .fields import (
     F_to_G,
     G_to_F,
@@ -210,12 +210,21 @@ def local_functionals(state: StateA, nu: float, s: int) -> tuple[float, float]:
     return _local(_norms(state.grid, _ffts(state.grid, state, ("v", "F", "M"))), nu, s)
 
 
+def _real_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
+    """fft(ifft(hat)): the hat of the real field a tendency hat stands for; the
+    real inverse transform symmetrizes Nyquist modes that dealias=False keeps."""
+    return grid.fft(grid.ifft(hat))
+
+
 def global_functionals(
-    state: StateB, rhs: RhsB, nu: float, s: int, delta: float
+    state: StateB, rhs: Rhs, nu: float, s: int, delta: float
 ) -> tuple[float, float]:
-    """(E_glob, D_glob) with dt v / dt psi supplied as evaluated tendencies."""
+    """(E_glob, D_glob) of a B state from rhs = rhs_B(state, ...): its state
+    hats and its tendency hats dt v, dt psi."""
     grid = state.grid
-    hats = _ffts(grid, state, ("v", "psi", "M")) | _ffts(grid, rhs, ("dv", "dpsi"))
+    (v_hat, psi_hat, m_hat), (dv_hat, dpsi_hat, _) = rhs.state_hats, rhs.tendency_hats
+    hats = {"v": v_hat, "psi": psi_hat, "M": m_hat,
+            "dv": _real_hat(grid, dv_hat), "dpsi": _real_hat(grid, dpsi_hat)}
     return _global(_norms(grid, hats), nu, s, delta)
 
 
@@ -305,31 +314,25 @@ def diagnostic_record(
     params: PhysParams,
     s: int,
     delta: float,
-    dealias: bool = True,
-    rhs: RhsA | RhsB | None = None,
+    rhs: Rhs,
 ) -> DiagnosticRecord:
     """Assemble the full diagnostic row for one state.
 
-    The tendency norms use instantaneous RHS evaluations; pass rhs to reuse
-    an evaluation already computed by the caller, and its state hats if any.
+    rhs is rhs_A/rhs_B of this state: every norm sums over its state hats,
+    and the tendency norms over its instantaneous tendency hats.
     """
     grid = state.grid
     is_a = isinstance(state, StateA)
-    if rhs is None:
-        if is_a:
-            rhs = rhs_A(state, params.nu, params.kappa, params.h_ext, dealias)
-        else:
-            rhs = rhs_B(state, params.nu, dealias)
     names = ("v", "F", "M") if is_a else ("v", "psi", "M")
-    hats = _ffts(grid, state, names) if rhs.state_hats is None else dict(zip(names, rhs.state_hats))
+    hats = dict(zip(names, rhs.state_hats))
     if is_a:
         bundle = _residuals(state, hats["v"])
     else:
         G = jacobian_from_hat(grid, hats["psi"])
         bundle = _residuals(state, hats["v"], hats["psi"], G)
         hats["F"] = grid.fft(G_to_F(MatrixField(grid, G)).values)
-        hats["dpsi"] = grid.fft(rhs.dpsi.values)
-    hats["dv"] = grid.fft(rhs.dv.values)
+        hats["dpsi"] = _real_hat(grid, rhs.tendency_hats[1])
+    hats["dv"] = _real_hat(grid, rhs.tendency_hats[0])
     norm = _norms(grid, hats)
     e_s, d_s = _local(norm, params.nu, s)
     if is_a:

@@ -18,15 +18,7 @@ from ..errors import ConfigError
 from ..fields import HExt, PhysParams
 from ..spectral import TorusGrid
 from ..timestepper import IntegratorConfig
-
-INITIAL_DATA_VARIANTS = (
-    "zero_steady",
-    "harmonic_map",
-    "random_small",
-    "shear_F",
-    "flow_map_F",
-    "from_snapshot",
-)
+from .initial_data import VARIANTS
 
 _DEFAULTS: dict[str, Any] = {
     "dim": 2,
@@ -191,17 +183,21 @@ class SimulationConfig:
             raise ConfigError(str(err)) from err
         _require(self.formulation in ("A", "B"), f"formulation must be A or B, got {self.formulation!r}")
         _require(
-            self.initial_data in INITIAL_DATA_VARIANTS,
+            self.initial_data in VARIANTS,
             f"unknown initial_data {self.initial_data!r}",
         )
         _require(self.amplitude > 0, f"amplitude must be > 0, got {self.amplitude}")
         _require(self.s >= 2, f"s must be >= 2, got {self.s}")
         _require(self.c0_hat > 0, f"c0_hat must be > 0, got {self.c0_hat}")
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        _require(self.snapshot_every >= 0, "snapshot_every must be >= 0")
-        _require(self.diag_every >= 1, "diag_every must be >= 1")
         if self.delta != "auto":
             _require(isinstance(self.delta, float) and self.delta > 0, "delta must be 'auto' or > 0")
+        if self.h_ext.kind == "single_mode":
+            _require(
+                len(self.h_ext.wavevector) == self.dim,
+                f"single_mode h_ext wavevector needs {self.dim} entries, "
+                f"got {list(self.h_ext.wavevector)}",
+            )
         if self.formulation == "B":
             _require(
                 self.h_ext.is_zero,

@@ -413,11 +413,12 @@ def picard_iterate(
                 on_node,
             )
 
+        # copies, so a stored state does not keep its iterate's trajectory alive
         new_state = StateA(
             t=T,
-            v=VectorField(grid, new_v[-1]),
-            F=MatrixField(grid, new_f[-1]),
-            M=VectorField(grid, new_m[-1]),
+            v=VectorField(grid, new_v[-1].copy()),
+            F=MatrixField(grid, new_f[-1].copy()),
+            M=VectorField(grid, new_m[-1].copy()),
         )
         diffs.append(picard_metric(new_state, states_at_T[-1], s))
         states_at_T.append(new_state)

@@ -5,7 +5,8 @@ per Fourier mode. The diagnostic assembles the forcing that nu v - psi
 satisfies along reformulated-system trajectories, solves for (w, q), and
 reports the measured gradient norms against the a priori bracket that the
 theory bounds them by (with its non-constructive constant replaced by 1,
-so only the ratio is meaningful).
+so only the ratio is meaningful). Its tendencies come from one
+dynamics.rhs_B evaluation, the same one a diagnostic record reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import dynamics
 from .energetics import grad_sobolev_norm_sq, laplacian_sobolev_norm_sq, sobolev_norm_sq
 from .fields import PhysParams, StateB
-from .spectral import ScalarField, VectorField, divergence_values, leray_hat
+from .spectral import ScalarField, VectorField, divergence_values
 
 MEAN_G_TOL = 1e-12
 
@@ -82,20 +83,18 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
 
     The forcing is f = -dt_v - v.grad v + div g(grad psi) - div(grad M (.)
     grad M) with dt_v the instantaneous projected momentum tendency, and
-    g = -div psi. Every term comes from one call to the fused kernel
-    dynamics._tendency_hats_B, whose unprojected momentum hat is
-    raw = -v.grad v + div g(grad psi) - div(grad M (.) grad M) + |k|^2 psihat;
-    so dt_v = Leray(raw - nu |k|^2 vhat) and f = raw - |k|^2 psihat - dt_v.
+    g = -div psi. Every term comes from one evaluation dynamics.rhs_B: its
+    dv tendency hat is dt_v, and its unprojected stage-1 momentum hat is
+    raw = -v.grad v + div g(grad psi) - div(grad M (.) grad M) + |k|^2 psihat,
+    so f = raw - |k|^2 psihat - dt_v.
     The recovered w equals nu v - psi to rounding when v and psi are
     zero-mean.
     """
     if s < 2:
         raise ValueError(f"the diagnostic needs s >= 2, got {s}")
     grid = state.grid
-    (v_hat, psi_hat, _), (raw, _, _) = dynamics._tendency_hats_B(
-        grid, state.v.values, state.psi.values, state.M.values, dynamics._mask(grid, dealias)
-    )
-    dv_hat = leray_hat(grid, raw + params.nu * (-grid.k_sq) * v_hat)
+    rhs = dynamics.rhs_B(state, params.nu, dealias)
+    psi_hat, raw, dv_hat = rhs.state_hats[1], rhs.stage1_hats[0], rhs.tendency_hats[0]
     dv = VectorField(grid, grid.ifft(dv_hat))
     f_vals = grid.ifft(raw - grid.k_sq * psi_hat - dv_hat)
     g_vals = -divergence_values(grid, state.psi.values)

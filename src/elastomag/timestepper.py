@@ -29,8 +29,9 @@ Picard stages in schemes reuse its stage helpers.
 
 run shares one right-hand-side evaluation between a diagnostic record and
 the next step: at a recorded state it calls dynamics.rhs_A/rhs_B once, the
-record reads it, and the step takes its state hats and nonstiff tendency
-hats as its first stage (_imex2's n1), which they equal bit for bit.
+record reads its state and tendency hats, and the step takes its state hats
+and nonstiff stage-1 hats as its first stage (_imex2's n1), which they equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -175,9 +176,9 @@ def _imex2(
 
 
 def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool,
-          rhs: dynamics.RhsA | dynamics.RhsB | None) -> StateA | StateB:
-    """One IMEX2 step of either formulation. rhs, if it carries hats, is rhs_A/rhs_B
-    of this state with the same params and dealias, and supplies the first stage."""
+          rhs: dynamics.Rhs | None) -> StateA | StateB:
+    """One IMEX2 step of either formulation. rhs, if given, is rhs_A/rhs_B of this
+    state with the same params and dealias, and supplies the first stage."""
     _check_cfl(state, cfg)
     grid = state.grid
     mask = dynamics._mask(grid, dealias)
@@ -187,16 +188,16 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
 
         def tendency(values, hats, t):
             h = dynamics._h_values(params.h_ext, grid, t)
-            return dynamics._tendency_hats_A(grid, *values, h, mask, state_hats=hats)[1]
+            return dynamics._tendency_hats_A(grid, *values, h, mask, hats)
     else:
         second = state.psi.values
         diffusivities, posts = (params.nu, 0.0, 1.0), (leray_hat, _gauge_hat, None)
 
         def tendency(values, hats, t):
-            return dynamics._tendency_hats_B(grid, *values, mask, state_hats=hats)[1]
+            return dynamics._tendency_hats_B(grid, *values, mask, hats)
 
     values = (state.v.values, second, state.M.values)
-    if rhs is None or rhs.stage1_hats is None:
+    if rhs is None:
         hats, n1 = tuple(grid.fft(x) for x in values), None
     else:
         hats, n1 = rhs.state_hats, rhs.stage1_hats
@@ -217,14 +218,14 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
 
 
 def step_A(state: StateA, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True,
-           _rhs: dynamics.RhsA | None = None) -> StateA:
+           _rhs: dynamics.Rhs | None = None) -> StateA:
     """Advance a primitive-formulation state by one dt; v, F and M diffuse with
     nu, kappa and 1. _rhs is rhs_A of this state, reused as the first stage."""
     return _step(state, params, cfg, dealias, _rhs)
 
 
 def step_B(state: StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True,
-           _rhs: dynamics.RhsB | None = None) -> StateB:
+           _rhs: dynamics.Rhs | None = None) -> StateB:
     """Advance a reformulated-system state by one dt; _rhs as in step_A.
 
     psi has no implicit part (the -Delta psi coupling in the momentum
@@ -254,14 +255,14 @@ def run(
     stepper = step_A if is_a else step_B
     n_steps = _step_count(cfg.t_end, cfg.dt)
 
-    def emit(st: StateA | StateB) -> dynamics.RhsA | dynamics.RhsB | None:
+    def emit(st: StateA | StateB) -> dynamics.Rhs | None:
         if diag_sink is None:
             return None
         if is_a:
             rhs = dynamics.rhs_A(st, params.nu, params.kappa, params.h_ext, dealias)
         else:
             rhs = dynamics.rhs_B(st, params.nu, dealias)
-        diag_sink(diagnostic_record(st, params, s, delta, dealias, rhs))
+        diag_sink(diagnostic_record(st, params, s, delta, rhs))
         return rhs
 
     rhs = emit(state)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastomag import dynamics
 from elastomag.dynamics import rhs_A, rhs_B
 from elastomag.fields import (
     G_to_F,
@@ -17,6 +19,7 @@ from elastomag.fields import (
     identity_matrix_field,
     renormalize_M,
 )
+from elastomag.harness import generate_initial_data
 from elastomag.spectral import (
     MatrixField,
     TorusGrid,
@@ -353,14 +356,14 @@ class TestFusedTendencies:
             t=0.0, v=v, F=MatrixField(grid2, fvals), M=smooth_unit_m(grid2, 3)
         )
         nu, kappa = 0.9, 0.05
-        out = rhs_A(state, nu, kappa)
+        out_dv, out_dF, out_dM = (grid2.ifft(hat) for hat in rhs_A(state, nu, kappa).tendency_hats)
         dv = momentum_rhs_A(state.v, state.F, state.M, nu=nu)
         dF = deformation_rhs(state.v, state.F, kappa=kappa)
         dM = llg_rhs(state.v, state.M)
-        assert np.max(np.abs(out.dv.values - dv.values)) <= 1e-12
-        assert np.max(np.abs(out.dF.values - dF.values)) <= 1e-12
-        assert np.max(np.abs(out.dM.values - dM.values)) <= 1e-12
-        assert np.max(np.abs(divergence_values(grid2, out.dv.values))) <= 1e-11
+        assert np.max(np.abs(out_dv - dv.values)) <= 1e-12
+        assert np.max(np.abs(out_dF - dF.values)) <= 1e-12
+        assert np.max(np.abs(out_dM - dM.values)) <= 1e-12
+        assert np.max(np.abs(divergence_values(grid2, out_dv))) <= 1e-11
 
     def test_potential_bundle_matches_term_by_term(self, grid2: TorusGrid) -> None:
         rng = np.random.default_rng(22)
@@ -368,10 +371,42 @@ class TestFusedTendencies:
         psi = VectorField(grid2, 0.05 * random_band_limited(grid2, rng, ncomp=2, band=2))
         state = StateB(t=0.0, v=v, psi=psi, M=smooth_unit_m(grid2, 5))
         nu = 1.1
-        out = rhs_B(state, nu)
+        out_dv, out_dpsi, out_dM = (grid2.ifft(hat) for hat in rhs_B(state, nu).tendency_hats)
         dv = momentum_rhs_B(state.v, state.psi, state.M, nu=nu)
         dpsi = psi_rhs(state.v, state.psi)
         dM = llg_rhs(state.v, state.M)
-        assert np.max(np.abs(out.dv.values - dv.values)) <= 1e-12
-        assert np.max(np.abs(out.dpsi.values - dpsi.values)) <= 1e-12
-        assert np.max(np.abs(out.dM.values - dM.values)) <= 1e-12
+        assert np.max(np.abs(out_dv - dv.values)) <= 1e-12
+        assert np.max(np.abs(out_dpsi - dpsi.values)) <= 1e-12
+        assert np.max(np.abs(out_dM - dM.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("formulation", ["A", "B"])
+@pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
+                         ids=lambda g: f"{g.dim}d_n{g.n}")
+def test_evaluation_adds_no_inverse_transforms(grid: TorusGrid, formulation: str,
+                                               monkeypatch) -> None:
+    """rhs_A/rhs_B hand over hats: no inverse transform beyond the kernel's own."""
+    state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+    original = scipy.fft.irfftn
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "irfftn", counted)
+    mask = grid.dealias_mask
+    if formulation == "A":
+        values = (state.v.values, state.F.values, state.M.values)
+        hats = tuple(grid.fft(x) for x in values)
+        dynamics._tendency_hats_A(grid, *values, None, mask, hats)
+        kernel_calls = len(calls)
+        rhs_A(state, nu=0.9, kappa=0.1)
+    else:
+        values = (state.v.values, state.psi.values, state.M.values)
+        hats = tuple(grid.fft(x) for x in values)
+        dynamics._tendency_hats_B(grid, *values, mask, hats)
+        kernel_calls = len(calls)
+        rhs_B(state, nu=0.9)
+    assert kernel_calls > 0
+    assert len(calls) - kernel_calls == kernel_calls

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastomag.dynamics import RhsB, rhs_B
+from elastomag.dynamics import Rhs, rhs_A, rhs_B
 from elastomag.energetics import (
     CSV_HEADER,
     DiagnosticRecord,
@@ -171,13 +171,12 @@ class TestLocalFunctionals:
 
 
 class TestGlobalFunctionals:
-    def zero_rhs(self, grid: TorusGrid) -> RhsB:
-        zero = np.zeros(grid.shape)
-        return RhsB(
-            dv=vector(grid, zero, zero),
-            dpsi=vector(grid, zero, zero),
-            dM=const_m(grid, (0.0, 0.0, 0.0)),
-        )
+    def zero_rhs(self, state: StateB) -> Rhs:
+        """The state's own hats with zero tendency hats."""
+        grid = state.grid
+        hats = tuple(grid.fft(f.values) for f in (state.v, state.psi, state.M))
+        zero = tuple(np.zeros_like(hat) for hat in hats)
+        return Rhs(state_hats=hats, stage1_hats=zero, tendency_hats=zero)
 
     def test_zero_state(self, grid2: TorusGrid) -> None:
         zero = np.zeros(grid2.shape)
@@ -187,7 +186,7 @@ class TestGlobalFunctionals:
             psi=vector(grid2, zero, zero),
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
-        e, d = global_functionals(state, self.zero_rhs(grid2), nu=1.0, s=2, delta=0.1)
+        e, d = global_functionals(state, self.zero_rhs(state), nu=1.0, s=2, delta=0.1)
         assert e == pytest.approx(0.0, abs=1e-13)
         assert d == pytest.approx(0.0, abs=1e-13)
 
@@ -199,7 +198,7 @@ class TestGlobalFunctionals:
             psi=vector(grid2, np.sin(grid2.x[0]), zero),
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
-        e, _ = global_functionals(state, self.zero_rhs(grid2), nu=1.0, s=2, delta=0.1)
+        e, _ = global_functionals(state, self.zero_rhs(state), nu=1.0, s=2, delta=0.1)
         assert e == pytest.approx(0.1 * 6.0 * PI_SQ, rel=1e-13)
 
     def test_rejects_low_order(self, grid2: TorusGrid) -> None:
@@ -211,12 +210,11 @@ class TestGlobalFunctionals:
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
         with pytest.raises(ValueError):
-            global_functionals(state, self.zero_rhs(grid2), nu=1.0, s=1, delta=0.1)
+            global_functionals(state, self.zero_rhs(state), nu=1.0, s=1, delta=0.1)
 
     def test_recomputes_from_component_norms(self, grid2: TorusGrid) -> None:
         rng = np.random.default_rng(12)
         from conftest import div_free_vector
-        from elastomag.dynamics import rhs_B
         from elastomag.energetics import laplacian_sobolev_norm_sq
 
         v = div_free_vector(grid2, rng)
@@ -225,19 +223,20 @@ class TestGlobalFunctionals:
         nu, s, delta = 0.8, 2, 0.05
         rhs = rhs_B(state, nu)
         e, d = global_functionals(state, rhs, nu, s, delta)
+        dv, dpsi = (VectorField(grid2, grid2.ifft(hat)) for hat in rhs.tendency_hats[:2])
         e_direct = (
             delta**2 * sobolev_norm_sq(state.v, s)
             + grad_sobolev_norm_sq(state.M, s)
             + delta * grad_sobolev_norm_sq(state.psi, s)
-            + sobolev_norm_sq(rhs.dv, s - 2)
-            + grad_sobolev_norm_sq(rhs.dpsi, s - 2)
+            + sobolev_norm_sq(dv, s - 2)
+            + grad_sobolev_norm_sq(dpsi, s - 2)
         )
         d_direct = (
             0.5 * delta**2 * nu * grad_sobolev_norm_sq(state.v, s)
-            + delta**2 * nu * grad_sobolev_norm_sq(rhs.dpsi, s - 2)
+            + delta**2 * nu * grad_sobolev_norm_sq(dpsi, s - 2)
             + 2.0 * laplacian_sobolev_norm_sq(state.M, s)
             + delta / (2.0 * nu) * grad_sobolev_norm_sq(state.psi, s)
-            + nu * grad_sobolev_norm_sq(rhs.dv, s - 2)
+            + nu * grad_sobolev_norm_sq(dv, s - 2)
         )
         assert e == pytest.approx(e_direct, rel=1e-13)
         assert d == pytest.approx(d_direct, rel=1e-13)
@@ -250,7 +249,7 @@ class TestGlobalFunctionals:
             psi=vector(grid2, np.sin(grid2.x[0]), zero),
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
-        rhs = self.zero_rhs(grid2)
+        rhs = self.zero_rhs(state)
         nu, s = 1.0, 2
         values = {}
         for delta in (0.1, 0.2, 0.4):
@@ -345,7 +344,9 @@ class TestDiagnosticRecord:
 
     def test_assembles_for_both_formulations(self, grid2: TorusGrid) -> None:
         params = PhysParams(nu=1.0, kappa=0.0, h_ext=HExt())
-        rec_a = diagnostic_record(harmonic_state(grid2), params, s=2, delta=0.1)
+        state_a = harmonic_state(grid2)
+        rhs_a = rhs_A(state_a, params.nu, params.kappa, params.h_ext)
+        rec_a = diagnostic_record(state_a, params, s=2, delta=0.1, rhs=rhs_a)
         assert rec_a.e_basic > 0.0
         assert rec_a.e_global == 0.0
         zero = np.zeros(grid2.shape)
@@ -355,17 +356,5 @@ class TestDiagnosticRecord:
             psi=vector(grid2, zero, zero),
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
-        rec_b = diagnostic_record(state_b, params, s=2, delta=0.1)
+        rec_b = diagnostic_record(state_b, params, s=2, delta=0.1, rhs=rhs_B(state_b, params.nu))
         assert rec_b.e_basic == pytest.approx(0.5 * 2.0 * (2 * math.pi) ** 2, rel=1e-13)
-
-    def test_rhs_without_hats_gives_the_same_row(self, grid2: TorusGrid) -> None:
-        rng = np.random.default_rng(3)
-        psi = VectorField(grid2, 0.05 * random_band_limited(grid2, rng, ncomp=2, band=2))
-        state = StateB(t=0.0, v=div_free_vector(grid2, rng), psi=psi,
-                       M=const_m(grid2, (0.0, 0.0, 1.0)))
-        params = PhysParams(nu=0.8)
-        rhs = rhs_B(state, params.nu)
-        values_only = RhsB(dv=rhs.dv, dpsi=rhs.dpsi, dM=rhs.dM)
-        with_hats = diagnostic_record(state, params, s=2, delta=0.1, rhs=rhs)
-        assert values_only.state_hats is None
-        assert diagnostic_record(state, params, s=2, delta=0.1, rhs=values_only) == with_hats

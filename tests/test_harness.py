@@ -313,6 +313,21 @@ class TestCli:
         assert not (tmp_path / "diagnostics.csv").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "dim, wavevector", [(3, None), (3, [1, 0]), (2, [1, 0, 0])], ids=["3d_default", "3d", "2d"]
+    )
+    def test_wavevector_of_the_wrong_length_is_usage_error(
+        self, tmp_path: Path, capsys, dim: int, wavevector: list[int] | None
+    ) -> None:
+        h_ext = {"type": "single_mode", "amplitude": 0.1, "component": 0}
+        if wavevector is not None:
+            h_ext["wavevector"] = wavevector
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, dim=dim, h_ext=h_ext, out_dir=str(out_dir))
+        assert main(["run", str(config)]) == 2
+        assert "wavevector" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_scenario_is_usage_error(self, tmp_path: Path, capsys) -> None:
         config = write_config(tmp_path)
         assert main(["scenario", "warp", str(config)]) == 2

@@ -210,6 +210,14 @@ class TestPicardIteration:
         assert np.array_equal(first.F.values, init.F.values)
         assert np.array_equal(first.M.values, init.M.values)
 
+    def test_stored_iterates_own_their_data(self, grid2: TorusGrid) -> None:
+        # a view into an iterate's node arrays would keep its whole trajectory alive
+        init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+        out = picard_iterate(init, PARAMS, 0.01, 2, cfg, 2)
+        for state in out.states_at_T[1:]:
+            assert all(f.values.base is None for f in (state.v, state.F, state.M))
+
     def test_steady_state_iterates_stay_put(self, grid2: TorusGrid) -> None:
         init = steady_circle_state(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
