@@ -248,7 +248,7 @@ def rhs_A(state: StateA, nu: float, kappa: float = 0.0,
     """All evaluated tendencies of formulation A at the state's time."""
     grid = state.grid
     h = _h_values(h_ext, grid, state.t)
-    values = (state.v.values, state.F.values, state.M.values)
+    values = tuple(f.values for f in state.fields)
     hats = tuple(grid.fft(x) for x in values)
     stage1 = _tendency_hats_A(grid, *values, h, _mask(grid, dealias), hats)
     return _with_stiff_terms(grid, hats, stage1, nu, kappa)
@@ -257,7 +257,7 @@ def rhs_A(state: StateA, nu: float, kappa: float = 0.0,
 def rhs_B(state: StateB, nu: float, dealias: bool = True) -> Rhs:
     """All evaluated tendencies of formulation B (external field zero)."""
     grid = state.grid
-    values = (state.v.values, state.psi.values, state.M.values)
+    values = tuple(f.values for f in state.fields)
     hats = tuple(grid.fft(x) for x in values)
     stage1 = _tendency_hats_B(grid, *values, _mask(grid, dealias), hats)
     return _with_stiff_terms(grid, hats, stage1, nu, 0.0)

@@ -201,13 +201,13 @@ def _global(norm: Norm, nu: float, s: int, delta: float) -> tuple[float, float]:
 
 def basic_energy(state: StateA | StateB) -> float:
     """(1/2)(||v||^2 + ||F||^2 + ||grad M||^2)_{L^2}; B states convert F on the fly."""
-    a_state = state_B_to_A(state) if isinstance(state, StateB) else state
-    return _basic(_norms(state.grid, _ffts(state.grid, a_state, ("v", "F", "M"))))
+    a_state = state_B_to_A(state) if state.formulation == "B" else state
+    return _basic(_norms(state.grid, _ffts(state.grid, a_state, StateA.names)))
 
 
 def local_functionals(state: StateA, nu: float, s: int) -> tuple[float, float]:
     """(E_s, D_s) of the primitive formulation."""
-    return _local(_norms(state.grid, _ffts(state.grid, state, ("v", "F", "M"))), nu, s)
+    return _local(_norms(state.grid, _ffts(state.grid, state, StateA.names)), nu, s)
 
 
 def _real_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
@@ -241,7 +241,7 @@ def _residuals(state: StateA | StateB, v_hat: np.ndarray, psi_hat: np.ndarray | 
     out: dict[str, float] = {}
     out["sphere_res"] = sphere_residual(state.M)
     out["div_v_res"] = float(np.max(np.abs(divergence_from_hat(grid, v_hat))))
-    if isinstance(state, StateA):
+    if state.formulation == "A":
         out["det_res"] = float(np.max(np.abs(det_field(state.F).values - 1.0)))
         out["curl_res"] = curl_residual(F_to_G(state.F))
         out["trG_vs_divpsi_res"] = 0.0
@@ -273,7 +273,7 @@ def constraint_bundle(state: StateA | StateB, s: int = 2) -> dict[str, float]:
     """
     grid = state.grid
     v_hat = grid.fft(state.v.values)
-    if isinstance(state, StateA):
+    if state.formulation == "A":
         return _residuals(state, v_hat)
     psi_hat = grid.fft(state.psi.values)
     return _residuals(state, v_hat, psi_hat, jacobian_from_hat(grid, psi_hat), s)
@@ -322,9 +322,8 @@ def diagnostic_record(
     and the tendency norms over its instantaneous tendency hats.
     """
     grid = state.grid
-    is_a = isinstance(state, StateA)
-    names = ("v", "F", "M") if is_a else ("v", "psi", "M")
-    hats = dict(zip(names, rhs.state_hats))
+    is_a = state.formulation == "A"
+    hats = dict(zip(state.names, rhs.state_hats))
     if is_a:
         bundle = _residuals(state, hats["v"])
     else:

@@ -9,6 +9,12 @@ near the unit sphere, also in spatial dimension 2 (the standard
 micromagnetic convention: planar sample, three-dimensional magnetization),
 because the precession term M x Delta(M) needs three components.
 
+The per-formulation layout is decided here and nowhere else: StateA and
+StateB share one base that names the formulation, its fields in the order
+(v, F|psi, M), their containers and component shapes, and builds a state
+from value arrays (STATES maps "A"/"B" to the class). The stepper, the
+snapshot format, the diagnostics and the CLI iterate over that layout.
+
 Pressure is never stored: every momentum tendency is composed with the
 Leray projection and the pressure is recoverable on demand by a Poisson
 solve. The potential psi is gauged to zero spatial mean per component.
@@ -17,6 +23,7 @@ solve. The potential psi is gauged to zero spatial mean per component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,49 +43,74 @@ RENORM_GUARD = 0.5  # pointwise |M| threshold below which renormalization fails
 
 
 @dataclass(frozen=True, eq=False)
-class StateA:
-    """Primitive-system state (v, F, M) at time t."""
+class _State:
+    """The layout both formulations share: three fields ordered (v, F|psi, M),
+    with the formulation tag, field names and containers set by each subclass."""
+
+    formulation: ClassVar[str]
+    names: ClassVar[tuple[str, str, str]]
+    kinds: ClassVar[tuple[type, type, type]]
 
     t: float
+
+    def __post_init__(self) -> None:
+        grid = self.grid
+        if any(f.grid != grid for f in self.fields):
+            raise ValueError("all fields must share one grid")
+        for name, f, shape in zip(self.names, self.fields, self.component_shapes(grid.dim)):
+            if f.values.shape[: len(shape)] != shape:
+                raise ValueError(f"{name} must have component shape {shape}")
+
+    @property
+    def fields(self) -> tuple[VectorField, VectorField | MatrixField, VectorField]:
+        return tuple(getattr(self, name) for name in self.names)
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.fields[0].grid
+
+    @classmethod
+    def component_shapes(cls, dim: int) -> tuple[tuple[int, ...], ...]:
+        """Leading axes of each field's values: (d,) for v and psi, (d, d)
+        for F and (3,) for M, which has three components in every dimension."""
+        return tuple(
+            (3,) if name == "M" else (dim, dim) if kind is MatrixField else (dim,)
+            for name, kind in zip(cls.names, cls.kinds)
+        )
+
+    @classmethod
+    def from_values(cls, t: float, grid: TorusGrid, arrays) -> "_State":
+        """The state at time t with the given value arrays, in layout order."""
+        return cls(t, *(kind(grid, values) for kind, values in zip(cls.kinds, arrays)))
+
+
+@dataclass(frozen=True, eq=False)
+class StateA(_State):
+    """Primitive-system state (v, F, M) at time t."""
+
+    formulation: ClassVar[str] = "A"
+    names: ClassVar[tuple[str, str, str]] = ("v", "F", "M")
+    kinds: ClassVar[tuple[type, type, type]] = (VectorField, MatrixField, VectorField)
+
     v: VectorField
     F: MatrixField
     M: VectorField
 
-    def __post_init__(self) -> None:
-        grid = self.v.grid
-        if self.F.grid != grid or self.M.grid != grid:
-            raise ValueError("all fields must share one grid")
-        if self.v.ncomp != grid.dim:
-            raise ValueError("v must have dim components")
-        if self.M.ncomp != 3:
-            raise ValueError("M must have 3 components")
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.v.grid
-
 
 @dataclass(frozen=True, eq=False)
-class StateB:
+class StateB(_State):
     """Reformulated-system state (v, psi, M) at time t; G = grad(psi) rows."""
 
-    t: float
+    formulation: ClassVar[str] = "B"
+    names: ClassVar[tuple[str, str, str]] = ("v", "psi", "M")
+    kinds: ClassVar[tuple[type, type, type]] = (VectorField, VectorField, VectorField)
+
     v: VectorField
     psi: VectorField
     M: VectorField
 
-    def __post_init__(self) -> None:
-        grid = self.v.grid
-        if self.psi.grid != grid or self.M.grid != grid:
-            raise ValueError("all fields must share one grid")
-        if self.v.ncomp != grid.dim or self.psi.ncomp != grid.dim:
-            raise ValueError("v and psi must have dim components")
-        if self.M.ncomp != 3:
-            raise ValueError("M must have 3 components")
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.v.grid
+STATES: dict[str, type[_State]] = {"A": StateA, "B": StateB}
 
 
 @dataclass(frozen=True)
@@ -139,6 +171,21 @@ class PhysParams:
             raise ValueError(f"nu must be > 0, got {self.nu}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+
+
+def check_params(formulation: str, dim: int, params: PhysParams) -> None:
+    """Raise ValueError for parameters a state of this formulation and
+    dimension cannot honour: formulation B has no kappa and no external field
+    term, and a single_mode wavevector needs one entry per grid axis."""
+    h_ext = params.h_ext
+    if h_ext.kind == "single_mode" and len(h_ext.wavevector) != dim:
+        raise ValueError(
+            f"single_mode h_ext wavevector needs {dim} entries, got {list(h_ext.wavevector)}"
+        )
+    if formulation == "B" and not h_ext.is_zero:
+        raise ValueError("formulation B requires a vanishing external field")
+    if formulation == "B" and params.kappa != 0.0:
+        raise ValueError(f"formulation B requires kappa = 0, got {params.kappa}")
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import sys
 
 from ..energetics import basic_energy, constraint_bundle
 from ..errors import ConfigError, NumericalError, SnapshotError
-from ..fields import StateA
 from .config import SimulationConfig
 from .scenarios import SCENARIOS, run_scenario, run_simulation
 from .snapshot import load_snapshot
@@ -96,23 +95,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     state = load_snapshot(args.snapshot)
     if not args.quiet:
         grid = state.grid
-        if isinstance(state, StateA):
-            formulation = "A"
-            fields = [("v", state.v.values), ("F", state.F.values), ("M", state.M.values)]
-        else:
-            formulation = "B"
-            fields = [
-                ("v", state.v.values),
-                ("psi", state.psi.values),
-                ("M", state.M.values),
-            ]
-        print(f"formulation: {formulation}")
+        print(f"formulation: {state.formulation}")
         print(f"dim: {grid.dim}")
         print(f"n: {grid.n}")
         print(f"t: {state.t:.17g}")
         print(f"basic_energy: {basic_energy(state):.17g}")
-        for name, values in fields:
-            print(f"max_abs_{name}: {float(abs(values).max()):.17g}")
+        for name, f in zip(state.names, state.fields):
+            print(f"max_abs_{name}: {float(abs(f.values).max()):.17g}")
         for key, value in constraint_bundle(state).items():
             print(f"{key}: {value:.17g}")
     return EXIT_OK

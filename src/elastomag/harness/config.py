@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..energetics import delta_default, multiindex_count
 from ..errors import ConfigError
-from ..fields import HExt, PhysParams
+from ..fields import STATES, HExt, PhysParams, StateA, StateB, check_params
 from ..spectral import TorusGrid
 from ..timestepper import IntegratorConfig
-from .initial_data import VARIANTS
+from .initial_data import VARIANTS, generate_initial_data
 
 _DEFAULTS: dict[str, Any] = {
     "dim": 2,
@@ -80,6 +80,14 @@ def _parse_h_ext(value: Any) -> HExt:
     raise ConfigError(f"h_ext must be 'zero', a 3-vector, or a profile object, got {value!r}")
 
 
+# Every other key is cast by the type of its default.
+_CASTS: dict[str, Callable[[Any], Any]] = {
+    "h_ext": _parse_h_ext,
+    "snapshot_path": lambda value: None if value is None else str(value),
+    "delta": lambda value: value if value == "auto" else float(value),
+}
+
+
 def _reject_unknown(data: dict, allowed: set[str], context: str) -> None:
     unknown = sorted(set(data) - allowed)
     if unknown:
@@ -124,37 +132,8 @@ class SimulationConfig:
         _reject_unknown(data, set(_DEFAULTS), "config")
         merged = {**_DEFAULTS, **data}
         try:
-            cfg = cls(
-                dim=int(merged["dim"]),
-                n=int(merged["n"]),
-                nu=float(merged["nu"]),
-                kappa=float(merged["kappa"]),
-                h_ext=_parse_h_ext(merged["h_ext"]),
-                formulation=str(merged["formulation"]),
-                initial_data=str(merged["initial_data"]),
-                amplitude=float(merged["amplitude"]),
-                snapshot_path=(
-                    None if merged["snapshot_path"] is None else str(merged["snapshot_path"])
-                ),
-                dt=float(merged["dt"]),
-                t_end=float(merged["t_end"]),
-                scheme=str(merged["scheme"]),
-                renormalize_m=bool(merged["renormalize_m"]),
-                cfl_guard=float(merged["cfl_guard"]),
-                snapshot_every=int(merged["snapshot_every"]),
-                diag_every=int(merged["diag_every"]),
-                s=int(merged["s"]),
-                delta=(
-                    merged["delta"]
-                    if merged["delta"] == "auto"
-                    else float(merged["delta"])
-                ),
-                c0_hat=float(merged["c0_hat"]),
-                dealias=bool(merged["dealias"]),
-                seed=int(merged["seed"]),
-                out_dir=str(merged["out_dir"]),
-                csv_name=str(merged["csv_name"]),
-            )
+            cfg = cls(**{key: _CASTS.get(key, type(default))(merged[key])
+                         for key, default in _DEFAULTS.items()})
         except (TypeError, ValueError) as err:
             raise ConfigError(f"invalid config value: {err}") from err
         cfg._validate()
@@ -178,10 +157,10 @@ class SimulationConfig:
         try:
             self.make_grid()
             self.make_integrator()
-            self.make_params()
+            check_params(self.formulation, self.dim, self.make_params())
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        _require(self.formulation in ("A", "B"), f"formulation must be A or B, got {self.formulation!r}")
+        _require(self.formulation in STATES, f"formulation must be A or B, got {self.formulation!r}")
         _require(
             self.initial_data in VARIANTS,
             f"unknown initial_data {self.initial_data!r}",
@@ -192,17 +171,6 @@ class SimulationConfig:
         _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         if self.delta != "auto":
             _require(isinstance(self.delta, float) and self.delta > 0, "delta must be 'auto' or > 0")
-        if self.h_ext.kind == "single_mode":
-            _require(
-                len(self.h_ext.wavevector) == self.dim,
-                f"single_mode h_ext wavevector needs {self.dim} entries, "
-                f"got {list(self.h_ext.wavevector)}",
-            )
-        if self.formulation == "B":
-            _require(
-                self.h_ext.is_zero,
-                "formulation B requires a vanishing external field",
-            )
         if self.initial_data == "from_snapshot":
             _require(self.snapshot_path is not None, "from_snapshot needs snapshot_path")
 
@@ -211,6 +179,11 @@ class SimulationConfig:
 
     def make_params(self) -> PhysParams:
         return PhysParams(nu=self.nu, kappa=self.kappa, h_ext=self.h_ext)
+
+    def make_state(self) -> StateA | StateB:
+        """The configured initial state on the configured grid."""
+        return generate_initial_data(self.make_grid(), self.initial_data, self.formulation,
+                                     self.amplitude, self.seed, self.snapshot_path)
 
     def make_integrator(self) -> IntegratorConfig:
         return IntegratorConfig(

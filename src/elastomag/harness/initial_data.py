@@ -23,7 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError
-from ..fields import G_to_F, StateA, StateB, grad_potential, identity_matrix_field, identity_values
+from ..fields import (
+    STATES, G_to_F, StateA, StateB, grad_potential, identity_matrix_field, identity_values
+)
 from ..spectral import MatrixField, TorusGrid, VectorField, jacobian_values
 from .snapshot import load_snapshot
 
@@ -216,10 +218,9 @@ def _from_snapshot(
     if snapshot_path is None:
         raise ConfigError("from_snapshot initial data needs snapshot_path")
     state = load_snapshot(snapshot_path)
-    loaded = "A" if isinstance(state, StateA) else "B"
-    if loaded != formulation:
+    if state.formulation != formulation:
         raise ConfigError(
-            f"snapshot holds formulation {loaded} state but config says {formulation}"
+            f"snapshot holds formulation {state.formulation} state but config says {formulation}"
         )
     if state.grid.dim != grid.dim or state.grid.n != grid.n:
         raise ConfigError(
@@ -238,28 +239,23 @@ def generate_initial_data(
     snapshot_path: str | Path | None = None,
 ) -> StateA | StateB:
     """Build the initial state for a run; deterministic for a fixed seed."""
-    if formulation not in ("A", "B"):
+    if formulation not in STATES:
         raise ConfigError(f"formulation must be A or B, got {formulation!r}")
     if variant == "from_snapshot":
         return _from_snapshot(grid, formulation, snapshot_path)
 
     rng = np.random.default_rng(seed)
-    if variant == "zero_steady":
-        v = _zero_velocity(grid)
-        m = _constant_m(grid, (0.0, 0.0, 1.0))
-        if formulation == "A":
-            return StateA(t=0.0, v=v, F=identity_matrix_field(grid), M=m)
-        return StateB(t=0.0, v=v, psi=_zero_velocity(grid), M=m)
-
-    if variant == "harmonic_map":
-        v = _zero_velocity(grid)
-        mvals = np.zeros((3,) + grid.shape)
-        mvals[0] = np.cos(grid.x[0])
-        mvals[1] = np.sin(grid.x[0])
-        m = VectorField(grid, mvals)
-        if formulation == "A":
-            return StateA(t=0.0, v=v, F=identity_matrix_field(grid), M=m)
-        return StateB(t=0.0, v=v, psi=_zero_velocity(grid), M=m)
+    if variant in ("zero_steady", "harmonic_map"):
+        if variant == "zero_steady":
+            m = _constant_m(grid, (0.0, 0.0, 1.0))
+        else:
+            mvals = np.zeros((3,) + grid.shape)
+            mvals[0] = np.cos(grid.x[0])
+            mvals[1] = np.sin(grid.x[0])
+            m = VectorField(grid, mvals)
+        # at rest and undeformed: v = 0 and F = I, or psi = 0
+        rest = identity_matrix_field(grid) if formulation == "A" else _zero_velocity(grid)
+        return STATES[formulation](0.0, _zero_velocity(grid), rest, m)
 
     if variant == "shear_F":
         v = _zero_velocity(grid)

@@ -3,8 +3,10 @@
 Layout: a single compact JSON object terminated by a newline, then the
 concatenated little-endian float64 arrays in header order, row-major. The
 header names every field with its component count and value count, so a
-reader can validate the payload length before touching the numbers. Round
-trips are bit-identical.
+reader can validate the payload length before touching the numbers. The
+header's field list (names, order and component counts) comes from the state
+layout in elastomag.fields, for writing and for checking alike. Round trips
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,19 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import SnapshotError
-from ..fields import StateA, StateB
-from ..spectral import MatrixField, TorusGrid, VectorField
+from ..fields import STATES, StateA, StateB
+from ..spectral import TorusGrid
 
 FORMAT_VERSION = 1
 _HEADER_KEYS = {"format_version", "dim", "n", "t", "formulation", "fields"}
 _FIELD_KEYS = {"name", "components", "dtype", "count"}
 
 
-def _layout(dim: int, formulation: str) -> list[tuple[str, int]]:
-    """(name, components) per field in serialization order."""
-    if formulation == "A":
-        return [("v", dim), ("F", dim * dim), ("M", 3)]
-    return [("v", dim), ("psi", dim), ("M", 3)]
+def _layout(dim: int, formulation: str) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, component shape) per field in serialization order."""
+    cls = STATES[formulation]
+    return list(zip(cls.names, cls.component_shapes(dim)))
 
 
 def _write_atomic(path: str | Path, data: bytes) -> None:
@@ -44,22 +45,16 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
 
 def write_snapshot(state: StateA | StateB, path: str | Path) -> None:
     grid = state.grid
-    if isinstance(state, StateA):
-        formulation = "A"
-        arrays = [state.v.values, state.F.values, state.M.values]
-    else:
-        formulation = "B"
-        arrays = [state.v.values, state.psi.values, state.M.values]
-    names = _layout(grid.dim, formulation)
+    arrays = [f.values for f in state.fields]
     header = {
         "format_version": FORMAT_VERSION,
         "dim": grid.dim,
         "n": grid.n,
         "t": state.t,
-        "formulation": formulation,
+        "formulation": state.formulation,
         "fields": [
-            {"name": name, "components": comps, "dtype": "f64-le", "count": int(arr.size)}
-            for (name, comps), arr in zip(names, arrays)
+            {"name": name, "components": math.prod(shape), "dtype": "f64-le", "count": arr.size}
+            for (name, shape), arr in zip(_layout(grid.dim, state.formulation), arrays)
         ],
     }
     parts = [json.dumps(header, separators=(",", ":")).encode("ascii"), b"\n"]
@@ -108,7 +103,7 @@ def load_snapshot(path: str | Path) -> StateA | StateB:
     if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
         raise SnapshotError(f"header t must be a finite number, got {t!r}")
     formulation = header.get("formulation")
-    if formulation not in ("A", "B"):
+    if formulation not in tuple(STATES):  # a tuple: JSON may give an unhashable value
         raise SnapshotError(f"formulation must be 'A' or 'B', got {formulation!r}")
 
     expected = _layout(dim, formulation)
@@ -118,18 +113,19 @@ def load_snapshot(path: str | Path) -> StateA | StateB:
             f"header must list exactly {len(expected)} fields for formulation {formulation}"
         )
     points = n**dim
-    for entry, (name, comps) in zip(meta, expected):
+    for entry, (name, shape) in zip(meta, expected):
         if not isinstance(entry, dict) or set(entry) != _FIELD_KEYS:
             raise SnapshotError(f"malformed field entry {entry!r}")
+        comps = math.prod(shape)
         want = {"name": name, "components": comps, "dtype": "f64-le", "count": comps * points}
         if entry != want:
             raise SnapshotError(f"field entry {entry!r} does not match expected {want!r}")
 
     payload = raw[newline + 1 :]
     offset = 0
-    values: dict[str, np.ndarray] = {}
-    for name, comps in expected:
-        count = comps * points
+    arrays: list[np.ndarray] = []
+    for name, shape in expected:
+        count = math.prod(shape) * points
         nbytes = 8 * count
         if len(payload) - offset < nbytes:
             raise SnapshotError(f"truncated payload: field '{name}' is incomplete")
@@ -137,15 +133,7 @@ def load_snapshot(path: str | Path) -> StateA | StateB:
         offset += nbytes
         if not np.all(np.isfinite(arr)):
             raise SnapshotError(f"non-finite values in field '{name}'")
-        values[name] = arr
+        arrays.append(arr.reshape(shape + grid.shape))
     if offset != len(payload):
         raise SnapshotError(f"{len(payload) - offset} unexpected trailing bytes")
-
-    shape = grid.shape
-    v = VectorField(grid, values["v"].reshape((dim,) + shape))
-    m = VectorField(grid, values["M"].reshape((3,) + shape))
-    if formulation == "A":
-        F = MatrixField(grid, values["F"].reshape((dim, dim) + shape))
-        return StateA(t=float(t), v=v, F=F, M=m)
-    psi = VectorField(grid, values["psi"].reshape((dim,) + shape))
-    return StateB(t=float(t), v=v, psi=psi, M=m)
+    return STATES[formulation].from_values(float(t), grid, arrays)

@@ -22,8 +22,9 @@ at the nodes.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -278,19 +279,31 @@ class PicardRun:
         ]
 
 
-def _stage(name: str, n: int):
+@contextmanager
+def _stage(name: str, n: int) -> Iterator[None]:
     """Context decoration for per-stage numerical failures."""
-    class _Ctx:
-        def __enter__(self):
-            return self
+    try:
+        yield
+    except NumericalError as exc:
+        t = getattr(exc, "t", float("nan"))
+        raise BlowUpError(t, f"iterate {n} {name} stage: {exc}") from exc
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, NumericalError):
-                t = getattr(exc, "t", float("nan"))
-                raise BlowUpError(t, f"iterate {n} {name} stage: {exc}") from exc
-            return False
 
-    return _Ctx()
+def _cn_march(grid: TorusGrid, x0: np.ndarray, source_hat: Callable[[int], np.ndarray],
+              c: float, dt: float, n_steps: int,
+              post: Callable[[TorusGrid, np.ndarray], np.ndarray] | None) -> np.ndarray:
+    """Crank-Nicolson march of x_t = c Delta x + source from x0, source_hat(k)
+    being the source's hat at node k; returns the values at all n_steps + 1
+    nodes. post (None: identity) acts on each new hat before its transform."""
+    out = np.empty((n_steps + 1,) + x0.shape)
+    out[0] = x0
+    n1 = source_hat(0)
+    for k in range(n_steps):
+        n2 = source_hat(k + 1)
+        hat = _cn_stage(grid, grid.fft(out[k]), n1, n2, c, dt)
+        out[k + 1] = grid.ifft(hat if post is None else post(grid, hat))
+        n1 = n2
+    return out
 
 
 def picard_iterate(
@@ -351,14 +364,8 @@ def picard_iterate(
                 h = _h_values(params.h_ext, grid, k * dt)
                 return leray_hat(grid, _momentum_hat_A(grid, v, f, m, jac_v, jac_m, h, mask))
 
-            new_v = np.empty_like(prev_v)
-            new_v[0] = initial.v.values
-            n1 = source_hat(0)
-            for k in range(n_steps):
-                n2 = source_hat(k + 1)
-                hat = _cn_stage(grid, grid.fft(new_v[k]), n1, n2, params.nu, dt)
-                new_v[k + 1] = grid.ifft(leray_hat(grid, hat))
-                n1 = n2
+            new_v = _cn_march(grid, initial.v.values, source_hat, params.nu, dt, n_steps,
+                              leray_hat)
             if not np.all(np.isfinite(new_v)):
                 raise BlowUpError(T)
 
@@ -368,16 +375,16 @@ def picard_iterate(
                 jac_v, jac_f = jacobian_values(grid, v), jacobian_from_hat(grid, f_hat)
                 return _deformation_hat(grid, v, f, jac_v, jac_f, mask)
 
-            new_f = np.empty_like(prev_f)
-            new_f[0] = initial.F.values
             if variant == "frozen":
-                n1 = deformation_hat(prev_v[0], prev_f[0], grid.fft(prev_f[0]))
-                for k in range(n_steps):
-                    n2 = deformation_hat(prev_v[k + 1], prev_f[k + 1], grid.fft(prev_f[k + 1]))
-                    hat = _cn_stage(grid, grid.fft(new_f[k]), n1, n2, params.kappa, dt)
-                    new_f[k + 1] = grid.ifft(hat)
-                    n1 = n2
+
+                def frozen_hat(k: int) -> np.ndarray:
+                    return deformation_hat(prev_v[k], prev_f[k], grid.fft(prev_f[k]))
+
+                new_f = _cn_march(grid, initial.F.values, frozen_hat, params.kappa, dt, n_steps,
+                                  None)
             else:
+                new_f = np.empty_like(prev_f)
+                new_f[0] = initial.F.values
 
                 def tendency(values, hats, t):
                     return (deformation_hat(prev_v[round(t / dt)], values[0], hats[0]),)
@@ -414,12 +421,8 @@ def picard_iterate(
             )
 
         # copies, so a stored state does not keep its iterate's trajectory alive
-        new_state = StateA(
-            t=T,
-            v=VectorField(grid, new_v[-1].copy()),
-            F=MatrixField(grid, new_f[-1].copy()),
-            M=VectorField(grid, new_m[-1].copy()),
-        )
+        final = (new_v[-1].copy(), new_f[-1].copy(), new_m[-1].copy())
+        new_state = StateA.from_values(T, grid, final)
         diffs.append(picard_metric(new_state, states_at_T[-1], s))
         states_at_T.append(new_state)
 
@@ -427,12 +430,7 @@ def picard_iterate(
         d_nodes = np.empty(nodes)
         div_max = 0.0
         for k in range(nodes):
-            node_state = StateA(
-                t=k * dt,
-                v=VectorField(grid, new_v[k]),
-                F=MatrixField(grid, new_f[k]),
-                M=VectorField(grid, new_m[k]),
-            )
+            node_state = StateA.from_values(k * dt, grid, (new_v[k], new_f[k], new_m[k]))
             e_nodes[k], d_nodes[k] = local_functionals(node_state, params.nu, s)
             div_max = max(
                 div_max, float(np.max(np.abs(divergence_values(grid, new_v[k]))))

@@ -44,8 +44,8 @@ import numpy as np
 from . import dynamics
 from .energetics import DiagnosticRecord, diagnostic_record
 from .errors import BlowUpError, CflError, NumericalError
-from .fields import PhysParams, StateA, StateB, renormalize_M
-from .spectral import MatrixField, TorusGrid, VectorField, leray_hat
+from .fields import PhysParams, StateA, StateB, check_params, renormalize_M
+from .spectral import TorusGrid, VectorField, leray_hat
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -104,10 +104,8 @@ def _check_cfl(state: StateA | StateB, cfg: IntegratorConfig) -> None:
 
 
 def _check_finite(state: StateA | StateB, t: float) -> None:
-    arrays = [state.v.values, state.M.values]
-    arrays.append(state.F.values if isinstance(state, StateA) else state.psi.values)
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+    for f in state.fields:
+        if not np.all(np.isfinite(f.values)):
             raise BlowUpError(t)
 
 
@@ -182,21 +180,19 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
     _check_cfl(state, cfg)
     grid = state.grid
     mask = dynamics._mask(grid, dealias)
-    if isinstance(state, StateA):
-        second = state.F.values
+    if state.formulation == "A":
         diffusivities, posts = (params.nu, params.kappa, 1.0), (leray_hat, None, None)
 
         def tendency(values, hats, t):
             h = dynamics._h_values(params.h_ext, grid, t)
             return dynamics._tendency_hats_A(grid, *values, h, mask, hats)
     else:
-        second = state.psi.values
         diffusivities, posts = (params.nu, 0.0, 1.0), (leray_hat, _gauge_hat, None)
 
         def tendency(values, hats, t):
             return dynamics._tendency_hats_B(grid, *values, mask, hats)
 
-    values = (state.v.values, second, state.M.values)
+    values = tuple(f.values for f in state.fields)
     if rhs is None:
         hats, n1 = tuple(grid.fft(x) for x in values), None
     else:
@@ -204,15 +200,10 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
     v_new, second_new, m_new = _imex2(
         grid, values, hats, state.t, cfg.dt, tendency, diffusivities, posts, n1
     )
-    new_m = VectorField(grid, m_new)
     if cfg.renormalize_m:
-        new_m = renormalize_M(new_m)
+        m_new = renormalize_M(VectorField(grid, m_new)).values
     t1 = state.t + cfg.dt
-    v = VectorField(grid, v_new)
-    if isinstance(state, StateA):
-        new = StateA(t=t1, v=v, F=MatrixField(grid, second_new), M=new_m)
-    else:
-        new = StateB(t=t1, v=v, psi=VectorField(grid, second_new), M=new_m)
+    new = type(state).from_values(t1, grid, (v_new, second_new, m_new))
     _check_finite(new, t1)
     return new
 
@@ -250,8 +241,10 @@ def run(
     reached time (the empirical lifespan) and a status string instead of
     raising, so callers can report blow-up cleanly. A recorded state's
     right-hand side serves its record and the next step's first stage.
+    Parameters the state cannot honour raise ValueError before any work.
     """
-    is_a = isinstance(state, StateA)
+    check_params(state.formulation, state.grid.dim, params)
+    is_a = state.formulation == "A"
     stepper = step_A if is_a else step_B
     n_steps = _step_count(cfg.t_end, cfg.dt)
 

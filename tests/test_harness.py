@@ -171,9 +171,13 @@ class TestInitialData:
             generate_initial_data(grid2, "spiral", "A")
 
 
+SNAPSHOT_GRIDS = [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)]
+
+
 class TestSnapshot:
-    def test_round_trip_is_bit_identical_A(self, grid2, tmp_path: Path) -> None:
-        state = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=4)
+    @pytest.mark.parametrize("grid", SNAPSHOT_GRIDS, ids=lambda g: f"{g.dim}d_n{g.n}")
+    def test_round_trip_is_bit_identical_A(self, grid: TorusGrid, tmp_path: Path) -> None:
+        state = generate_initial_data(grid, "flow_map_F", "A", amplitude=1e-2, seed=4)
         path = tmp_path / "state.snap"
         write_snapshot(state, path)
         loaded = load_snapshot(path)
@@ -183,8 +187,9 @@ class TestSnapshot:
         assert np.array_equal(loaded.F.values, state.F.values)
         assert np.array_equal(loaded.M.values, state.M.values)
 
-    def test_round_trip_is_bit_identical_B(self, grid2, tmp_path: Path) -> None:
-        state = generate_initial_data(grid2, "random_small", "B", amplitude=1e-2, seed=4)
+    @pytest.mark.parametrize("grid", SNAPSHOT_GRIDS, ids=lambda g: f"{g.dim}d_n{g.n}")
+    def test_round_trip_is_bit_identical_B(self, grid: TorusGrid, tmp_path: Path) -> None:
+        state = generate_initial_data(grid, "random_small", "B", amplitude=1e-2, seed=4)
         path = tmp_path / "state.snap"
         write_snapshot(state, path)
         loaded = load_snapshot(path)
@@ -326,6 +331,13 @@ class TestCli:
         config = write_config(tmp_path, dim=dim, h_ext=h_ext, out_dir=str(out_dir))
         assert main(["run", str(config)]) == 2
         assert "wavevector" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_reformulation_with_kappa_is_usage_error(self, tmp_path: Path, capsys) -> None:
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, formulation="B", kappa=0.5, out_dir=str(out_dir))
+        assert main(["run", str(config)]) == 2
+        assert "kappa" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_unknown_scenario_is_usage_error(self, tmp_path: Path, capsys) -> None:

@@ -62,12 +62,7 @@ def uniform_steady(grid: TorusGrid, formulation: str) -> StateA | StateB:
 
 
 def max_state_change(a: StateA | StateB, b: StateA | StateB) -> float:
-    second = (a.F.values - b.F.values) if isinstance(a, StateA) else (a.psi.values - b.psi.values)
-    return max(
-        float(np.max(np.abs(a.v.values - b.v.values))),
-        float(np.max(np.abs(second))),
-        float(np.max(np.abs(a.M.values - b.M.values))),
-    )
+    return max(float(np.max(np.abs(x.values - y.values))) for x, y in zip(a.fields, b.fields))
 
 
 def assert_formulations_agree(grid: TorusGrid) -> None:
@@ -250,6 +245,31 @@ class TestGuards:
         assert result.status == "blowup"
         assert result.steps == 0
 
+    @pytest.mark.parametrize(
+        "formulation, params",
+        [
+            ("A", PhysParams(h_ext=HExt(kind="single_mode", amplitude=0.1))),
+            ("B", PhysParams(kappa=0.5)),
+            ("B", PhysParams(h_ext=HExt(kind="uniform", vector=(0.0, 0.0, 0.5)))),
+        ],
+        ids=["A_wavevector_length", "B_kappa", "B_h_ext"],
+    )
+    def test_run_refuses_parameters_before_any_work(
+        self, grid3: TorusGrid, formulation: str, params: PhysParams
+    ) -> None:
+        calls = []
+        cfg = IntegratorConfig(dt=1e-3, t_end=3e-3, snapshot_every=1)
+        for diag_sink in (calls.append, None):  # without records, snapshot 0 comes first
+            with pytest.raises(ValueError):
+                run(
+                    uniform_steady(grid3, formulation),
+                    params,
+                    cfg,
+                    diag_sink=diag_sink,
+                    snap_sink=lambda state, k: calls.append(k),
+                )
+        assert calls == []
+
 
 class TestRunLoop:
     def test_zero_horizon_emits_single_row(self, grid2: TorusGrid) -> None:
@@ -336,14 +356,13 @@ def reuse_setup(grid: TorusGrid, case: str):
 
 
 def evaluate_rhs(state: StateA | StateB, params: PhysParams, dealias: bool):
-    if isinstance(state, StateA):
+    if state.formulation == "A":
         return dynamics.rhs_A(state, params.nu, params.kappa, params.h_ext, dealias)
     return dynamics.rhs_B(state, params.nu, dealias)
 
 
 def state_bytes(state: StateA | StateB) -> list[bytes]:
-    second = state.F if isinstance(state, StateA) else state.psi
-    return [state.t.hex().encode()] + [f.values.tobytes() for f in (state.v, second, state.M)]
+    return [state.t.hex().encode()] + [f.values.tobytes() for f in state.fields]
 
 
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
@@ -354,7 +373,7 @@ class TestSharedEvaluation:
 
     def test_records_equal_fresh_records(self, grid: TorusGrid, case: str, monkeypatch) -> None:
         state, params, cfg, dealias = reuse_setup(grid, case)
-        kernel = "_tendency_hats_A" if isinstance(state, StateA) else "_tendency_hats_B"
+        kernel = f"_tendency_hats_{state.formulation}"
         original = getattr(dynamics, kernel)
         calls = []
 
@@ -383,7 +402,7 @@ class TestSharedEvaluation:
                 states[k], params, 2, 0.25, evaluate_rhs(states[k], params, dealias)
             )
             assert record.to_csv_row() == fresh.to_csv_row()
-        stepper = step_A if isinstance(state, StateA) else step_B
+        stepper = step_A if state.formulation == "A" else step_B
         for k in range(1, 8):
             state = replace(stepper(state, params, cfg, dealias), t=k * cfg.dt)
             assert state_bytes(state) == state_bytes(states[k])
@@ -391,7 +410,7 @@ class TestSharedEvaluation:
     def test_step_with_rhs_is_bitwise_the_plain_step(self, grid: TorusGrid, case: str) -> None:
         state, params, cfg, dealias = reuse_setup(grid, case)
         state = replace(state, t=3e-3)  # a forced run samples h_ext at the state's time
-        stepper = step_A if isinstance(state, StateA) else step_B
+        stepper = step_A if state.formulation == "A" else step_B
         shared = stepper(state, params, cfg, dealias, evaluate_rhs(state, params, dealias))
         plain = stepper(state, params, cfg, dealias)
         assert state_bytes(shared) == state_bytes(plain)
