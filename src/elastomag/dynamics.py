@@ -15,14 +15,16 @@ rounding. The simplified coefficient choice (elastic energy (1/2)|F|^2,
 unit exchange/gyromagnetic/damping constants) is hard-coded.
 
 There is one tendency implementation: the fused kernels _tendency_hats_A
-and _tendency_hats_B (they take the state hats, share jacobians across
-terms and return tendencies in Fourier space). rhs_A and rhs_B transform
-the state once, add the stiff terms to the kernel's tendencies in Fourier
-space and return one Rhs of hats only: the state hats, the kernel's
-nonstiff hats and the full tendency hats. That one evaluation serves a
-diagnostic record, the next step's first stage (timestepper.run hands it
-over) and stokes.w_diagnostic. The steppers and the schemes call the
-kernels or their pieces (_momentum_hat_A, _deformation_hat, _llg_hat)
+and _tendency_hats_B, which share one signature (grid, v, F|psi, M, h,
+mask, state_hats), share jacobians across terms and return tendencies in
+Fourier space. Both build the momentum with _momentum_hat from their
+elastic stress values. rhs_A and rhs_B pass their kernel to one
+evaluation, which transforms the state once, adds the stiff terms in
+Fourier space and returns one Rhs of hats only: the state hats, the
+kernel's nonstiff hats and the full tendency hats. That one evaluation
+serves a diagnostic record, the next step's first stage (timestepper.run
+hands it over) and stokes.w_diagnostic. The steppers and the schemes call
+the kernels or their pieces (_momentum_hat, _deformation_hat, _llg_hat)
 directly. tests/oracles.py rebuilds every term from the PDE with the
 public spectral operators, as the independent reference the kernels are
 tested against.
@@ -31,6 +33,7 @@ tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -91,11 +94,12 @@ def _llg_hat(
     v: np.ndarray | None,
     m: np.ndarray,
     jac_m: np.ndarray,
-    lap_m: np.ndarray,
+    m_hat: np.ndarray,
     h: np.ndarray | None,
     mask: np.ndarray | None,
 ) -> np.ndarray:
     """Hat of every magnetization tendency term except the stiff Delta M."""
+    lap_m = grid.ifft(m_hat * (-grid.k_sq))
     heff = lap_m if h is None else lap_m + h
     gamma = np.einsum("ki...,ki...->...", jac_m, jac_m)
     if h is not None:
@@ -110,22 +114,23 @@ def _llg_hat(
     return out
 
 
-def _momentum_hat_A(
+def _momentum_hat(
     grid: TorusGrid,
     v: np.ndarray,
-    f: np.ndarray,
     m: np.ndarray,
     jac_v: np.ndarray,
     jac_m: np.ndarray,
+    stress: np.ndarray,
     h: np.ndarray | None,
     mask: np.ndarray | None,
 ) -> np.ndarray:
-    """Unprojected hat of -v.grad v - div(grad M (.) grad M) + div(F F^T) + (grad H)^T M."""
+    """Unprojected hat of -v.grad v + div(stress) - div(grad M (.) grad M) + (grad H)^T M,
+    stress being the elastic stress values (F F^T in A, g(grad psi) in B),
+    which are overwritten."""
     vec = -np.einsum("j...,ij...->i...", v, jac_v)
     if h is not None:
         jac_h = jacobian_values(grid, h)
         vec += np.einsum("ki...,k...->i...", jac_h, m)
-    stress = np.einsum("ik...,jk...->ij...", f, f)
     stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
     return _masked_fft(grid, vec, mask) + _div_rows_hat(
         grid, _masked_fft(grid, stress, mask)
@@ -160,26 +165,6 @@ def _g_values(grid: TorusGrid, g_vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _momentum_hat_B(
-    grid: TorusGrid,
-    v: np.ndarray,
-    psi_hat: np.ndarray,
-    jac_v: np.ndarray,
-    jac_psi: np.ndarray,
-    jac_m: np.ndarray,
-    mask: np.ndarray | None,
-) -> np.ndarray:
-    """Unprojected hat of -Delta psi - v.grad v + div g(grad psi) - div(grad M (.) grad M)."""
-    vec = -np.einsum("j...,ij...->i...", v, jac_v)
-    stress = _g_values(grid, jac_psi)
-    stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
-    hat = _masked_fft(grid, vec, mask) + _div_rows_hat(
-        grid, _masked_fft(grid, stress, mask)
-    )
-    hat += grid.k_sq * psi_hat
-    return hat
-
-
 def _tendency_hats_A(
     grid: TorusGrid,
     v: np.ndarray,
@@ -195,14 +180,10 @@ def _tendency_hats_A(
     dM_hat); dv_hat is not Leray-projected and no stiff diffusion term is
     included.
     """
-    v_hat, f_hat, m_hat = state_hats
-    jac_v = jacobian_from_hat(grid, v_hat)
-    jac_f = jacobian_from_hat(grid, f_hat)
-    jac_m = jacobian_from_hat(grid, m_hat)
-    lap_m = grid.ifft(m_hat * (-grid.k_sq))
-    dv = _momentum_hat_A(grid, v, f, m, jac_v, jac_m, h, mask)
+    jac_v, jac_f, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in state_hats)
+    dv = _momentum_hat(grid, v, m, jac_v, jac_m, np.einsum("ik...,jk...->ij...", f, f), h, mask)
     df = _deformation_hat(grid, v, f, jac_v, jac_f, mask)
-    dm = _llg_hat(grid, v, m, jac_m, lap_m, h, mask)
+    dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, mask)
     return dv, df, dm
 
 
@@ -211,30 +192,35 @@ def _tendency_hats_B(
     v: np.ndarray,
     psi: np.ndarray,
     m: np.ndarray,
+    h: np.ndarray | None,
     mask: np.ndarray | None,
     state_hats: Hats,
 ) -> Hats:
     """All nonstiff tendency hats of formulation B with shared transforms.
 
-    state_hats are the transforms of (v, psi, m). Returns (dv_hat, dpsi_hat,
-    dM_hat); dv_hat is not Leray-projected and no stiff diffusion term is
-    included.
+    Same signature and return as _tendency_hats_A, with psi in place of F;
+    h is always None, as fields.check_params refuses a field in B. dv_hat
+    includes the explicit -Delta psi coupling.
     """
     v_hat, psi_hat, m_hat = state_hats
-    jac_v = jacobian_from_hat(grid, v_hat)
-    jac_psi = jacobian_from_hat(grid, psi_hat)
-    jac_m = jacobian_from_hat(grid, m_hat)
-    lap_m = grid.ifft(m_hat * (-grid.k_sq))
-    dv = _momentum_hat_B(grid, v, psi_hat, jac_v, jac_psi, jac_m, mask)
+    jac_v, jac_psi, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in state_hats)
+    dv = _momentum_hat(grid, v, m, jac_v, jac_m, _g_values(grid, jac_psi), h, mask)
+    dv += grid.k_sq * psi_hat
     adv_psi = np.einsum("a...,ka...->k...", v, jac_psi)
     dpsi = -v_hat - _masked_fft(grid, adv_psi, mask)
-    dm = _llg_hat(grid, v, m, jac_m, lap_m, None, mask)
+    dm = _llg_hat(grid, v, m, jac_m, m_hat, h, mask)
     return dv, dpsi, dm
 
 
-def _with_stiff_terms(grid: TorusGrid, hats: Hats, stage1: Hats, nu: float,
-                      kappa: float) -> Rhs:
-    """Add the stiff diffusion to the kernel's stage-1 hats and Leray-project dv."""
+def _evaluate(kernel: Callable[..., Hats], state: StateA | StateB, nu: float, kappa: float,
+              h_ext: HExt | None, dealias: bool) -> Rhs:
+    """One evaluation with a formulation's kernel: transform the state once,
+    add the stiff diffusion to the kernel's stage-1 hats and Leray-project dv."""
+    grid = state.grid
+    h = _h_values(h_ext, grid, state.t)
+    values = tuple(f.values for f in state.fields)
+    hats = tuple(grid.fft(x) for x in values)
+    stage1 = kernel(grid, *values, h, _mask(grid, dealias), hats)
     (v_hat, x_hat, m_hat), (dv, dx, dm) = hats, stage1
     dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)
     if kappa != 0.0:
@@ -246,18 +232,9 @@ def _with_stiff_terms(grid: TorusGrid, hats: Hats, stage1: Hats, nu: float,
 def rhs_A(state: StateA, nu: float, kappa: float = 0.0,
           h_ext: HExt | None = None, dealias: bool = True) -> Rhs:
     """All evaluated tendencies of formulation A at the state's time."""
-    grid = state.grid
-    h = _h_values(h_ext, grid, state.t)
-    values = tuple(f.values for f in state.fields)
-    hats = tuple(grid.fft(x) for x in values)
-    stage1 = _tendency_hats_A(grid, *values, h, _mask(grid, dealias), hats)
-    return _with_stiff_terms(grid, hats, stage1, nu, kappa)
+    return _evaluate(_tendency_hats_A, state, nu, kappa, h_ext, dealias)
 
 
 def rhs_B(state: StateB, nu: float, dealias: bool = True) -> Rhs:
     """All evaluated tendencies of formulation B (external field zero)."""
-    grid = state.grid
-    values = tuple(f.values for f in state.fields)
-    hats = tuple(grid.fft(x) for x in values)
-    stage1 = _tendency_hats_B(grid, *values, _mask(grid, dealias), hats)
-    return _with_stiff_terms(grid, hats, stage1, nu, 0.0)
+    return _evaluate(_tendency_hats_B, state, nu, 0.0, None, dealias)

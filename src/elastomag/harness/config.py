@@ -20,40 +20,26 @@ from ..spectral import TorusGrid
 from ..timestepper import IntegratorConfig
 from .initial_data import VARIANTS, generate_initial_data
 
-_DEFAULTS: dict[str, Any] = {
-    "dim": 2,
-    "n": 64,
-    "nu": 1.0,
-    "kappa": 0.0,
-    "h_ext": "zero",
-    "formulation": "A",
-    "initial_data": "zero_steady",
-    "amplitude": 1e-2,
-    "snapshot_path": None,
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "scheme": "imex2",
-    "renormalize_m": False,
-    "cfl_guard": 0.5,
-    "snapshot_every": 0,
-    "diag_every": 1,
-    "s": 2,
-    "delta": "auto",
-    "c0_hat": 1.0,
-    "dealias": True,
-    "seed": 0,
-    "out_dir": ".",
-    "csv_name": "diagnostics.csv",
-}
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _json_value(key: str, kind: type, value: Any) -> Any:
+    """value as kind if it has kind's JSON type, else a ConfigError; a boolean
+    is neither an integer nor a number here."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return kind(value)
 
 
 def _parse_h_ext(value: Any) -> HExt:
     if value == "zero":
         return HExt()
     if isinstance(value, (list, tuple)):
-        if len(value) != 3 or not all(isinstance(c, (int, float)) for c in value):
+        if len(value) != 3:
             raise ConfigError(f"uniform h_ext needs 3 numbers, got {value!r}")
-        return HExt(kind="uniform", vector=tuple(float(c) for c in value))
+        return HExt(kind="uniform", vector=tuple(_json_value("h_ext", float, c) for c in value))
     if isinstance(value, dict):
         kind = value.get("type")
         if kind == "zero":
@@ -69,10 +55,12 @@ def _parse_h_ext(value: Any) -> HExt:
             try:
                 return HExt(
                     kind="single_mode",
-                    amplitude=float(value.get("amplitude", 0.0)),
-                    wavevector=tuple(int(k) for k in value.get("wavevector", (1, 0))),
-                    component=int(value.get("component", 2)),
-                    omega=float(value.get("omega", 0.0)),
+                    amplitude=_json_value("amplitude", float, value.get("amplitude", 0.0)),
+                    wavevector=tuple(
+                        _json_value("wavevector", int, k) for k in value.get("wavevector", (1, 0))
+                    ),
+                    component=_json_value("component", int, value.get("component", 2)),
+                    omega=_json_value("omega", float, value.get("omega", 0.0)),
                 )
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"invalid single_mode h_ext: {err}") from err
@@ -83,8 +71,10 @@ def _parse_h_ext(value: Any) -> HExt:
 # Every other key is cast by the type of its default.
 _CASTS: dict[str, Callable[[Any], Any]] = {
     "h_ext": _parse_h_ext,
-    "snapshot_path": lambda value: None if value is None else str(value),
-    "delta": lambda value: value if value == "auto" else float(value),
+    "snapshot_path": lambda value: (
+        None if value is None else _json_value("snapshot_path", str, value)
+    ),
+    "delta": lambda value: value if value == "auto" else _json_value("delta", float, value),
 }
 
 
@@ -101,41 +91,40 @@ def _require(cond: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Parsed, validated run configuration (see _DEFAULTS for the key set)."""
+    """Parsed, validated run configuration; the fields are the config keys and
+    their defaults."""
 
-    dim: int
-    n: int
-    nu: float
-    kappa: float
-    h_ext: HExt
-    formulation: str
-    initial_data: str
-    amplitude: float
-    snapshot_path: str | None
-    dt: float
-    t_end: float
-    scheme: str
-    renormalize_m: bool
-    cfl_guard: float
-    snapshot_every: int
-    diag_every: int
-    s: int
-    delta: float | str
-    c0_hat: float
-    dealias: bool
-    seed: int
-    out_dir: str
-    csv_name: str
+    dim: int = 2
+    n: int = 64
+    nu: float = 1.0
+    kappa: float = 0.0
+    h_ext: HExt = HExt()
+    formulation: str = "A"
+    initial_data: str = "zero_steady"
+    amplitude: float = 1e-2
+    snapshot_path: str | None = None
+    dt: float = 1e-3
+    t_end: float = 1.0
+    scheme: str = "imex2"
+    renormalize_m: bool = False
+    cfl_guard: float = 0.5
+    snapshot_every: int = 0
+    diag_every: int = 1
+    s: int = 2
+    delta: float | str = "auto"
+    c0_hat: float = 1.0
+    dealias: bool = True
+    seed: int = 0
+    out_dir: str = "."
+    csv_name: str = "diagnostics.csv"
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimulationConfig":
-        _reject_unknown(data, set(_DEFAULTS), "config")
-        merged = {**_DEFAULTS, **data}
-        try:
-            cfg = cls(**{key: _CASTS.get(key, type(default))(merged[key])
-                         for key, default in _DEFAULTS.items()})
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"invalid config value: {err}") from err
+        defaults = {f.name: f.default for f in fields(cls)}
+        _reject_unknown(data, set(defaults), "config")
+        cfg = cls(**{key: _CASTS[key](value) if key in _CASTS
+                     else _json_value(key, type(defaults[key]), value)
+                     for key, value in data.items()})
         cfg._validate()
         return cfg
 
@@ -186,15 +175,7 @@ class SimulationConfig:
                                      self.amplitude, self.seed, self.snapshot_path)
 
     def make_integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            dt=self.dt,
-            t_end=self.t_end,
-            scheme=self.scheme,
-            renormalize_m=self.renormalize_m,
-            cfl_guard=self.cfl_guard,
-            snapshot_every=self.snapshot_every,
-            diag_every=self.diag_every,
-        )
+        return IntegratorConfig(**{f.name: getattr(self, f.name) for f in fields(IntegratorConfig)})
 
     def resolved_delta(self) -> float:
         if self.delta == "auto":

@@ -86,18 +86,6 @@ def _project_div_free(
     return a, b
 
 
-def _sup_bound(a: np.ndarray, b: np.ndarray) -> float:
-    """Bound on max over components of sup_x |f_comp(x)|."""
-    return float(np.max(np.sum(np.hypot(a, b), axis=1)))
-
-
-def _grad_sup_bound(modes: list[tuple[int, ...]], a: np.ndarray, b: np.ndarray) -> float:
-    """Bound on max over components and axes of sup_x |d_i f_comp(x)|."""
-    amp = np.hypot(a, b)
-    kabs = np.abs(np.asarray(modes, dtype=np.float64))
-    return float(np.max(amp @ kabs))
-
-
 def _eval_trig(
     grid: TorusGrid, modes: list[tuple[int, ...]], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -131,48 +119,48 @@ def random_trig_field(
     return _eval_trig(grid, modes, a, b)
 
 
-def _random_velocity(
-    rng: np.random.Generator, grid: TorusGrid, amplitude: float, band: int = STATE_BAND
-) -> VectorField:
+def _scaled_trig(rng: np.random.Generator, grid: TorusGrid, ncomp: int, amplitude: float,
+                 band: int, *, div_free: bool = False, bound_gradient: bool = False
+                 ) -> np.ndarray:
+    """Draw a trig polynomial, project it divergence free if div_free, and scale
+    it so the analytic bound on max |f_comp| (max |d_i f_comp| if bound_gradient)
+    is amplitude; returns its values."""
     modes = _half_lattice_modes(grid.dim, band)
-    a, b = _draw_coeffs(rng, grid.dim, modes)
-    a, b = _project_div_free(modes, a, b)
-    bound = _sup_bound(a, b)
+    a, b = _draw_coeffs(rng, ncomp, modes)
+    if div_free:
+        a, b = _project_div_free(modes, a, b)
+    amp = np.hypot(a, b)
+    if bound_gradient:
+        bound = float(np.max(amp @ np.abs(np.asarray(modes, dtype=np.float64))))
+    else:
+        bound = float(np.max(np.sum(amp, axis=1)))
     scale = amplitude / bound if bound > 0 else 0.0
-    return VectorField(grid, _eval_trig(grid, modes, a * scale, b * scale))
+    return _eval_trig(grid, modes, a * scale, b * scale)
 
 
-def _random_potential(
-    rng: np.random.Generator, grid: TorusGrid, amplitude: float, band: int = STATE_BAND
-) -> VectorField:
+def _random_velocity(rng: np.random.Generator, grid: TorusGrid, amplitude: float) -> VectorField:
+    return VectorField(grid, _scaled_trig(rng, grid, grid.dim, amplitude, STATE_BAND,
+                                          div_free=True))
+
+
+def _random_potential(rng: np.random.Generator, grid: TorusGrid, amplitude: float) -> VectorField:
     """Zero-mean psi scaled so the analytic bound on max |d_i psi^j| is amplitude."""
-    modes = _half_lattice_modes(grid.dim, band)
-    a, b = _draw_coeffs(rng, grid.dim, modes)
-    bound = _grad_sup_bound(modes, a, b)
-    scale = amplitude / bound if bound > 0 else 0.0
-    return VectorField(grid, _eval_trig(grid, modes, a * scale, b * scale))
+    return VectorField(grid, _scaled_trig(rng, grid, grid.dim, amplitude, STATE_BAND,
+                                          bound_gradient=True))
 
 
 def _random_magnetization(
-    rng: np.random.Generator, grid: TorusGrid, amplitude: float, band: int = STATE_BAND
+    rng: np.random.Generator, grid: TorusGrid, amplitude: float
 ) -> VectorField:
     """Unit field: constant e3 plus an amplitude-bounded perturbation, normalized."""
-    modes = _half_lattice_modes(grid.dim, band)
-    a, b = _draw_coeffs(rng, 3, modes)
-    bound = _sup_bound(a, b)
-    scale = amplitude / bound if bound > 0 else 0.0
-    vals = _eval_trig(grid, modes, a * scale, b * scale)
+    vals = _scaled_trig(rng, grid, 3, amplitude, STATE_BAND)
     vals[2] += 1.0
     norms = np.sqrt(np.sum(vals**2, axis=0))
     return VectorField(grid, vals / norms)
 
 
 def _flow_map_deformation(
-    rng: np.random.Generator,
-    grid: TorusGrid,
-    amplitude: float,
-    band: int = FLOW_BAND,
-    dtau: float = FLOW_DTAU,
+    rng: np.random.Generator, grid: TorusGrid, amplitude: float, dtau: float = FLOW_DTAU
 ) -> MatrixField:
     """F with det F = 1: integrate dF/dtau = (grad u) F from I over tau in [0, 1].
 
@@ -180,12 +168,8 @@ def _flow_map_deformation(
     amplitude; the classical four-stage explicit scheme at step dtau keeps the
     determinant within roundoff of 1.
     """
-    modes = _half_lattice_modes(grid.dim, band)
-    a, b = _draw_coeffs(rng, grid.dim, modes)
-    a, b = _project_div_free(modes, a, b)
-    bound = _grad_sup_bound(modes, a, b)
-    scale = amplitude / bound if bound > 0 else 0.0
-    u = _eval_trig(grid, modes, a * scale, b * scale)
+    u = _scaled_trig(rng, grid, grid.dim, amplitude, FLOW_BAND, div_free=True,
+                     bound_gradient=True)
     grad_u = jacobian_values(grid, u)
 
     def rate(mat: np.ndarray) -> np.ndarray:

@@ -90,10 +90,14 @@ class RunArtifacts:
     final_snapshot: Path
 
 
-def _write_csv(path: Path, records: list[DiagnosticRecord]) -> None:
-    lines = [CSV_HEADER]
-    lines.extend(r.to_csv_row() for r in records)
-    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+    """Write the header line and one line per row to path atomically."""
+    _write_atomic(path, ("\n".join([header, *rows]) + "\n").encode())
+
+
+def _csv_row(cells: tuple) -> str:
+    """One CSV line; float cells keep 17 significant digits."""
+    return ",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells)
 
 
 def _suffixed(csv_name: str, suffix: str) -> str:
@@ -124,7 +128,7 @@ def run_simulation(
         snap_sink=snap_sink,
     )
     csv_path = out_dir / (csv_name or config.csv_name)
-    _write_csv(csv_path, records)
+    _write_csv(csv_path, CSV_HEADER, [r.to_csv_row() for r in records])
     final_snapshot = out_dir / f"{snap_prefix}final.snap"
     write_snapshot(result.state, final_snapshot)
     return RunArtifacts(
@@ -277,6 +281,7 @@ def _picard_rows(prun: PicardRun, reference: StateA, s: int) -> list[str]:
         ratio = ratios[i - 1] if i >= 1 else math.nan
         dist = picard_metric(prun.states_at_T[i + 1], reference, s)
         cells = (
+            prun.variant,
             i + 1,
             diff,
             ratio,
@@ -286,13 +291,7 @@ def _picard_rows(prun: PicardRun, reference: StateA, s: int) -> list[str]:
             prun.sphere_res[i],
             dist,
         )
-        rows.append(
-            prun.variant
-            + ","
-            + ",".join(
-                format(c, ".17g") if isinstance(c, float) else str(c) for c in cells
-            )
-        )
+        rows.append(_csv_row(cells))
     return rows
 
 
@@ -336,7 +335,7 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
         rows.extend(_picard_rows(prun, reference, config.s))
     csv_path = out_dir / config.csv_name
     header = "variant,iterate,diff,ratio,e_sup,d_int,div_v_res,sphere_res,distance_to_reference"
-    _write_atomic(csv_path, ("\n".join([header, *rows]) + "\n").encode())
+    _write_csv(csv_path, header, rows)
 
     frozen = reports["frozen"]
     max_ratio = max(frozen.ratios) if frozen.ratios else math.inf
@@ -380,7 +379,7 @@ def _mollifier_rows(report: MollifierReport) -> list[str]:
             mrun.e_eps[-1],
             diff,
         )
-        rows.append(",".join(format(float(c), ".17g") for c in cells))
+        rows.append(_csv_row(cells))
     return rows
 
 
@@ -400,7 +399,7 @@ def _mollifier_study(config: SimulationConfig) -> tuple[list[Check], dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / config.csv_name
     header = "cutoff,sup_e_eps,max_d_eps,e_eps_final,diff_to_next"
-    _write_atomic(csv_path, ("\n".join([header, *_mollifier_rows(report)]) + "\n").encode())
+    _write_csv(csv_path, header, _mollifier_rows(report))
 
     drops = report.drop_factors
     min_drop = min(drops) if drops else math.inf

@@ -11,12 +11,12 @@ with convergence-study drivers that report the quantities the acceptance
 checks assert.
 
 Both families advance in time with the IMEX2 rule of the timestepper
-(timestepper._imex2, shared with step_A and step_B): _integrate_llg runs it
-on M alone with diffusivity 1 and the magnetization tendency of
-dynamics._llg_hat under the projection's mask, and the transported Picard
-deformation runs it on F with diffusivity kappa. The Picard velocity and
-frozen deformation stages use its Crank-Nicolson stage with sources known
-at the nodes.
+(timestepper._imex2, shared with step_A and step_B) through one
+single-field march, _march: _integrate_llg runs it on M with diffusivity 1
+and the magnetization tendency of dynamics._llg_hat under the projection's
+mask, and the transported Picard deformation on F with diffusivity kappa.
+The Picard velocity and frozen deformation stages march with its
+Crank-Nicolson stage and sources known at the nodes (_cn_march).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .dynamics import (
     _h_values,
     _llg_hat,
     _mask,
-    _momentum_hat_A,
+    _momentum_hat,
 )
 from .energetics import (
     grad_sobolev_norm_sq,
@@ -67,6 +67,28 @@ DET_TOL = 1e-6
 # --------------------------------------------------------------------------
 
 
+def _march(grid: TorusGrid, x0: np.ndarray,
+           tendency: Callable[[np.ndarray, np.ndarray, float], np.ndarray], c: float,
+           dt: float, n_steps: int, on_node: Callable[[int, float, np.ndarray], None]
+           ) -> np.ndarray:
+    """IMEX2 march of x_t = c Delta x + N(x, t) from x0, tendency(x, x_hat, t)
+    being N's hat; on_node(k, t, x) fires at every node including the initial
+    one. Returns the final values; a non-finite one raises BlowUpError."""
+
+    def tendency_hats(values, hats, t):
+        return (tendency(values[0], hats[0], t),)
+
+    x = x0
+    on_node(0, 0.0, x)
+    for k in range(n_steps):
+        (x,) = _imex2(grid, (x,), (grid.fft(x),), k * dt, dt, tendency_hats, (c,), (None,))
+        t1 = (k + 1) * dt
+        if not np.all(np.isfinite(x)):
+            raise BlowUpError(t1)
+        on_node(k + 1, t1, x)
+    return x
+
+
 def _integrate_llg(
     grid: TorusGrid,
     m0: np.ndarray,
@@ -77,28 +99,18 @@ def _integrate_llg(
     n_steps: int,
     on_node: Callable[[int, float, np.ndarray], None],
 ) -> np.ndarray:
-    """Integrate the magnetization flow with the shared IMEX2 rule.
+    """Integrate the magnetization flow with the single-field IMEX2 march.
 
     Delta M is Crank-Nicolson, everything else trapezoidal-explicit, with
     the nonlinear terms truncated to mask (None: no truncation); on_node
     fires at every node including the initial one.
     """
 
-    def tendency(values, hats, t):
-        (m,), (m_hat,) = values, hats
+    def tendency(m, m_hat, t):
         jac = jacobian_from_hat(grid, m_hat)
-        lap = grid.ifft(m_hat * (-grid.k_sq))
-        return (_llg_hat(grid, v_at(t), m, jac, lap, _h_values(h_ext, grid, t), mask),)
+        return _llg_hat(grid, v_at(t), m, jac, m_hat, _h_values(h_ext, grid, t), mask)
 
-    m = m0
-    on_node(0, 0.0, m)
-    for k in range(n_steps):
-        (m,) = _imex2(grid, (m,), (grid.fft(m),), k * dt, dt, tendency, (1.0,), (None,))
-        t1 = (k + 1) * dt
-        if not np.all(np.isfinite(m)):
-            raise BlowUpError(t1)
-        on_node(k + 1, t1, m)
-    return m
+    return _march(grid, m0, tendency, 1.0, dt, n_steps, on_node)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +306,8 @@ def _cn_march(grid: TorusGrid, x0: np.ndarray, source_hat: Callable[[int], np.nd
               post: Callable[[TorusGrid, np.ndarray], np.ndarray] | None) -> np.ndarray:
     """Crank-Nicolson march of x_t = c Delta x + source from x0, source_hat(k)
     being the source's hat at node k; returns the values at all n_steps + 1
-    nodes. post (None: identity) acts on each new hat before its transform."""
+    nodes. post (None: identity) acts on each new hat before its transform.
+    A non-finite value raises BlowUpError at the final time."""
     out = np.empty((n_steps + 1,) + x0.shape)
     out[0] = x0
     n1 = source_hat(0)
@@ -303,6 +316,8 @@ def _cn_march(grid: TorusGrid, x0: np.ndarray, source_hat: Callable[[int], np.nd
         hat = _cn_stage(grid, grid.fft(out[k]), n1, n2, c, dt)
         out[k + 1] = grid.ifft(hat if post is None else post(grid, hat))
         n1 = n2
+    if not np.all(np.isfinite(out)):
+        raise BlowUpError(n_steps * dt)
     return out
 
 
@@ -362,12 +377,11 @@ def picard_iterate(
                 v, f, m = prev_v[k], prev_f[k], prev_m[k]
                 jac_v, jac_m = jacobian_values(grid, v), jacobian_values(grid, m)
                 h = _h_values(params.h_ext, grid, k * dt)
-                return leray_hat(grid, _momentum_hat_A(grid, v, f, m, jac_v, jac_m, h, mask))
+                stress = np.einsum("ik...,jk...->ij...", f, f)
+                return leray_hat(grid, _momentum_hat(grid, v, m, jac_v, jac_m, stress, h, mask))
 
             new_v = _cn_march(grid, initial.v.values, source_hat, params.nu, dt, n_steps,
                               leray_hat)
-            if not np.all(np.isfinite(new_v)):
-                raise BlowUpError(T)
 
         with _stage("deformation", n):
 
@@ -384,24 +398,15 @@ def picard_iterate(
                                   None)
             else:
                 new_f = np.empty_like(prev_f)
-                new_f[0] = initial.F.values
 
-                def tendency(values, hats, t):
-                    return (deformation_hat(prev_v[round(t / dt)], values[0], hats[0]),)
+                def on_f_node(k: int, t: float, f: np.ndarray) -> None:
+                    new_f[k] = f
 
-                for k in range(n_steps):
-                    (new_f[k + 1],) = _imex2(
-                        grid,
-                        (new_f[k],),
-                        (grid.fft(new_f[k]),),
-                        k * dt,
-                        dt,
-                        tendency,
-                        (params.kappa,),
-                        (None,),
-                    )
-            if not np.all(np.isfinite(new_f)):
-                raise BlowUpError(T)
+                def transported_hat(f: np.ndarray, f_hat: np.ndarray, t: float) -> np.ndarray:
+                    return deformation_hat(prev_v[round(t / dt)], f, f_hat)
+
+                _march(grid, initial.F.values, transported_hat, params.kappa, dt, n_steps,
+                       on_f_node)
 
         with _stage("magnetization", n):
             new_m = np.empty_like(prev_m)

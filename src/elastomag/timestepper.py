@@ -20,23 +20,24 @@ are bit-reproducible.
 
 The rule is written once, in _imex2, on Fourier coefficients: a tendency
 callable returns hats, the implicit divides (_implicit_stage, _cn_stage) and
-the per-field post-operations (Leray projection for v, the zero-mode gauge
-for psi) are diagonal there, and each stage transforms back exactly once
-per field. A diffusivity of 0 makes a field purely explicit. Three callers
-share it: step_A (diffusivities nu, kappa, 1 for v, F, M), step_B (nu, 0, 1
-for v, psi, M) and schemes._integrate_llg (M alone, diffusivity 1); the
-Picard stages in schemes reuse its stage helpers.
+the per-field post-operations (_POSTS) are diagonal there, and each stage
+transforms back exactly once per field. A diffusivity of 0 makes a field
+purely explicit. _step is the one step body: step_A and step_B hand it
+their kernel (dynamics._tendency_hats_A/_B, one signature), v, F|psi and M
+diffuse with nu, kappa and 1 (check_params holds kappa at 0 in B), and
+schemes._march runs the same rule on one field.
 
-run shares one right-hand-side evaluation between a diagnostic record and
-the next step: at a recorded state it calls dynamics.rhs_A/rhs_B once, the
-record reads its state and tendency hats, and the step takes its state hats
-and nonstiff stage-1 hats as its first stage (_imex2's n1), which they equal
-bit for bit.
+run picks the stepper and the evaluation (dynamics.rhs_A/rhs_B) in one
+formulation choice, and shares one evaluation between a diagnostic record
+and the next step: the record reads its state and tendency hats, and the
+step takes its state hats and nonstiff stage-1 hats as its first stage
+(_imex2's n1), which they equal bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -115,6 +116,10 @@ def _gauge_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
     return hat
 
 
+# Each formulation's post-operations on the (v, F|psi, M) hats after a stage.
+_POSTS = {"A": (leray_hat, None, None), "B": (leray_hat, _gauge_hat, None)}
+
+
 def _implicit_stage(
     grid: TorusGrid, hat: np.ndarray, n: np.ndarray, c: float, dt: float
 ) -> np.ndarray:
@@ -174,23 +179,18 @@ def _imex2(
 
 
 def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool,
-          rhs: dynamics.Rhs | None) -> StateA | StateB:
-    """One IMEX2 step of either formulation. rhs, if given, is rhs_A/rhs_B of this
-    state with the same params and dealias, and supplies the first stage."""
+          rhs: dynamics.Rhs | None, kernel: Callable[..., dynamics.Hats]) -> StateA | StateB:
+    """One IMEX2 step of either formulation with its tendency kernel; parameters
+    the state cannot honour raise ValueError. rhs, if given, is rhs_A/rhs_B of
+    this state with the same params and dealias, and supplies the first stage."""
+    check_params(state.formulation, state.grid.dim, params)
     _check_cfl(state, cfg)
     grid = state.grid
     mask = dynamics._mask(grid, dealias)
-    if state.formulation == "A":
-        diffusivities, posts = (params.nu, params.kappa, 1.0), (leray_hat, None, None)
 
-        def tendency(values, hats, t):
-            h = dynamics._h_values(params.h_ext, grid, t)
-            return dynamics._tendency_hats_A(grid, *values, h, mask, hats)
-    else:
-        diffusivities, posts = (params.nu, 0.0, 1.0), (leray_hat, _gauge_hat, None)
-
-        def tendency(values, hats, t):
-            return dynamics._tendency_hats_B(grid, *values, mask, hats)
+    def tendency(values, hats, t):
+        h = dynamics._h_values(params.h_ext, grid, t)
+        return kernel(grid, *values, h, mask, hats)
 
     values = tuple(f.values for f in state.fields)
     if rhs is None:
@@ -198,7 +198,8 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
     else:
         hats, n1 = rhs.state_hats, rhs.stage1_hats
     v_new, second_new, m_new = _imex2(
-        grid, values, hats, state.t, cfg.dt, tendency, diffusivities, posts, n1
+        grid, values, hats, state.t, cfg.dt, tendency, (params.nu, params.kappa, 1.0),
+        _POSTS[state.formulation], n1
     )
     if cfg.renormalize_m:
         m_new = renormalize_M(VectorField(grid, m_new)).values
@@ -212,17 +213,14 @@ def step_A(state: StateA, params: PhysParams, cfg: IntegratorConfig, dealias: bo
            _rhs: dynamics.Rhs | None = None) -> StateA:
     """Advance a primitive-formulation state by one dt; v, F and M diffuse with
     nu, kappa and 1. _rhs is rhs_A of this state, reused as the first stage."""
-    return _step(state, params, cfg, dealias, _rhs)
+    return _step(state, params, cfg, dealias, _rhs, dynamics._tendency_hats_A)
 
 
 def step_B(state: StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True,
            _rhs: dynamics.Rhs | None = None) -> StateB:
-    """Advance a reformulated-system state by one dt; _rhs as in step_A.
-
-    psi has no implicit part (the -Delta psi coupling in the momentum
-    equation is explicit); v is implicit in nu Delta v, M in Delta M.
-    """
-    return _step(state, params, cfg, dealias, _rhs)
+    """Advance a reformulated-system state by one dt; v, psi and M diffuse with
+    nu, kappa = 0 (the -Delta psi coupling is explicit) and 1. _rhs as in step_A."""
+    return _step(state, params, cfg, dealias, _rhs, dynamics._tendency_hats_B)
 
 
 def run(
@@ -244,17 +242,16 @@ def run(
     Parameters the state cannot honour raise ValueError before any work.
     """
     check_params(state.formulation, state.grid.dim, params)
-    is_a = state.formulation == "A"
-    stepper = step_A if is_a else step_B
+    if state.formulation == "A":
+        stepper, evaluate = step_A, partial(dynamics.rhs_A, kappa=params.kappa, h_ext=params.h_ext)
+    else:
+        stepper, evaluate = step_B, dynamics.rhs_B
     n_steps = _step_count(cfg.t_end, cfg.dt)
 
     def emit(st: StateA | StateB) -> dynamics.Rhs | None:
         if diag_sink is None:
             return None
-        if is_a:
-            rhs = dynamics.rhs_A(st, params.nu, params.kappa, params.h_ext, dealias)
-        else:
-            rhs = dynamics.rhs_B(st, params.nu, dealias)
+        rhs = evaluate(st, nu=params.nu, dealias=dealias)
         diag_sink(diagnostic_record(st, params, s, delta, rhs))
         return rhs
 

@@ -405,7 +405,7 @@ def test_evaluation_adds_no_inverse_transforms(grid: TorusGrid, formulation: str
     else:
         values = (state.v.values, state.psi.values, state.M.values)
         hats = tuple(grid.fft(x) for x in values)
-        dynamics._tendency_hats_B(grid, *values, mask, hats)
+        dynamics._tendency_hats_B(grid, *values, None, mask, hats)
         kernel_calls = len(calls)
         rhs_B(state, nu=0.9)
     assert kernel_calls > 0

@@ -131,6 +131,31 @@ class TestConfig:
         )
         assert SimulationConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dealias": "false"},
+            {"renormalize_m": "no"},
+            {"n": 64.9},
+            {"seed": True},
+            {"dt": "0.001"},
+            {"h_ext": [True, 0.0, 0.0]},
+            {"h_ext": {"type": "single_mode", "amplitude": 0.1, "wavevector": [1.5, 0]}},
+        ],
+        ids=[
+            "bool_as_string",
+            "bool_as_word",
+            "int_as_float",
+            "int_as_bool",
+            "float_as_string",
+            "h_ext_bool_vector_entry",
+            "h_ext_float_wavevector",
+        ],
+    )
+    def test_rejects_values_of_the_wrong_json_type(self, data: dict) -> None:
+        with pytest.raises(ConfigError):
+            SimulationConfig.from_dict(data)
+
 
 class TestInitialData:
     @pytest.mark.parametrize("variant", ["zero_steady", "harmonic_map", "shear_F", "random_small", "flow_map_F"])
@@ -268,7 +293,7 @@ class TestAtomicWrites:
         names = sorted(p.name for p in tmp_path.iterdir())
         monkeypatch.setattr(os, "replace", self._failing_replace)
         with pytest.raises(OSError, match="simulated"):
-            _write_csv(artifacts.csv_path, artifacts.records[:1])
+            _write_csv(artifacts.csv_path, CSV_HEADER, [artifacts.records[0].to_csv_row()])
         assert artifacts.csv_path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == names
 

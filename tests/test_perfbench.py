@@ -61,3 +61,34 @@ def test_run_path_passes_the_entry_point_guard(tmp_path) -> None:
         assert tracing.entry_point_guard(probe, "run2d_diag") == []
     finally:
         probe.uninstall()
+
+
+def test_schemes_path_passes_the_entry_point_guard(tmp_path) -> None:
+    """A small Picard study and Stokes check call every entry point the schemes
+    workload traces, _integrate_llg and picard_iterate included."""
+    import elastomag
+
+    tracing = load_tracing()
+    probe = tracing.Probe()
+    try:
+        probe.install_counter()
+        probe.install_entry_points()
+        picard = elastomag.SimulationConfig.from_dict(
+            {
+                "dim": 2,
+                "n": 16,
+                "dt": 1e-3,
+                "t_end": 2e-3,
+                "formulation": "A",
+                "initial_data": "flow_map_F",
+                "out_dir": str(tmp_path / "picard"),
+            }
+        )
+        elastomag.run_scenario("picard_study", picard)
+        stokes = elastomag.SimulationConfig.from_dict(
+            {"dim": 2, "n": 16, "out_dir": str(tmp_path / "stokes")}
+        )
+        elastomag.run_scenario("stokes_verify", stokes)
+        assert tracing.entry_point_guard(probe, "schemes_2d") == []
+    finally:
+        probe.uninstall()

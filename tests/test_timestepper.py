@@ -270,6 +270,24 @@ class TestGuards:
                 )
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "stepper, params",
+        [
+            (step_B, PhysParams(kappa=0.5)),
+            (step_B, PhysParams(h_ext=HExt(kind="uniform", vector=(0.0, 0.0, 0.5)))),
+            (step_A, PhysParams(h_ext=HExt(kind="single_mode", amplitude=0.1))),
+        ],
+        ids=["B_kappa", "B_h_ext", "A_wavevector_length"],
+    )
+    def test_step_refuses_parameters(
+        self, grid3: TorusGrid, stepper, params: PhysParams
+    ) -> None:
+        """A step called directly checks its parameters as run() does; in 3D
+        the default single_mode wavevector (1, 0) is one entry short."""
+        state = uniform_steady(grid3, "A" if stepper is step_A else "B")
+        with pytest.raises(ValueError):
+            stepper(state, params, IntegratorConfig(dt=1e-3, t_end=1e-3))
+
 
 class TestRunLoop:
     def test_zero_horizon_emits_single_row(self, grid2: TorusGrid) -> None:
