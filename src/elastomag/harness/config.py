@@ -33,13 +33,17 @@ def _json_value(key: str, kind: type, value: Any) -> Any:
     return kind(value)
 
 
+def _uniform_h_ext(value: Any) -> HExt:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"uniform h_ext needs 3 numbers, got {value!r}")
+    return HExt(kind="uniform", vector=tuple(_json_value("h_ext", float, c) for c in value))
+
+
 def _parse_h_ext(value: Any) -> HExt:
     if value == "zero":
         return HExt()
     if isinstance(value, (list, tuple)):
-        if len(value) != 3:
-            raise ConfigError(f"uniform h_ext needs 3 numbers, got {value!r}")
-        return HExt(kind="uniform", vector=tuple(_json_value("h_ext", float, c) for c in value))
+        return _uniform_h_ext(value)
     if isinstance(value, dict):
         kind = value.get("type")
         if kind == "zero":
@@ -47,7 +51,7 @@ def _parse_h_ext(value: Any) -> HExt:
             return HExt()
         if kind == "uniform":
             _reject_unknown(value, {"type", "vector"}, "h_ext")
-            return _parse_h_ext(value.get("vector", (0.0, 0.0, 0.0)))
+            return _uniform_h_ext(value.get("vector", (0.0, 0.0, 0.0)))
         if kind == "single_mode":
             _reject_unknown(
                 value, {"type", "amplitude", "wavevector", "component", "omega"}, "h_ext"

@@ -1,9 +1,11 @@
 """Deterministic initial-data generators for both formulations.
 
 Random variants draw trigonometric-polynomial coefficients in a canonical
-mode order that does not depend on the grid resolution, then evaluate the
-sums pointwise at the grid nodes. Amplitude scaling uses analytic bounds
-computed from the coefficients, not grid maxima. The same seed therefore
+mode order that does not depend on the grid resolution, then synthesize the
+sums at the grid nodes with one inverse FFT of those coefficients; a mode
+past the Nyquist frequency aliases exactly as it would at the nodes.
+Amplitude scaling uses analytic bounds computed from the coefficients, not
+grid maxima. The same seed therefore
 samples the same continuum field at every resolution, which is what
 resolution-comparison studies require.
 
@@ -89,17 +91,21 @@ def _project_div_free(
 def _eval_trig(
     grid: TorusGrid, modes: list[tuple[int, ...]], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Evaluate sum_m a[:, m] cos(k_m.x) + b[:, m] sin(k_m.x) on the grid."""
-    ncomp = a.shape[0]
-    out = np.zeros((ncomp,) + grid.shape)
-    lift = (slice(None),) + (None,) * grid.dim
-    for m, k in enumerate(modes):
-        phase = np.zeros(grid.shape)
-        for i, ki in enumerate(k):
-            if ki:
-                phase += ki * grid.x[i]
-        out += a[:, m][lift] * np.cos(phase) + b[:, m][lift] * np.sin(phase)
-    return out
+    """sum_m a[:, m] cos(k_m.x) + b[:, m] sin(k_m.x) on the grid by one inverse FFT.
+
+    Mode k carries (n^d / 2)(a - i b) and -k its conjugate, both folded mod n;
+    only entries on the half spectrum are kept, and they accumulate, since
+    folded modes and the self-conjugate planes k_d = 0, n/2 take two each.
+    """
+    n = grid.n
+    k = np.array(modes, dtype=np.int64).reshape(-1, grid.dim).T
+    index = np.concatenate([k % n, -k % n], axis=1)
+    coeff = 0.5 * float(n) ** grid.dim * (a - 1j * b)
+    coeff = np.concatenate([coeff, coeff.conj()], axis=1)
+    keep = index[-1] <= n // 2
+    hat = np.zeros((a.shape[0],) + grid.hat_shape, dtype=np.complex128)
+    np.add.at(hat, (slice(None),) + tuple(index[:, keep]), coeff[:, keep])
+    return grid.ifft(hat)
 
 
 def random_trig_field(
@@ -109,7 +115,8 @@ def random_trig_field(
     band: int,
     decay: float = COEFF_DECAY,
 ) -> np.ndarray:
-    """Unscaled random trig polynomial, shape (ncomp,) + grid.shape.
+    """Unscaled random trig polynomial, shape (ncomp,) + grid.shape, synthesized
+    by one inverse FFT.
 
     Zero mean by construction; the same rng state samples the same
     continuum field at any resolution that resolves the band.

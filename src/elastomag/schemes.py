@@ -36,9 +36,12 @@ from .dynamics import (
     _momentum_hat,
 )
 from .energetics import (
+    _hat_norm_sq,
+    _hat_sq,
+    _local,
+    _norms,
     grad_sobolev_norm_sq,
     l2_norm_sq_modes,
-    laplacian_sobolev_norm_sq,
     local_functionals,
     sobolev_norm_sq,
 )
@@ -48,6 +51,7 @@ from .spectral import (
     MatrixField,
     TorusGrid,
     VectorField,
+    divergence_from_hat,
     divergence_values,
     jacobian_from_hat,
     jacobian_values,
@@ -56,6 +60,7 @@ from .spectral import (
 from .timestepper import IntegratorConfig, _cn_stage, _imex2, _step_count
 
 VProvider = Callable[[float], VectorField]
+NodeHook = Callable[[int, float, np.ndarray, np.ndarray], None]
 
 SPHERE_TOL = 1e-8
 DIV_TOL = 1e-10
@@ -69,23 +74,25 @@ DET_TOL = 1e-6
 
 def _march(grid: TorusGrid, x0: np.ndarray,
            tendency: Callable[[np.ndarray, np.ndarray, float], np.ndarray], c: float,
-           dt: float, n_steps: int, on_node: Callable[[int, float, np.ndarray], None]
-           ) -> np.ndarray:
+           dt: float, n_steps: int, on_node: NodeHook) -> np.ndarray:
     """IMEX2 march of x_t = c Delta x + N(x, t) from x0, tendency(x, x_hat, t)
-    being N's hat; on_node(k, t, x) fires at every node including the initial
-    one. Returns the final values; a non-finite one raises BlowUpError."""
+    being N's hat; on_node(k, t, x, x_hat) fires at every node including the
+    initial one, with the transform the next step starts from. Returns the
+    final values; a non-finite one raises BlowUpError."""
 
     def tendency_hats(values, hats, t):
         return (tendency(values[0], hats[0], t),)
 
     x = x0
-    on_node(0, 0.0, x)
+    x_hat = grid.fft(x)
+    on_node(0, 0.0, x, x_hat)
     for k in range(n_steps):
-        (x,) = _imex2(grid, (x,), (grid.fft(x),), k * dt, dt, tendency_hats, (c,), (None,))
+        (x,) = _imex2(grid, (x,), (x_hat,), k * dt, dt, tendency_hats, (c,), (None,))
         t1 = (k + 1) * dt
         if not np.all(np.isfinite(x)):
             raise BlowUpError(t1)
-        on_node(k + 1, t1, x)
+        x_hat = grid.fft(x)
+        on_node(k + 1, t1, x, x_hat)
     return x
 
 
@@ -97,7 +104,7 @@ def _integrate_llg(
     mask: np.ndarray | None,
     dt: float,
     n_steps: int,
-    on_node: Callable[[int, float, np.ndarray], None],
+    on_node: NodeHook,
 ) -> np.ndarray:
     """Integrate the magnetization flow with the single-field IMEX2 march.
 
@@ -171,15 +178,14 @@ def solve_llg_given_v(
     d_eps: list[float] = []
     trajectory: list[tuple[float, VectorField]] = []
 
-    def on_node(k: int, t: float, m: np.ndarray) -> None:
+    def on_node(k: int, t: float, m: np.ndarray, m_hat: np.ndarray) -> None:
         if k % cfg.diag_every == 0 or k == n_steps:
-            m_field = VectorField(grid, m)
+            sq = _hat_sq(m_hat)
             times.append(t)
             e_eps.append(
-                grad_sobolev_norm_sq(m_field, s)
-                + l2_norm_sq_modes(VectorField(grid, m - m0_trunc))
+                _hat_norm_sq(grid, sq, s, 1) + l2_norm_sq_modes(VectorField(grid, m - m0_trunc))
             )
-            d_eps.append(laplacian_sobolev_norm_sq(m_field, s))
+            d_eps.append(_hat_norm_sq(grid, sq, s, 2))
         if cfg.snapshot_every > 0 and (k % cfg.snapshot_every == 0 or k == n_steps):
             trajectory.append((t, VectorField(grid, m.copy())))
 
@@ -399,7 +405,7 @@ def picard_iterate(
             else:
                 new_f = np.empty_like(prev_f)
 
-                def on_f_node(k: int, t: float, f: np.ndarray) -> None:
+                def on_f_node(k: int, t: float, f: np.ndarray, f_hat: np.ndarray) -> None:
                     new_f[k] = f
 
                 def transported_hat(f: np.ndarray, f_hat: np.ndarray, t: float) -> np.ndarray:
@@ -411,7 +417,7 @@ def picard_iterate(
         with _stage("magnetization", n):
             new_m = np.empty_like(prev_m)
 
-            def on_node(k: int, t: float, m: np.ndarray) -> None:
+            def on_node(k: int, t: float, m: np.ndarray, m_hat: np.ndarray) -> None:
                 new_m[k] = m
 
             _integrate_llg(
@@ -435,10 +441,10 @@ def picard_iterate(
         d_nodes = np.empty(nodes)
         div_max = 0.0
         for k in range(nodes):
-            node_state = StateA.from_values(k * dt, grid, (new_v[k], new_f[k], new_m[k]))
-            e_nodes[k], d_nodes[k] = local_functionals(node_state, params.nu, s)
+            hats = {name: grid.fft(x[k]) for name, x in zip(StateA.names, (new_v, new_f, new_m))}
+            e_nodes[k], d_nodes[k] = _local(_norms(grid, hats), params.nu, s)
             div_max = max(
-                div_max, float(np.max(np.abs(divergence_values(grid, new_v[k]))))
+                div_max, float(np.max(np.abs(divergence_from_hat(grid, hats["v"]))))
             )
         e_sup.append(float(np.max(e_nodes)))
         d_int.append(float(dt * (np.sum(d_nodes) - 0.5 * d_nodes[0] - 0.5 * d_nodes[-1])))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from elastomag.spectral import MatrixField, ScalarField, TorusGrid, VectorField, leray_hat
 
@@ -78,3 +79,38 @@ def truncate(grid: TorusGrid, values: np.ndarray, cutoff: float) -> np.ndarray:
 def dealiased(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """2/3-rule dealiasing: zero every mode with some |k_i| > n/3."""
     return grid.ifft(grid.fft(values) * grid.dealias_mask)
+
+
+class TransformCounter:
+    """Scalar transforms through scipy.fft.rfftn/irfftn on one grid: each call
+    counts its leading component slices under "fwd" or "inv"."""
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch, grid: TorusGrid) -> None:
+        self.counts = {"fwd": 0, "inv": 0}
+        self.calls = {"fwd": 0, "inv": 0}
+        self._paused = 0
+        for name, direction, shape in (("rfftn", "fwd", grid.shape),
+                                       ("irfftn", "inv", grid.hat_shape)):
+            monkeypatch.setattr(scipy.fft, name, self._counted(getattr(scipy.fft, name),
+                                                               direction, shape))
+
+    def _counted(self, fn, direction: str, shape: tuple[int, ...]):
+        def counted(x, *args, **kwargs):
+            if not self._paused:
+                self.calls[direction] += 1
+                self.counts[direction] += np.asarray(x).size // int(np.prod(shape))
+            return fn(x, *args, **kwargs)
+
+        return counted
+
+    def pausing(self, fn):
+        """fn, with no transform counted while it runs."""
+
+        def wrapped(*args, **kwargs):
+            self._paused += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._paused -= 1
+
+        return wrapped

@@ -136,3 +136,18 @@ def momentum_rhs_B(v: VectorField, psi: VectorField, M: VectorField, nu: float =
 def psi_rhs(v: VectorField, psi: VectorField, dealias: bool = True) -> VectorField:
     """-v - v.grad psi."""
     return VectorField(v.grid, -v.values - advect(v.grid, v.values, psi.values, dealias))
+
+
+def trig_sum(grid: TorusGrid, modes: list[tuple[int, ...]], a: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+    """sum_m a[:, m] cos(k_m.x) + b[:, m] sin(k_m.x), evaluated at every grid node."""
+    ncomp = a.shape[0]
+    out = np.zeros((ncomp,) + grid.shape)
+    lift = (slice(None),) + (None,) * grid.dim
+    for m, k in enumerate(modes):
+        phase = np.zeros(grid.shape)
+        for i, ki in enumerate(k):
+            if ki:
+                phase += ki * grid.x[i]
+        out += a[:, m][lift] * np.cos(phase) + b[:, m][lift] * np.sin(phase)
+    return out

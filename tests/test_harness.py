@@ -17,14 +17,17 @@ from elastomag.harness import (
     SimulationConfig,
     generate_initial_data,
     load_snapshot,
+    random_trig_field,
     run_simulation,
     write_snapshot,
 )
+from elastomag.harness import initial_data
 from elastomag.harness.cli import main
 from elastomag.harness.scenarios import _write_csv
 from elastomag.spectral import TorusGrid, divergence_values
 
-from oracles import momentum_rhs_A
+from conftest import TransformCounter
+from oracles import momentum_rhs_A, trig_sum
 
 
 def tiny_config(tmp_path: Path, **overrides) -> SimulationConfig:
@@ -117,6 +120,12 @@ class TestConfig:
         )
         assert SimulationConfig.from_dict(config.to_dict()) == config
 
+    def test_uniform_field_object(self) -> None:
+        vector = SimulationConfig.from_dict({"h_ext": {"type": "uniform", "vector": [0, 0.5, 1]}})
+        default = SimulationConfig.from_dict({"h_ext": {"type": "uniform"}})
+        assert vector.h_ext == HExt(kind="uniform", vector=(0.0, 0.5, 1.0))
+        assert default.h_ext == HExt(kind="uniform", vector=(0.0, 0.0, 0.0))
+
     def test_single_mode_field_round_trip(self) -> None:
         config = SimulationConfig.from_dict(
             {
@@ -141,6 +150,9 @@ class TestConfig:
             {"dt": "0.001"},
             {"h_ext": [True, 0.0, 0.0]},
             {"h_ext": {"type": "single_mode", "amplitude": 0.1, "wavevector": [1.5, 0]}},
+            {"h_ext": {"type": "uniform", "vector": {"type": "single_mode", "amplitude": 0.1}}},
+            {"h_ext": {"type": "uniform", "vector": "zero"}},
+            {"h_ext": {"type": "uniform", "vector": {"type": "uniform", "vector": [0, 0, 1]}}},
         ],
         ids=[
             "bool_as_string",
@@ -150,6 +162,9 @@ class TestConfig:
             "float_as_string",
             "h_ext_bool_vector_entry",
             "h_ext_float_wavevector",
+            "uniform_h_ext_single_mode_vector",
+            "uniform_h_ext_zero_vector",
+            "uniform_h_ext_nested_uniform_vector",
         ],
     )
     def test_rejects_values_of_the_wrong_json_type(self, data: dict) -> None:
@@ -194,6 +209,37 @@ class TestInitialData:
     def test_unknown_variant_rejected(self, grid2) -> None:
         with pytest.raises(ConfigError):
             generate_initial_data(grid2, "spiral", "A")
+
+
+class TestTrigSynthesis:
+    """random_trig_field synthesizes the trig sum with one inverse FFT."""
+
+    @pytest.mark.parametrize("band", [3, 6])
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_the_pointwise_sum(self, dim: int, n: int, ncomp: int, band: int) -> None:
+        """Band 6 at n = 8 folds modes onto lower ones and the Nyquist planes."""
+        grid = TorusGrid(dim=dim, n=n)
+        field = random_trig_field(np.random.default_rng(7), grid, ncomp, band)
+        modes = initial_data._half_lattice_modes(dim, band)
+        a, b = initial_data._draw_coeffs(np.random.default_rng(7), ncomp, modes)
+        expected = trig_sum(grid, modes, a, b)
+        assert field.shape == expected.shape
+        assert np.max(np.abs(field - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_same_seed_samples_the_same_field_at_any_resolution(self, dim: int) -> None:
+        coarse = random_trig_field(np.random.default_rng(3), TorusGrid(dim=dim, n=16), 3, 3)
+        fine = random_trig_field(np.random.default_rng(3), TorusGrid(dim=dim, n=32), 3, 3)
+        nodes = fine[(Ellipsis,) + (slice(None, None, 2),) * dim]
+        assert np.max(np.abs(coarse - nodes)) <= 1e-14 * np.max(np.abs(nodes))
+
+    def test_makes_one_inverse_transform(self, monkeypatch) -> None:
+        grid = TorusGrid(dim=3, n=16)
+        counter = TransformCounter(monkeypatch, grid)
+        random_trig_field(np.random.default_rng(0), grid, 3, 3)
+        assert counter.calls == {"fwd": 0, "inv": 1}
 
 
 SNAPSHOT_GRIDS = [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)]

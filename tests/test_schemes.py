@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from elastomag import schemes
 from elastomag.energetics import grad_sobolev_norm_sq
 from elastomag.fields import (
     HExt,
@@ -24,7 +25,7 @@ from elastomag.schemes import (
 from elastomag.spectral import MatrixField, TorusGrid, VectorField
 from elastomag.timestepper import IntegratorConfig, run
 
-from conftest import truncate, vector
+from conftest import TransformCounter, truncate, vector
 
 PARAMS = PhysParams(nu=1.0, kappa=0.0, h_ext=HExt())
 
@@ -125,6 +126,20 @@ class TestSolveLlgGivenV:
         assert len(out.times) == len(out.e_eps) == len(out.d_eps)
 
 
+    def test_a_recorded_step_transforms_its_node_once(self, grid2: TorusGrid,
+                                                       monkeypatch) -> None:
+        """A step with a record: 3 + 6 forward scalar transforms in the march, 3
+        for ||M - J M0||, none more for the two norms of M; 24 inverse."""
+        m0 = perturbed_m(grid2, 0.05, 2, seed=3)
+        counter = TransformCounter(monkeypatch, grid2)
+        totals = []
+        for steps in (4, 5):
+            cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3)
+            solve_llg_given_v(None, m0, None, None, 2, cfg)
+            totals.append(dict(counter.counts))
+        assert {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]} == {"fwd": 12, "inv": 24}
+
+
 class TestMollifierStudy:
     def test_rejects_non_increasing_cutoffs(self, grid2: TorusGrid) -> None:
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
@@ -217,6 +232,23 @@ class TestPicardIteration:
         out = picard_iterate(init, PARAMS, 0.01, 2, cfg, 2)
         for state in out.states_at_T[1:]:
             assert all(f.values.base is None for f in (state.v, state.F, state.M))
+
+    @pytest.mark.parametrize("variant", ["frozen", "transported"])
+    def test_node_loop_transforms_each_node_once(self, grid2: TorusGrid, variant: str,
+                                                 monkeypatch) -> None:
+        """Outside the marches, each node of each iterate costs the 2 + 4 + 3
+        forward scalar transforms of v, F and M and one inverse for div v."""
+        init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
+        counter = TransformCounter(monkeypatch, grid2)
+        for name in ("_cn_march", "_march", "_integrate_llg"):
+            monkeypatch.setattr(schemes, name, counter.pausing(getattr(schemes, name)))
+        totals = []
+        for steps in (4, 5):
+            cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3)
+            picard_iterate(init, PARAMS, steps * 1e-3, 2, cfg, 2, variant)
+            totals.append(dict(counter.counts))
+        per_node = {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]}
+        assert per_node == {"fwd": 2 * 9, "inv": 2 * 1}
 
     def test_steady_state_iterates_stay_put(self, grid2: TorusGrid) -> None:
         init = steady_circle_state(grid2)
