@@ -91,12 +91,10 @@ def _project_div_free(
 def _eval_trig(
     grid: TorusGrid, modes: list[tuple[int, ...]], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """sum_m a[:, m] cos(k_m.x) + b[:, m] sin(k_m.x) on the grid by one inverse FFT.
-
-    Mode k carries (n^d / 2)(a - i b) and -k its conjugate, both folded mod n;
-    only entries on the half spectrum are kept, and they accumulate, since
-    folded modes and the self-conjugate planes k_d = 0, n/2 take two each.
-    """
+    """sum_m a[:, m] cos(k_m.x) + b[:, m] sin(k_m.x) on the grid by one inverse FFT:
+    mode k carries (n^d / 2)(a - i b) and -k its conjugate, folded mod n. Entries
+    off the half spectrum are dropped and the rest accumulate (folded modes and
+    the self-conjugate planes k_d = 0, n/2 take two)."""
     n = grid.n
     k = np.array(modes, dtype=np.int64).reshape(-1, grid.dim).T
     index = np.concatenate([k % n, -k % n], axis=1)

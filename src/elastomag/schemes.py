@@ -36,14 +36,8 @@ from .dynamics import (
     _momentum_hat,
 )
 from .energetics import (
-    _hat_norm_sq,
-    _hat_sq,
-    _local,
-    _norms,
-    grad_sobolev_norm_sq,
-    l2_norm_sq_modes,
-    local_functionals,
-    sobolev_norm_sq,
+    _hat_norm_sq, _hat_sq, _local, _norms, grad_sobolev_norm_sq, l2_norm_sq_modes,
+    local_functionals, sobolev_norm_sq,
 )
 from .errors import BlowUpError, NumericalError
 from .fields import HExt, PhysParams, StateA, det_field, sphere_residual
