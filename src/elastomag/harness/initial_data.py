@@ -5,9 +5,8 @@ mode order that does not depend on the grid resolution, then synthesize the
 sums at the grid nodes with one inverse FFT of those coefficients; a mode
 past the Nyquist frequency aliases exactly as it would at the nodes.
 Amplitude scaling uses analytic bounds computed from the coefficients, not
-grid maxima. The same seed therefore
-samples the same continuum field at every resolution, which is what
-resolution-comparison studies require.
+grid maxima. The same seed therefore samples the same continuum field at
+every resolution, which is what resolution-comparison studies require.
 
 Hygiene guarantees: generated velocities are divergence free to roundoff
 (the incompressibility projection acts on the coefficients, mode by mode),
@@ -98,7 +97,7 @@ def _eval_trig(
     n = grid.n
     k = np.array(modes, dtype=np.int64).reshape(-1, grid.dim).T
     index = np.concatenate([k % n, -k % n], axis=1)
-    coeff = 0.5 * float(n) ** grid.dim * (a - 1j * b)
+    coeff = 0.5 * n**grid.dim * (a - 1j * b)
     coeff = np.concatenate([coeff, coeff.conj()], axis=1)
     keep = index[-1] <= n // 2
     hat = np.zeros((a.shape[0],) + grid.hat_shape, dtype=np.complex128)
