@@ -51,7 +51,6 @@ from .harness import (
 )
 from .schemes import (
     mollifier_convergence_study,
-    picard_convergence_report,
     picard_iterate,
     solve_llg_given_v,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "local_functionals",
     "mollifier_convergence_study",
     "multiindex_count",
-    "picard_convergence_report",
     "picard_iterate",
     "run",
     "run_scenario",

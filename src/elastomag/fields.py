@@ -33,8 +33,6 @@ from .spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    deriv_values,
-    inverse_laplacian_values,
     jacobian_values,
 )
 
@@ -302,23 +300,6 @@ def renormalize_M(M: VectorField) -> VectorField:
 def grad_potential(psi: VectorField) -> MatrixField:
     """G with rows grad(psi^j): G^{jk} = d_k psi^j, derivatives spectral."""
     return MatrixField(psi.grid, jacobian_values(psi.grid, psi.values))
-
-
-def potential_from_gradient_rows(G: MatrixField) -> VectorField:
-    """Zero-mean potential psi with grad(psi^j) the curl-free part of row j.
-
-    psi^j = Laplacian^{-1}(d_k G^{jk}); exact when the rows of G are
-    gradients, otherwise the curl part of each row is discarded.
-    """
-    grid = G.grid
-    psi = np.empty((grid.dim,) + grid.shape)
-    for j in range(grid.dim):
-        row_div = np.zeros(grid.shape)
-        for k in range(grid.dim):
-            m = tuple(1 if a == k else 0 for a in range(grid.dim))
-            row_div += deriv_values(grid, G.values[j, k], m)
-        psi[j] = inverse_laplacian_values(grid, row_div)
-    return VectorField(grid, psi)
 
 
 def state_B_to_A(state: StateB) -> StateA:

@@ -17,6 +17,12 @@ and the magnetization tendency of dynamics._llg_hat under the projection's
 mask, and the transported Picard deformation on F with diffusivity kappa.
 The Picard velocity and frozen deformation stages march with its
 Crank-Nicolson stage and sources known at the nodes (_cn_march).
+
+Every march has one node contract: on_node(k, t, x, x_hat) fires at each
+node, the initial one included, with the values and the transform the next
+step starts from, and a non-finite value raises BlowUpError at its node's
+time. The solvers read their node norms from that transform instead of
+transforming the node again.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .dynamics import (
     _momentum_hat,
 )
 from .energetics import (
-    _hat_norm_sq, _hat_sq, _local, _norms, grad_sobolev_norm_sq, l2_norm_sq_modes,
+    _hat_norm_sq, _hat_sq, _local, grad_sobolev_norm_sq, l2_norm_sq_modes,
     local_functionals, sobolev_norm_sq,
 )
 from .errors import BlowUpError, NumericalError
@@ -266,15 +272,14 @@ def picard_metric(a: StateA, b: StateA, s: int) -> float:
 class PicardRun:
     """Iterate trajectory summary of the staged linearization.
 
-    states_at_T[n] is iterate n at time T (index 0 is the constant-in-time
-    initial data); diffs[n] is the metric distance between iterates n+1 and
-    n at T; e_sup/d_int/div_v_res/sphere_res are per computed iterate
-    (index n corresponds to iterate n+1).
+    states_at_T[n] is iterate n at the horizon cfg.t_end (index 0 is the
+    constant-in-time initial data); diffs[n] is the metric distance between
+    iterates n+1 and n there; e_sup/d_int/div_v_res/sphere_res are per
+    computed iterate (index n corresponds to iterate n+1).
     """
 
     variant: str
     s: int
-    T: float
     e0: float
     states_at_T: list[StateA]
     diffs: list[float]
@@ -303,28 +308,48 @@ def _stage(name: str, n: int) -> Iterator[None]:
 
 def _cn_march(grid: TorusGrid, x0: np.ndarray, source_hat: Callable[[int], np.ndarray],
               c: float, dt: float, n_steps: int,
-              post: Callable[[TorusGrid, np.ndarray], np.ndarray] | None) -> np.ndarray:
+              post: Callable[[TorusGrid, np.ndarray], np.ndarray] | None,
+              on_node: NodeHook) -> None:
     """Crank-Nicolson march of x_t = c Delta x + source from x0, source_hat(k)
-    being the source's hat at node k; returns the values at all n_steps + 1
-    nodes. post (None: identity) acts on each new hat before its transform.
-    A non-finite value raises BlowUpError at the final time."""
-    out = np.empty((n_steps + 1,) + x0.shape)
-    out[0] = x0
+    being the source's hat at node k; on_node fires as in _march. post (None:
+    identity) acts on each new hat before its transform; a non-finite value
+    raises BlowUpError at its node's time."""
+    x = x0
+    x_hat = grid.fft(x)
+    on_node(0, 0.0, x, x_hat)
     n1 = source_hat(0)
     for k in range(n_steps):
         n2 = source_hat(k + 1)
-        hat = _cn_stage(grid, grid.fft(out[k]), n1, n2, c, dt)
-        out[k + 1] = grid.ifft(hat if post is None else post(grid, hat))
+        hat = _cn_stage(grid, x_hat, n1, n2, c, dt)
+        x = grid.ifft(hat if post is None else post(grid, hat))
+        t1 = (k + 1) * dt
+        if not np.all(np.isfinite(x)):
+            raise BlowUpError(t1)
+        x_hat = grid.fft(x)
+        on_node(k + 1, t1, x, x_hat)
         n1 = n2
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(n_steps * dt)
-    return out
+
+
+def _keeper(grid: TorusGrid, s: int, traj: np.ndarray, cols: dict[int, np.ndarray],
+            div: np.ndarray | None = None) -> NodeHook:
+    """on_node that stores node k's values in traj[k] and, from the hat the
+    march made, _hat_norm_sq(., s, power) in cols[power][k] and, given div,
+    max |div x| in div[k]."""
+
+    def on_node(k: int, t: float, x: np.ndarray, x_hat: np.ndarray) -> None:
+        traj[k] = x
+        sq = _hat_sq(x_hat)
+        for power, col in cols.items():
+            col[k] = _hat_norm_sq(grid, sq, s, power)
+        if div is not None:
+            div[k] = np.max(np.abs(divergence_from_hat(grid, x_hat)))
+
+    return on_node
 
 
 def picard_iterate(
     initial: StateA,
     params: PhysParams,
-    T: float,
     n_max: int,
     cfg: IntegratorConfig,
     s: int,
@@ -340,7 +365,10 @@ def picard_iterate(
     time quadrature, the form the staged system displays) or transporting
     the new deformation ("transported"); (iii) the magnetization solves the
     full nonlinear flow with the previous iterate's velocity at full
-    resolution. Successive-difference norms are recorded at t = T.
+    resolution. The horizon is cfg.t_end; successive-difference norms are
+    recorded there. Each march hands every node to a _keeper, which keeps
+    the trajectory for the next iterate and the node's norms, so E_s and D_s
+    per node come from the hats the marches made.
     """
     if variant not in ("frozen", "transported"):
         raise ValueError(f"unknown deformation variant {variant!r}")
@@ -353,7 +381,7 @@ def picard_iterate(
         raise ValueError("initial magnetization must be unit length")
 
     dt = cfg.dt
-    n_steps = _step_count(T, dt)
+    n_steps = _step_count(cfg.t_end, dt)
     mask = _mask(grid, dealias)
     nodes = n_steps + 1
     d = grid.dim
@@ -363,7 +391,7 @@ def picard_iterate(
     prev_m = np.broadcast_to(initial.M.values, (nodes, 3) + grid.shape).copy()
 
     e_s0, _ = local_functionals(initial, params.nu, s)
-    states_at_T = [StateA(t=T, v=initial.v, F=initial.F, M=initial.M)]
+    states_at_T = [StateA(t=cfg.t_end, v=initial.v, F=initial.F, M=initial.M)]
     diffs: list[float] = []
     e_sup: list[float] = []
     d_int: list[float] = []
@@ -371,6 +399,12 @@ def picard_iterate(
     sphere_res_list: list[float] = []
 
     for n in range(1, n_max + 1):
+        new_v, new_f, new_m = (np.empty_like(x) for x in (prev_v, prev_f, prev_m))
+        # per-node norms at order s: at[name][power], the terms _local sums
+        at = {name: {power: np.empty(nodes) for power in powers}
+              for name, powers in (("v", (0, 1)), ("F", (0,)), ("M", (1, 2)))}
+        div_nodes = np.empty(nodes)
+
         with _stage("velocity", n):
 
             def source_hat(k: int) -> np.ndarray:
@@ -380,10 +414,11 @@ def picard_iterate(
                 stress = np.einsum("ik...,jk...->ij...", f, f)
                 return leray_hat(grid, _momentum_hat(grid, v, m, jac_v, jac_m, stress, h, mask))
 
-            new_v = _cn_march(grid, initial.v.values, source_hat, params.nu, dt, n_steps,
-                              leray_hat)
+            _cn_march(grid, initial.v.values, source_hat, params.nu, dt, n_steps, leray_hat,
+                      _keeper(grid, s, new_v, at["v"], div_nodes))
 
         with _stage("deformation", n):
+            on_f_node = _keeper(grid, s, new_f, at["F"])
 
             def deformation_hat(v: np.ndarray, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
                 jac_v, jac_f = jacobian_values(grid, v), jacobian_from_hat(grid, f_hat)
@@ -394,13 +429,9 @@ def picard_iterate(
                 def frozen_hat(k: int) -> np.ndarray:
                     return deformation_hat(prev_v[k], prev_f[k], grid.fft(prev_f[k]))
 
-                new_f = _cn_march(grid, initial.F.values, frozen_hat, params.kappa, dt, n_steps,
-                                  None)
+                _cn_march(grid, initial.F.values, frozen_hat, params.kappa, dt, n_steps, None,
+                          on_f_node)
             else:
-                new_f = np.empty_like(prev_f)
-
-                def on_f_node(k: int, t: float, f: np.ndarray, f_hat: np.ndarray) -> None:
-                    new_f[k] = f
 
                 def transported_hat(f: np.ndarray, f_hat: np.ndarray, t: float) -> np.ndarray:
                     return deformation_hat(prev_v[round(t / dt)], f, f_hat)
@@ -409,11 +440,6 @@ def picard_iterate(
                        on_f_node)
 
         with _stage("magnetization", n):
-            new_m = np.empty_like(prev_m)
-
-            def on_node(k: int, t: float, m: np.ndarray, m_hat: np.ndarray) -> None:
-                new_m[k] = m
-
             _integrate_llg(
                 grid,
                 initial.M.values.copy(),
@@ -422,27 +448,19 @@ def picard_iterate(
                 mask,
                 dt,
                 n_steps,
-                on_node,
+                _keeper(grid, s, new_m, at["M"]),
             )
 
         # copies, so a stored state does not keep its iterate's trajectory alive
         final = (new_v[-1].copy(), new_f[-1].copy(), new_m[-1].copy())
-        new_state = StateA.from_values(T, grid, final)
+        new_state = StateA.from_values(cfg.t_end, grid, final)
         diffs.append(picard_metric(new_state, states_at_T[-1], s))
         states_at_T.append(new_state)
 
-        e_nodes = np.empty(nodes)
-        d_nodes = np.empty(nodes)
-        div_max = 0.0
-        for k in range(nodes):
-            hats = {name: grid.fft(x[k]) for name, x in zip(StateA.names, (new_v, new_f, new_m))}
-            e_nodes[k], d_nodes[k] = _local(_norms(grid, hats), params.nu, s)
-            div_max = max(
-                div_max, float(np.max(np.abs(divergence_from_hat(grid, hats["v"]))))
-            )
+        e_nodes, d_nodes = _local(lambda name, _, power=0: at[name][power], params.nu, s)
         e_sup.append(float(np.max(e_nodes)))
         d_int.append(float(dt * (np.sum(d_nodes) - 0.5 * d_nodes[0] - 0.5 * d_nodes[-1])))
-        div_res.append(div_max)
+        div_res.append(float(np.max(div_nodes)))
         sphere_res_list.append(sphere_residual(new_state.M))
 
         prev_v, prev_f, prev_m = new_v, new_f, new_m
@@ -450,7 +468,6 @@ def picard_iterate(
     return PicardRun(
         variant=variant,
         s=s,
-        T=T,
         e0=e_s0,
         states_at_T=states_at_T,
         diffs=diffs,
@@ -458,30 +475,4 @@ def picard_iterate(
         d_int=d_int,
         div_v_res=div_res,
         sphere_res=sphere_res_list,
-    )
-
-
-@dataclass(frozen=True)
-class PicardReport:
-    """Convergence verdict data for one Picard run against a reference."""
-
-    distance: float
-    ratios: list[float]
-    bound_B: float
-    max_e_plus_d: float
-    bound_ok: bool
-
-
-def picard_convergence_report(run: PicardRun, reference: StateA, s: int) -> PicardReport:
-    """Distance of the last iterate to a reference solution plus bound checks."""
-    distance = picard_metric(run.states_at_T[-1], reference, s)
-    totals = [e + d for e, d in zip(run.e_sup, run.d_int)]
-    max_total = max(totals) if totals else 0.0
-    bound = 2.0 * run.e0
-    return PicardReport(
-        distance=distance,
-        ratios=run.ratios,
-        bound_B=bound,
-        max_e_plus_d=max_total,
-        bound_ok=max_total <= bound,
     )

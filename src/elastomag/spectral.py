@@ -168,9 +168,6 @@ class VectorField:
     def ncomp(self) -> int:
         return self.values.shape[0]
 
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[i])
-
 
 @dataclass(frozen=True, eq=False)
 class MatrixField:
@@ -186,9 +183,6 @@ class MatrixField:
             raise ValueError(
                 f"matrix values shape {self.values.shape} != {(d, d) + self.grid.shape}"
             )
-
-    def component(self, i: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[i, j])
 
 
 Field = ScalarField | VectorField | MatrixField

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .energetics import grad_sobolev_norm_sq, laplacian_sobolev_norm_sq, sobolev_norm_sq
+from .energetics import _norms, _real_hat, grad_sobolev_norm_sq
 from .fields import PhysParams, StateB
 from .spectral import ScalarField, VectorField, divergence_values
 
@@ -86,7 +86,8 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     g = -div psi. Every term comes from one evaluation dynamics.rhs_B: its
     dv tendency hat is dt_v, and its unprojected stage-1 momentum hat is
     raw = -v.grad v + div g(grad psi) - div(grad M (.) grad M) + |k|^2 psihat,
-    so f = raw - |k|^2 psihat - dt_v.
+    so f = raw - |k|^2 psihat - dt_v. The bracket's norms sum over the same
+    evaluation's state hats and the hat of the real field dt_v.
     The recovered w equals nu v - psi to rounding when v and psi are
     zero-mean.
     """
@@ -95,23 +96,17 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     grid = state.grid
     rhs = dynamics.rhs_B(state, params.nu, dealias)
     psi_hat, raw, dv_hat = rhs.state_hats[1], rhs.stage1_hats[0], rhs.tendency_hats[0]
-    dv = VectorField(grid, grid.ifft(dv_hat))
     f_vals = grid.ifft(raw - grid.k_sq * psi_hat - dv_hat)
     g_vals = -divergence_values(grid, state.psi.values)
     sol = solve_generalized_stokes(VectorField(grid, f_vals), ScalarField(grid, g_vals))
 
     grad_w = math.sqrt(grad_sobolev_norm_sq(sol.w, s))
     grad_q = math.sqrt(grad_sobolev_norm_sq(sol.q, s - 1))
-    low = (
-        math.sqrt(sobolev_norm_sq(state.v, s))
-        + math.sqrt(grad_sobolev_norm_sq(state.psi, s))
-        + math.sqrt(grad_sobolev_norm_sq(state.M, s))
-    )
-    high = (
-        math.sqrt(grad_sobolev_norm_sq(state.v, s))
-        + math.sqrt(grad_sobolev_norm_sq(state.psi, s))
-        + math.sqrt(laplacian_sobolev_norm_sq(state.M, s))
-    )
-    bracket = 4.0 * math.sqrt(grad_sobolev_norm_sq(dv, s - 2)) + low * high
+    # the state norms from the evaluation's hats, dt v from its real field's hat
+    hats = dict(zip(state.names, rhs.state_hats), dv=_real_hat(grid, dv_hat))
+    norm = _norms(grid, hats)
+    low = math.sqrt(norm("v", s)) + math.sqrt(norm("psi", s, 1)) + math.sqrt(norm("M", s, 1))
+    high = math.sqrt(norm("v", s, 1)) + math.sqrt(norm("psi", s, 1)) + math.sqrt(norm("M", s, 2))
+    bracket = 4.0 * math.sqrt(norm("dv", s - 2, 1)) + low * high
     ratio = grad_w / bracket if bracket > 0 else float("nan")
     return WDiagnostic(grad_w_hs=grad_w, grad_q_hs1=grad_q, bracket=bracket, ratio=ratio)

@@ -19,7 +19,6 @@ from elastomag.fields import (
     det_field,
     grad_potential,
     identity_matrix_field,
-    potential_from_gradient_rows,
     renormalize_M,
     sphere_residual,
     state_B_to_A,
@@ -146,14 +145,6 @@ class TestCurlResidual:
         rng = np.random.default_rng(2)
         psi = VectorField(grid2, random_band_limited(grid2, rng, ncomp=2, band=3))
         assert curl_residual(grad_potential(psi)) <= 1e-12
-
-    def test_potential_recovered_from_gradient_rows(self, grid2: TorusGrid) -> None:
-        rng = np.random.default_rng(4)
-        raw = random_band_limited(grid2, rng, ncomp=2, band=3)
-        raw -= raw.mean(axis=(1, 2), keepdims=True)
-        psi = VectorField(grid2, raw)
-        back = potential_from_gradient_rows(grad_potential(psi))
-        assert np.max(np.abs(back.values - psi.values)) <= 1e-12
 
 
 class TestSphereResidual:

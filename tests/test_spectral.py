@@ -233,7 +233,3 @@ class TestFieldContainers:
     def test_scalar_shape_check(self, grid2: TorusGrid) -> None:
         with pytest.raises(ValueError):
             ScalarField(grid2, np.zeros((4, 4)))
-
-    def test_vector_component_access(self, grid2: TorusGrid) -> None:
-        u = vector(grid2, np.sin(grid2.x[0]), np.cos(grid2.x[1]))
-        assert np.array_equal(u.component(1).values, np.cos(grid2.x[1]))

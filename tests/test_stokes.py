@@ -21,7 +21,7 @@ from elastomag.spectral import (
 )
 from elastomag.stokes import solve_generalized_stokes, w_diagnostic
 
-from conftest import div_free_vector, random_band_limited, vector
+from conftest import TransformCounter, div_free_vector, random_band_limited, vector
 from oracles import advect, ericksen_stress_div, g_of_G, momentum_rhs_B, stress_div
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -126,6 +126,14 @@ class TestWDiagnostic:
         assert diag.grad_w_hs == 0.0
         assert diag.grad_q_hs1 == 0.0
         assert math.isnan(diag.ratio)
+
+    def test_transforms_per_call(self, grid2: TorusGrid, monkeypatch) -> None:
+        """The bracket's norms read the hats of the diagnostic's rhs_B
+        evaluation: no state field is transformed again for them."""
+        state = self._state(grid2, seed=7)
+        counter = TransformCounter(monkeypatch, grid2)
+        w_diagnostic(state, PhysParams(nu=1.0), s=2)
+        assert counter.counts == {"fwd": 28, "inv": 25}
 
     def test_ratio_stable_across_resolutions(self) -> None:
         values = []
