@@ -11,18 +11,20 @@ with convergence-study drivers that report the quantities the acceptance
 checks assert.
 
 Both families advance in time with the IMEX2 rule of the timestepper
-(timestepper._imex2, shared with step_A and step_B) through one
-single-field march, _march: _integrate_llg runs it on M with diffusivity 1
-and the magnetization tendency of dynamics._llg_hat under the projection's
-mask, and the transported Picard deformation on F with diffusivity kappa.
-The Picard velocity and frozen deformation stages march with its
-Crank-Nicolson stage and sources known at the nodes (_cn_march).
+(timestepper._imex2, shared with step_A and step_B), one field at a time
+through _imex2_field. _integrate_llg marches M with diffusivity 1 and the
+magnetization tendency of dynamics._llg_hat under the projection's mask
+(_march); on_node(k, t, x, x_hat) fires at each node, the initial one
+included, with the values and the transform the next step starts from.
 
-Every march has one node contract: on_node(k, t, x, x_hat) fires at each
-node, the initial one included, with the values and the transform the next
-step starts from, and a non-finite value raises BlowUpError at its node's
-time. The solvers read their node norms from that transform instead of
-transforming the node again.
+picard_iterate makes one sweep over the time steps. At step k -> k+1,
+iterates n = 1, 2, ... in turn advance their velocity (Crank-Nicolson),
+deformation (Crank-Nicolson when frozen, IMEX2 when transported) and
+magnetization (IMEX2) by one step, reading iterate n-1's nodes k and k+1.
+Each node (_Node) is transformed once, and makes each jacobian at most
+once, for every stage that reads it; no trajectory is stored. In both
+families a non-finite value raises BlowUpError at its node's time; in the
+sweep, for the first (node, iterate, stage) in that order.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -42,8 +45,8 @@ from .dynamics import (
     _momentum_hat,
 )
 from .energetics import (
-    _hat_norm_sq, _hat_sq, _local, grad_sobolev_norm_sq, l2_norm_sq_modes,
-    local_functionals, sobolev_norm_sq,
+    _hat_norm_sq, _hat_sq, _local, _norms, grad_sobolev_norm_sq, l2_norm_sq_modes,
+    sobolev_norm_sq,
 )
 from .errors import BlowUpError, NumericalError
 from .fields import HExt, PhysParams, StateA, det_field, sphere_residual
@@ -52,9 +55,7 @@ from .spectral import (
     TorusGrid,
     VectorField,
     divergence_from_hat,
-    divergence_values,
     jacobian_from_hat,
-    jacobian_values,
     leray_hat,
 )
 from .timestepper import IntegratorConfig, _cn_stage, _imex2, _step_count
@@ -72,6 +73,28 @@ DET_TOL = 1e-6
 # --------------------------------------------------------------------------
 
 
+def _checked_hat(grid: TorusGrid, x: np.ndarray, t: float) -> np.ndarray:
+    """The transform of new values x; a non-finite one raises BlowUpError(t)."""
+    if not np.all(np.isfinite(x)):
+        raise BlowUpError(t)
+    return grid.fft(x)
+
+
+def _imex2_field(grid: TorusGrid, x: np.ndarray, x_hat: np.ndarray,
+                 tendency: Callable[[np.ndarray, np.ndarray, float], np.ndarray], c: float,
+                 t0: float, dt: float, n1: np.ndarray | None = None) -> np.ndarray:
+    """One IMEX2 step of x_t = c Delta x + N(x, t) from (x, x_hat) at t0,
+    tendency(x, x_hat, t) being N's hat; n1, when given, is N's hat at
+    (x, t0) already evaluated. Returns the new values."""
+
+    def tendency_hats(values, hats, t):
+        return (tendency(values[0], hats[0], t),)
+
+    (x,) = _imex2(grid, (x,), (x_hat,), t0, dt, tendency_hats, (c,), (None,),
+                  None if n1 is None else (n1,))
+    return x
+
+
 def _march(grid: TorusGrid, x0: np.ndarray,
            tendency: Callable[[np.ndarray, np.ndarray, float], np.ndarray], c: float,
            dt: float, n_steps: int, on_node: NodeHook) -> np.ndarray:
@@ -79,19 +102,13 @@ def _march(grid: TorusGrid, x0: np.ndarray,
     being N's hat; on_node(k, t, x, x_hat) fires at every node including the
     initial one, with the transform the next step starts from. Returns the
     final values; a non-finite one raises BlowUpError."""
-
-    def tendency_hats(values, hats, t):
-        return (tendency(values[0], hats[0], t),)
-
     x = x0
     x_hat = grid.fft(x)
     on_node(0, 0.0, x, x_hat)
     for k in range(n_steps):
-        (x,) = _imex2(grid, (x,), (x_hat,), k * dt, dt, tendency_hats, (c,), (None,))
+        x = _imex2_field(grid, x, x_hat, tendency, c, k * dt, dt)
         t1 = (k + 1) * dt
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(t1)
-        x_hat = grid.fft(x)
+        x_hat = _checked_hat(grid, x, t1)
         on_node(k + 1, t1, x, x_hat)
     return x
 
@@ -306,45 +323,32 @@ def _stage(name: str, n: int) -> Iterator[None]:
         raise BlowUpError(t, f"iterate {n} {name} stage: {exc}") from exc
 
 
-def _cn_march(grid: TorusGrid, x0: np.ndarray, source_hat: Callable[[int], np.ndarray],
-              c: float, dt: float, n_steps: int,
-              post: Callable[[TorusGrid, np.ndarray], np.ndarray] | None,
-              on_node: NodeHook) -> None:
-    """Crank-Nicolson march of x_t = c Delta x + source from x0, source_hat(k)
-    being the source's hat at node k; on_node fires as in _march. post (None:
-    identity) acts on each new hat before its transform; a non-finite value
-    raises BlowUpError at its node's time."""
-    x = x0
-    x_hat = grid.fft(x)
-    on_node(0, 0.0, x, x_hat)
-    n1 = source_hat(0)
-    for k in range(n_steps):
-        n2 = source_hat(k + 1)
-        hat = _cn_stage(grid, x_hat, n1, n2, c, dt)
-        x = grid.ifft(hat if post is None else post(grid, hat))
-        t1 = (k + 1) * dt
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(t1)
-        x_hat = grid.fft(x)
-        on_node(k + 1, t1, x, x_hat)
-        n1 = n2
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """One node of a Picard iterate: the values of (v, F, M), their hats, and
+    each jacobian made once, on first use."""
 
+    grid: TorusGrid
+    values: tuple[np.ndarray, np.ndarray, np.ndarray]
+    hats: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _keeper(grid: TorusGrid, s: int, traj: np.ndarray, cols: dict[int, np.ndarray],
-            div: np.ndarray | None = None) -> NodeHook:
-    """on_node that stores node k's values in traj[k] and, from the hat the
-    march made, _hat_norm_sq(., s, power) in cols[power][k] and, given div,
-    max |div x| in div[k]."""
+    @cached_property
+    def jac_v(self) -> np.ndarray:
+        return jacobian_from_hat(self.grid, self.hats[0])
 
-    def on_node(k: int, t: float, x: np.ndarray, x_hat: np.ndarray) -> None:
-        traj[k] = x
-        sq = _hat_sq(x_hat)
-        for power, col in cols.items():
-            col[k] = _hat_norm_sq(grid, sq, s, power)
-        if div is not None:
-            div[k] = np.max(np.abs(divergence_from_hat(grid, x_hat)))
+    @cached_property
+    def jac_f(self) -> np.ndarray:
+        return jacobian_from_hat(self.grid, self.hats[1])
 
-    return on_node
+    @cached_property
+    def jac_m(self) -> np.ndarray:
+        return jacobian_from_hat(self.grid, self.hats[2])
+
+    def norms(self, nu: float, s: int) -> tuple[float, float, float]:
+        """(E_s, D_s, max |div v|) at this node, from its hats."""
+        e_s, d_s = _local(_norms(self.grid, dict(zip(StateA.names, self.hats))), nu, s)
+        div = float(np.max(np.abs(divergence_from_hat(self.grid, self.hats[0]))))
+        return e_s, d_s, div
 
 
 def picard_iterate(
@@ -366,113 +370,96 @@ def picard_iterate(
     the new deformation ("transported"); (iii) the magnetization solves the
     full nonlinear flow with the previous iterate's velocity at full
     resolution. The horizon is cfg.t_end; successive-difference norms are
-    recorded there. Each march hands every node to a _keeper, which keeps
-    the trajectory for the next iterate and the node's norms, so E_s and D_s
-    per node come from the hats the marches made.
+    recorded there.
+
+    The iterates advance together in one sweep over the time steps: for
+    k = 0, 1, ..., iterates n = 1..n_max in turn take the step k -> k+1 of
+    their velocity, deformation and magnetization stages, reading iterate
+    n-1's nodes k and k+1 (iterate 0 is one constant node). So only the
+    current nodes are held, each node is transformed once, and its jacobians
+    serve every stage that reads them. E_s, D_s and max |div v| per node
+    come from the node's hats. A non-finite value raises BlowUpError for the
+    first (node, iterate, stage) in this order.
     """
     if variant not in ("frozen", "transported"):
         raise ValueError(f"unknown deformation variant {variant!r}")
     grid = initial.grid
-    if float(np.max(np.abs(divergence_values(grid, initial.v.values)))) > DIV_TOL:
+    values0 = tuple(f.values for f in initial.fields)
+    node0 = _Node(grid, values0, tuple(grid.fft(x) for x in values0))
+    e0, d0, div0 = node0.norms(params.nu, s)
+    if div0 > DIV_TOL:
         raise ValueError("initial velocity must be divergence-free")
     if float(np.max(np.abs(det_field(initial.F).values - 1.0))) > DET_TOL:
         raise ValueError("initial deformation must have unit determinant")
     if sphere_residual(initial.M) > SPHERE_TOL:
         raise ValueError("initial magnetization must be unit length")
 
-    dt = cfg.dt
-    n_steps = _step_count(cfg.t_end, dt)
+    dt, nu, kappa = cfg.dt, params.nu, params.kappa
     mask = _mask(grid, dealias)
-    nodes = n_steps + 1
-    d = grid.dim
+    frozen = variant == "frozen"
 
-    prev_v = np.broadcast_to(initial.v.values, (nodes, d) + grid.shape).copy()
-    prev_f = np.broadcast_to(initial.F.values, (nodes, d, d) + grid.shape).copy()
-    prev_m = np.broadcast_to(initial.M.values, (nodes, 3) + grid.shape).copy()
+    def velocity_hat(p: _Node, t: float) -> np.ndarray:
+        v, f, m = p.values
+        stress = np.einsum("ik...,jk...->ij...", f, f)
+        h = _h_values(params.h_ext, grid, t)
+        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac_v, p.jac_m, stress, h, mask))
 
-    e_s0, _ = local_functionals(initial, params.nu, s)
-    states_at_T = [StateA(t=cfg.t_end, v=initial.v, F=initial.F, M=initial.M)]
-    diffs: list[float] = []
-    e_sup: list[float] = []
-    d_int: list[float] = []
-    div_res: list[float] = []
-    sphere_res_list: list[float] = []
+    def deformation_hat(p: _Node, f: np.ndarray, jac_f: np.ndarray) -> np.ndarray:
+        return _deformation_hat(grid, p.values[0], f, p.jac_v, jac_f, mask)
 
-    for n in range(1, n_max + 1):
-        new_v, new_f, new_m = (np.empty_like(x) for x in (prev_v, prev_f, prev_m))
-        # per-node norms at order s: at[name][power], the terms _local sums
-        at = {name: {power: np.empty(nodes) for power in powers}
-              for name, powers in (("v", (0, 1)), ("F", (0,)), ("M", (1, 2)))}
-        div_nodes = np.empty(nodes)
+    def llg_hat(p: _Node, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
+                t: float) -> np.ndarray:
+        return _llg_hat(grid, p.values[0], m, jac_m, m_hat, _h_values(params.h_ext, grid, t), mask)
 
-        with _stage("velocity", n):
+    # per iterate: its current node, and the CN sources at iterate n-1's node k
+    nodes = [node0] * (n_max + 1)
+    v_src = [velocity_hat(node0, 0.0)] * n_max
+    f_src = [deformation_hat(node0, values0[1], node0.jac_f)] * n_max if frozen else []
+    e_sup, div_res = [e0] * n_max, [div0] * n_max
+    d_nodes = [[d0] for _ in range(n_max)]  # scalar D_s per node, for the trapezoid
 
-            def source_hat(k: int) -> np.ndarray:
-                v, f, m = prev_v[k], prev_f[k], prev_m[k]
-                jac_v, jac_m = jacobian_values(grid, v), jacobian_values(grid, m)
-                h = _h_values(params.h_ext, grid, k * dt)
-                stress = np.einsum("ik...,jk...->ij...", f, f)
-                return leray_hat(grid, _momentum_hat(grid, v, m, jac_v, jac_m, stress, h, mask))
+    for k in range(_step_count(cfg.t_end, dt)):
+        t0, t1 = k * dt, (k + 1) * dt
+        p0 = node0
+        for n in range(1, n_max + 1):
+            # p0, p1: iterate n-1's nodes k and k+1; own: iterate n's node k
+            i, p1, own = n - 1, nodes[n - 1], nodes[n]
+            (v, f, m), (v_hat, f_hat, m_hat) = own.values, own.hats
+            with _stage("velocity", n):
+                src = velocity_hat(p1, t1)
+                v = grid.ifft(leray_hat(grid, _cn_stage(grid, v_hat, v_src[i], src, nu, dt)))
+                v_hat, v_src[i] = _checked_hat(grid, v, t1), src
+            with _stage("deformation", n):
+                if frozen:
+                    src = deformation_hat(p1, p1.values[1], p1.jac_f)
+                    f = grid.ifft(_cn_stage(grid, f_hat, f_src[i], src, kappa, dt))
+                    f_src[i] = src
+                else:
+                    f = _imex2_field(
+                        grid, f, f_hat,
+                        lambda x, x_hat, t: deformation_hat(p1, x, jacobian_from_hat(grid, x_hat)),
+                        kappa, t0, dt, deformation_hat(p0, f, own.jac_f))
+                f_hat = _checked_hat(grid, f, t1)
+            with _stage("magnetization", n):
+                m = _imex2_field(
+                    grid, m, m_hat,
+                    lambda x, x_hat, t: llg_hat(p1, x, x_hat, jacobian_from_hat(grid, x_hat), t),
+                    1.0, t0, dt, llg_hat(p0, m, m_hat, own.jac_m, t0))
+                m_hat = _checked_hat(grid, m, t1)
+            p0, nodes[n] = own, _Node(grid, (v, f, m), (v_hat, f_hat, m_hat))
+            e_s, d_s, div = nodes[n].norms(nu, s)
+            e_sup[i], div_res[i] = max(e_sup[i], e_s), max(div_res[i], div)
+            d_nodes[i].append(d_s)
 
-            _cn_march(grid, initial.v.values, source_hat, params.nu, dt, n_steps, leray_hat,
-                      _keeper(grid, s, new_v, at["v"], div_nodes))
-
-        with _stage("deformation", n):
-            on_f_node = _keeper(grid, s, new_f, at["F"])
-
-            def deformation_hat(v: np.ndarray, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
-                jac_v, jac_f = jacobian_values(grid, v), jacobian_from_hat(grid, f_hat)
-                return _deformation_hat(grid, v, f, jac_v, jac_f, mask)
-
-            if variant == "frozen":
-
-                def frozen_hat(k: int) -> np.ndarray:
-                    return deformation_hat(prev_v[k], prev_f[k], grid.fft(prev_f[k]))
-
-                _cn_march(grid, initial.F.values, frozen_hat, params.kappa, dt, n_steps, None,
-                          on_f_node)
-            else:
-
-                def transported_hat(f: np.ndarray, f_hat: np.ndarray, t: float) -> np.ndarray:
-                    return deformation_hat(prev_v[round(t / dt)], f, f_hat)
-
-                _march(grid, initial.F.values, transported_hat, params.kappa, dt, n_steps,
-                       on_f_node)
-
-        with _stage("magnetization", n):
-            _integrate_llg(
-                grid,
-                initial.M.values.copy(),
-                lambda t: prev_v[round(t / dt)],
-                params.h_ext,
-                mask,
-                dt,
-                n_steps,
-                _keeper(grid, s, new_m, at["M"]),
-            )
-
-        # copies, so a stored state does not keep its iterate's trajectory alive
-        final = (new_v[-1].copy(), new_f[-1].copy(), new_m[-1].copy())
-        new_state = StateA.from_values(cfg.t_end, grid, final)
-        diffs.append(picard_metric(new_state, states_at_T[-1], s))
-        states_at_T.append(new_state)
-
-        e_nodes, d_nodes = _local(lambda name, _, power=0: at[name][power], params.nu, s)
-        e_sup.append(float(np.max(e_nodes)))
-        d_int.append(float(dt * (np.sum(d_nodes) - 0.5 * d_nodes[0] - 0.5 * d_nodes[-1])))
-        div_res.append(float(np.max(div_nodes)))
-        sphere_res_list.append(sphere_residual(new_state.M))
-
-        prev_v, prev_f, prev_m = new_v, new_f, new_m
-
+    states_at_T = [StateA.from_values(cfg.t_end, grid, node.values) for node in nodes]
     return PicardRun(
         variant=variant,
         s=s,
-        e0=e_s0,
+        e0=e0,
         states_at_T=states_at_T,
-        diffs=diffs,
+        diffs=[picard_metric(b, a, s) for a, b in zip(states_at_T, states_at_T[1:])],
         e_sup=e_sup,
-        d_int=d_int,
+        d_int=[float(dt * (np.sum(d) - 0.5 * d[0] - 0.5 * d[-1])) for d in d_nodes],
         div_v_res=div_res,
-        sphere_res=sphere_res_list,
+        sphere_res=[sphere_residual(state.M) for state in states_at_T[1:]],
     )

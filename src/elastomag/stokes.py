@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics
 from .energetics import _norms, _real_hat, grad_sobolev_norm_sq
 from .fields import PhysParams, StateB
-from .spectral import ScalarField, VectorField, divergence_values
+from .spectral import ScalarField, VectorField, divergence_from_hat
 
 MEAN_G_TOL = 1e-12
 
@@ -83,8 +83,9 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
 
     The forcing is f = -dt_v - v.grad v + div g(grad psi) - div(grad M (.)
     grad M) with dt_v the instantaneous projected momentum tendency, and
-    g = -div psi. Every term comes from one evaluation dynamics.rhs_B: its
-    dv tendency hat is dt_v, and its unprojected stage-1 momentum hat is
+    g = -div psi. Every term comes from one evaluation dynamics.rhs_B: g
+    from its psi hat, dt_v as its dv tendency hat, and its unprojected
+    stage-1 momentum hat is
     raw = -v.grad v + div g(grad psi) - div(grad M (.) grad M) + |k|^2 psihat,
     so f = raw - |k|^2 psihat - dt_v. The bracket's norms sum over the same
     evaluation's state hats and the hat of the real field dt_v.
@@ -97,7 +98,7 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     rhs = dynamics.rhs_B(state, params.nu, dealias)
     psi_hat, raw, dv_hat = rhs.state_hats[1], rhs.stage1_hats[0], rhs.tendency_hats[0]
     f_vals = grid.ifft(raw - grid.k_sq * psi_hat - dv_hat)
-    g_vals = -divergence_values(grid, state.psi.values)
+    g_vals = -divergence_from_hat(grid, psi_hat)
     sol = solve_generalized_stokes(VectorField(grid, f_vals), ScalarField(grid, g_vals))
 
     grad_w = math.sqrt(grad_sobolev_norm_sq(sol.w, s))

@@ -64,8 +64,10 @@ def test_run_path_passes_the_entry_point_guard(tmp_path) -> None:
 
 
 def test_schemes_path_passes_the_entry_point_guard(tmp_path) -> None:
-    """A small Picard study and Stokes check call every entry point the schemes
-    workload traces, _integrate_llg and picard_iterate included."""
+    """A small mollifier study, Picard study and Stokes check, the workload's
+    three scenarios, call every entry point the schemes workload traces:
+    _integrate_llg only through the mollifier study, picard_iterate through
+    the Picard study."""
     import elastomag
 
     tracing = load_tracing()
@@ -73,6 +75,12 @@ def test_schemes_path_passes_the_entry_point_guard(tmp_path) -> None:
     try:
         probe.install_counter()
         probe.install_entry_points()
+        # n = 48 is the smallest grid the study's largest cutoff (16 <= n/3) allows
+        mollifier = elastomag.SimulationConfig.from_dict(
+            {"dim": 2, "n": 48, "dt": 1e-3, "t_end": 2e-3, "initial_data": "random_small",
+             "amplitude": 0.01, "out_dir": str(tmp_path / "mollifier")}
+        )
+        elastomag.run_scenario("mollifier_study", mollifier)
         picard = elastomag.SimulationConfig.from_dict(
             {
                 "dim": 2,

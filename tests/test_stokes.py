@@ -128,12 +128,12 @@ class TestWDiagnostic:
         assert math.isnan(diag.ratio)
 
     def test_transforms_per_call(self, grid2: TorusGrid, monkeypatch) -> None:
-        """The bracket's norms read the hats of the diagnostic's rhs_B
+        """g and the bracket's norms read the hats of the diagnostic's rhs_B
         evaluation: no state field is transformed again for them."""
         state = self._state(grid2, seed=7)
         counter = TransformCounter(monkeypatch, grid2)
         w_diagnostic(state, PhysParams(nu=1.0), s=2)
-        assert counter.counts == {"fwd": 28, "inv": 25}
+        assert counter.counts == {"fwd": 26, "inv": 25}
 
     def test_ratio_stable_across_resolutions(self) -> None:
         values = []
