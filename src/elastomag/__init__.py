@@ -25,8 +25,6 @@ from .energetics import (
     constraint_bundle,
     delta_default,
     diagnostic_record,
-    global_functionals,
-    local_functionals,
     multiindex_count,
     sobolev_norm_sq,
 )
@@ -91,10 +89,8 @@ __all__ = [
     "energetics",
     "fields",
     "generate_initial_data",
-    "global_functionals",
     "harness",
     "load_snapshot",
-    "local_functionals",
     "mollifier_convergence_study",
     "multiindex_count",
     "picard_iterate",

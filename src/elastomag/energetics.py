@@ -25,9 +25,11 @@ finite differences of the trajectory. In a run they are the first-stage
 evaluation of the next step: timestepper.run calls rhs_A/rhs_B once at a
 recorded state, the record reads its hats, and the step reuses them.
 
-Every norm is one weighted mode sum over |fhat|^2 (_hat_norm_sq). A record
-sums over the state hats and tendency hats that evaluation carries, forming
-each |fhat|^2 and each distinct norm once.
+Every norm is one weighted mode sum over |fhat|^2 (_hat_norm_sq); _norms
+sums over named hats, forming each |fhat|^2 and each distinct norm once, on
+first use. _residuals makes the geometric residuals from a state's named
+hats and, for B, the hat of F = (I + grad psi)^{-1}: diagnostic_record names
+the hats of one dynamics.Rhs, basic_energy and constraint_bundle the state's.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cache
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -51,7 +53,6 @@ from .fields import (
     det_values,
     identity_values,
     sphere_residual,
-    state_B_to_A,
 )
 from .spectral import (
     Field, MatrixField, ScalarField, TorusGrid, divergence_from_hat, jacobian_from_hat
@@ -124,49 +125,42 @@ def _hat_norm_sq(grid: TorusGrid, sq: np.ndarray, s: int, power: int = 0) -> flo
     return float(grid.volume / grid.n ** (2 * grid.dim) * total)
 
 
-def _field_norm_sq(f: Field, s: int, power: int) -> float:
+def sobolev_norm_sq(f: Field, s: int, power: int = 0) -> float:
+    """||f||^2_{H^s}, ||grad f||^2_{H^s} or ||Delta f||^2_{H^s} (power 0, 1, 2),
+    summed over components, from one transform of f."""
     return _hat_norm_sq(f.grid, _hat_sq(f.grid.fft(f.values)), s, power)
-
-
-def sobolev_norm_sq(f: Field, s: int) -> float:
-    """||f||^2_{H^s} summed over components."""
-    return _field_norm_sq(f, s, 0)
-
-
-def grad_sobolev_norm_sq(f: Field, s: int) -> float:
-    """||grad f||^2_{H^s} via the |k|^2-weighted mode sum (no gradient storage)."""
-    return _field_norm_sq(f, s, 1)
-
-
-def laplacian_sobolev_norm_sq(f: Field, s: int) -> float:
-    """||Delta f||^2_{H^s} via the |k|^4-weighted mode sum."""
-    return _field_norm_sq(f, s, 2)
-
-
-def l2_norm_sq_modes(f: Field) -> float:
-    """||f||^2_{L^2} via the plain Parseval mode sum."""
-    return _field_norm_sq(f, 0, 0)
 
 
 Norm = Callable[[str, int, int], float]
 
 
-def _norms(grid: TorusGrid, hats: dict[str, np.ndarray]) -> Norm:
-    """norm(name, s, power) over named hats, each distinct norm summed once."""
-    sq = {name: _hat_sq(hat) for name, hat in hats.items()}
+def _norms(grid: TorusGrid, hats: Mapping[str, np.ndarray]) -> Norm:
+    """norm(name, s, power) over named hats; each |hat|^2 and each distinct
+    norm is formed once, on first use, so hats may gain names afterwards."""
+    sq: dict[str, np.ndarray] = {}
     done: dict[tuple[str, int, int], float] = {}
 
     def norm(name: str, s: int, power: int = 0) -> float:
         key = (name, s, power)
         if key not in done:
+            if name not in sq:
+                sq[name] = _hat_sq(hats[name])
             done[key] = _hat_norm_sq(grid, sq[name], s, power)
         return done[key]
 
     return norm
 
 
-def _ffts(grid: TorusGrid, owner: object, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    return {name: grid.fft(getattr(owner, name).values) for name in names}
+class _StateHats(dict):
+    """The named hats of a state, each field transformed on first use."""
+
+    def __init__(self, state: StateA | StateB) -> None:
+        super().__init__()
+        self.state = state
+
+    def __missing__(self, name: str) -> np.ndarray:
+        hat = self[name] = self.state.grid.fft(getattr(self.state, name).values)
+        return hat
 
 
 def _basic(norm: Norm) -> float:
@@ -199,53 +193,34 @@ def _global(norm: Norm, nu: float, s: int, delta: float) -> tuple[float, float]:
     return e_glob, d_glob
 
 
-def basic_energy(state: StateA | StateB) -> float:
-    """(1/2)(||v||^2 + ||F||^2 + ||grad M||^2)_{L^2}; B states convert F on the fly."""
-    a_state = state_B_to_A(state) if state.formulation == "B" else state
-    return _basic(_norms(state.grid, _ffts(state.grid, a_state, StateA.names)))
-
-
-def local_functionals(state: StateA, nu: float, s: int) -> tuple[float, float]:
-    """(E_s, D_s) of the primitive formulation."""
-    return _local(_norms(state.grid, _ffts(state.grid, state, StateA.names)), nu, s)
-
-
 def _real_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
     """fft(ifft(hat)): the hat of the real field a tendency hat stands for; the
     real inverse transform symmetrizes Nyquist modes that dealias=False keeps."""
     return grid.fft(grid.ifft(hat))
 
 
-def global_functionals(
-    state: StateB, rhs: Rhs, nu: float, s: int, delta: float
-) -> tuple[float, float]:
-    """(E_glob, D_glob) of a B state from rhs = rhs_B(state, ...): its state
-    hats and its tendency hats dt v, dt psi."""
-    grid = state.grid
-    (v_hat, psi_hat, m_hat), (dv_hat, dpsi_hat, _) = rhs.state_hats, rhs.tendency_hats
-    hats = {"v": v_hat, "psi": psi_hat, "M": m_hat,
-            "dv": _real_hat(grid, dv_hat), "dpsi": _real_hat(grid, dpsi_hat)}
-    return _global(_norms(grid, hats), nu, s, delta)
-
-
 # --------------------------------------------------------------------------
-# Constraint residual bundle and the diagnostic record
+# Constraint residuals and the diagnostic record
 # --------------------------------------------------------------------------
 
 
-def _residuals(state: StateA | StateB, v_hat: np.ndarray, psi_hat: np.ndarray | None = None,
-               G: np.ndarray | None = None, s: int | None = None) -> dict[str, float]:
-    """constraint_bundle from the state hats and, for B, G = grad psi; the
-    key_structure_ratio only when s is given."""
+def _residuals(state: StateA | StateB, hats: dict[str, np.ndarray], s: int | None = None,
+               with_F: bool = False) -> dict[str, float]:
+    """constraint_bundle's residuals from a state's named hats, the
+    key_structure_ratio only when s is given. with_F puts the hat of
+    F = (I + G)^{-1} of a B state into hats, from the G = grad psi the
+    residuals use (an A state's F hat is its own)."""
     grid = state.grid
     out: dict[str, float] = {}
     out["sphere_res"] = sphere_residual(state.M)
-    out["div_v_res"] = float(np.max(np.abs(divergence_from_hat(grid, v_hat))))
+    out["div_v_res"] = float(np.max(np.abs(divergence_from_hat(grid, hats["v"]))))
     if state.formulation == "A":
         out["det_res"] = float(np.max(np.abs(det_field(state.F).values - 1.0)))
         out["curl_res"] = curl_residual(F_to_G(state.F))
         out["trG_vs_divpsi_res"] = 0.0
         return out
+    psi_hat = hats["psi"]
+    G = jacobian_from_hat(grid, psi_hat)
     det_ig = det_values(grid, G + identity_values(grid))
     out["det_res"] = float(np.max(np.abs(1.0 / det_ig - 1.0)))
     out["curl_res"] = curl_residual(MatrixField(grid, G))
@@ -258,7 +233,16 @@ def _residuals(state: StateA | StateB, v_hat: np.ndarray, psi_hat: np.ndarray | 
         tr_norm = math.sqrt(sobolev_norm_sq(ScalarField(grid, trace), s))
         gpsi_sq = _hat_norm_sq(grid, _hat_sq(psi_hat), s, 1)
         out["key_structure_ratio"] = tr_norm / gpsi_sq if gpsi_sq > 0 else 0.0
+    if with_F:
+        hats["F"] = grid.fft(G_to_F(MatrixField(grid, G)).values)
     return out
+
+
+def basic_energy(state: StateA | StateB) -> float:
+    """(1/2)(||v||^2 + ||F||^2 + ||grad M||^2)_{L^2}, a B state's F being (I + grad psi)^{-1}."""
+    hats = _StateHats(state)
+    _residuals(state, hats, with_F=True)
+    return _basic(_norms(state.grid, hats))
 
 
 def constraint_bundle(state: StateA | StateB, s: int = 2) -> dict[str, float]:
@@ -266,17 +250,13 @@ def constraint_bundle(state: StateA | StateB, s: int = 2) -> dict[str, float]:
 
     Formulation A: det_res and curl_res come from F (via G = F^{-1} - I);
     the div(psi) identity is not defined and reported as 0. Formulation B:
-    curl_res is that of grad(psi) (near zero by construction), det_res is
-    the drift of det(I + grad psi)^{-1} from 1, trG_vs_divpsi_res compares
-    tr(grad psi) against div(psi) through two code paths, and
-    key_structure_ratio = ||tr G||_{H^s} / ||grad psi||^2_{H^s}.
+    curl_res is that of G = grad(psi) (near zero by construction), det_res
+    is the drift of det(I + G)^{-1} from 1, trG_vs_divpsi_res compares
+    tr(G) against div(psi) through two code paths, and
+    key_structure_ratio = ||tr G||_{H^s} / ||grad psi||^2_{H^s}. B never
+    inverts I + G here, so a near-singular one shows in det_res.
     """
-    grid = state.grid
-    v_hat = grid.fft(state.v.values)
-    if state.formulation == "A":
-        return _residuals(state, v_hat)
-    psi_hat = grid.fft(state.psi.values)
-    return _residuals(state, v_hat, psi_hat, jacobian_from_hat(grid, psi_hat), s)
+    return _residuals(state, _StateHats(state), s)
 
 
 @dataclass(frozen=True)
@@ -322,21 +302,13 @@ def diagnostic_record(
     and the tendency norms over its instantaneous tendency hats.
     """
     grid = state.grid
-    is_a = state.formulation == "A"
-    hats = dict(zip(state.names, rhs.state_hats))
-    if is_a:
-        bundle = _residuals(state, hats["v"])
-    else:
-        G = jacobian_from_hat(grid, hats["psi"])
-        bundle = _residuals(state, hats["v"], hats["psi"], G)
-        hats["F"] = grid.fft(G_to_F(MatrixField(grid, G)).values)
-        hats["dpsi"] = _real_hat(grid, rhs.tendency_hats[1])
-    hats["dv"] = _real_hat(grid, rhs.tendency_hats[0])
+    hats = dict(zip(state.names, rhs.state_hats), dv=_real_hat(grid, rhs.tendency_hats[0]))
+    bundle = _residuals(state, hats, with_F=True)
     norm = _norms(grid, hats)
     e_s, d_s = _local(norm, params.nu, s)
-    if is_a:
-        e_glob, d_glob, dt_psi = 0.0, 0.0, 0.0
-    else:
+    e_glob, d_glob, dt_psi = 0.0, 0.0, 0.0
+    if state.formulation == "B":
+        hats["dpsi"] = _real_hat(grid, rhs.tendency_hats[1])
         e_glob, d_glob = _global(norm, params.nu, s, delta)
         dt_psi = norm("dpsi", s - 2, 1)
     return DiagnosticRecord(

@@ -13,9 +13,9 @@ checks assert.
 Both families advance in time with the IMEX2 rule of the timestepper
 (timestepper._imex2, shared with step_A and step_B), one field at a time
 through _imex2_field. _integrate_llg marches M with diffusivity 1 and the
-magnetization tendency of dynamics._llg_hat under the projection's mask
-(_march); on_node(k, t, x, x_hat) fires at each node, the initial one
-included, with the values and the transform the next step starts from.
+magnetization tendency of dynamics._llg_hat under the projection's mask;
+on_node(k, t, m, m_hat) fires at each node, the initial one included, with
+the values and the transform the next step starts from.
 
 picard_iterate makes one sweep over the time steps. At step k -> k+1,
 iterates n = 1, 2, ... in turn advance their velocity (Crank-Nicolson),
@@ -44,10 +44,7 @@ from .dynamics import (
     _mask,
     _momentum_hat,
 )
-from .energetics import (
-    _hat_norm_sq, _hat_sq, _local, _norms, grad_sobolev_norm_sq, l2_norm_sq_modes,
-    sobolev_norm_sq,
-)
+from .energetics import _hat_norm_sq, _hat_sq, _local, _norms, sobolev_norm_sq
 from .errors import BlowUpError, NumericalError
 from .fields import HExt, PhysParams, StateA, det_field, sphere_residual
 from .spectral import (
@@ -95,24 +92,6 @@ def _imex2_field(grid: TorusGrid, x: np.ndarray, x_hat: np.ndarray,
     return x
 
 
-def _march(grid: TorusGrid, x0: np.ndarray,
-           tendency: Callable[[np.ndarray, np.ndarray, float], np.ndarray], c: float,
-           dt: float, n_steps: int, on_node: NodeHook) -> np.ndarray:
-    """IMEX2 march of x_t = c Delta x + N(x, t) from x0, tendency(x, x_hat, t)
-    being N's hat; on_node(k, t, x, x_hat) fires at every node including the
-    initial one, with the transform the next step starts from. Returns the
-    final values; a non-finite one raises BlowUpError."""
-    x = x0
-    x_hat = grid.fft(x)
-    on_node(0, 0.0, x, x_hat)
-    for k in range(n_steps):
-        x = _imex2_field(grid, x, x_hat, tendency, c, k * dt, dt)
-        t1 = (k + 1) * dt
-        x_hat = _checked_hat(grid, x, t1)
-        on_node(k + 1, t1, x, x_hat)
-    return x
-
-
 def _integrate_llg(
     grid: TorusGrid,
     m0: np.ndarray,
@@ -126,15 +105,25 @@ def _integrate_llg(
     """Integrate the magnetization flow with the single-field IMEX2 march.
 
     Delta M is Crank-Nicolson, everything else trapezoidal-explicit, with
-    the nonlinear terms truncated to mask (None: no truncation); on_node
-    fires at every node including the initial one.
+    the nonlinear terms truncated to mask (None: no truncation).
+    on_node(k, t, m, m_hat) fires at every node including the initial one,
+    with the transform the next step starts from. Returns the final values;
+    a non-finite one raises BlowUpError.
     """
 
     def tendency(m, m_hat, t):
         jac = jacobian_from_hat(grid, m_hat)
         return _llg_hat(grid, v_at(t), m, jac, m_hat, _h_values(h_ext, grid, t), mask)
 
-    return _march(grid, m0, tendency, 1.0, dt, n_steps, on_node)
+    m = m0
+    m_hat = grid.fft(m)
+    on_node(0, 0.0, m, m_hat)
+    for k in range(n_steps):
+        m = _imex2_field(grid, m, m_hat, tendency, 1.0, k * dt, dt)
+        t1 = (k + 1) * dt
+        m_hat = _checked_hat(grid, m, t1)
+        on_node(k + 1, t1, m, m_hat)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +189,7 @@ def solve_llg_given_v(
             sq = _hat_sq(m_hat)
             times.append(t)
             e_eps.append(
-                _hat_norm_sq(grid, sq, s, 1) + l2_norm_sq_modes(VectorField(grid, m - m0_trunc))
+                _hat_norm_sq(grid, sq, s, 1) + sobolev_norm_sq(VectorField(grid, m - m0_trunc), 0)
             )
             d_eps.append(_hat_norm_sq(grid, sq, s, 2))
         if cfg.snapshot_every > 0 and (k % cfg.snapshot_every == 0 or k == n_steps):
@@ -215,7 +204,7 @@ def solve_llg_given_v(
         d_eps=d_eps,
         M0_truncated=VectorField(grid, m0_trunc),
         M_final=VectorField(grid, m_final),
-        e0=grad_sobolev_norm_sq(M0, s),
+        e0=sobolev_norm_sq(M0, s, 1),
         trajectory=trajectory,
     )
 
@@ -258,7 +247,7 @@ def mollifier_convergence_study(
     grid = M0.grid
     diffs = [
         math.sqrt(
-            l2_norm_sq_modes(VectorField(grid, a.M_final.values - b.M_final.values))
+            sobolev_norm_sq(VectorField(grid, a.M_final.values - b.M_final.values), 0)
         )
         for a, b in zip(runs, runs[1:])
     ]
@@ -281,7 +270,7 @@ def picard_metric(a: StateA, b: StateA, s: int) -> float:
     return (
         math.sqrt(sobolev_norm_sq(VectorField(grid, a.v.values - b.v.values), s))
         + math.sqrt(sobolev_norm_sq(MatrixField(grid, a.F.values - b.F.values), s))
-        + math.sqrt(grad_sobolev_norm_sq(VectorField(grid, a.M.values - b.M.values), s))
+        + math.sqrt(sobolev_norm_sq(VectorField(grid, a.M.values - b.M.values), s, 1))
     )
 
 

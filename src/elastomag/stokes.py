@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .energetics import _norms, _real_hat, grad_sobolev_norm_sq
+from .energetics import _norms, _real_hat, sobolev_norm_sq
 from .fields import PhysParams, StateB
 from .spectral import ScalarField, VectorField, divergence_from_hat
 
@@ -101,8 +101,8 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     g_vals = -divergence_from_hat(grid, psi_hat)
     sol = solve_generalized_stokes(VectorField(grid, f_vals), ScalarField(grid, g_vals))
 
-    grad_w = math.sqrt(grad_sobolev_norm_sq(sol.w, s))
-    grad_q = math.sqrt(grad_sobolev_norm_sq(sol.q, s - 1))
+    grad_w = math.sqrt(sobolev_norm_sq(sol.w, s, 1))
+    grad_q = math.sqrt(sobolev_norm_sq(sol.q, s - 1, 1))
     # the state norms from the evaluation's hats, dt v from its real field's hat
     hats = dict(zip(state.names, rhs.state_hats), dv=_real_hat(grid, dv_hat))
     norm = _norms(grid, hats)

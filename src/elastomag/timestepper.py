@@ -25,7 +25,8 @@ transforms back exactly once per field. A diffusivity of 0 makes a field
 purely explicit. _step is the one step body: step_A and step_B hand it
 their kernel (dynamics._tendency_hats_A/_B, one signature), v, F|psi and M
 diffuse with nu, kappa and 1 (check_params holds kappa at 0 in B), and
-schemes._march runs the same rule on one field.
+schemes._imex2_field runs the same rule on one field (schemes._integrate_llg
+marches it).
 
 run picks the stepper and the evaluation (dynamics.rhs_A/rhs_B) in one
 formulation choice, and shares one evaluation between a diagnostic record
@@ -235,10 +236,12 @@ def run(
 ) -> RunResult:
     """Iterate steps to t_end, emitting diagnostics and snapshots.
 
-    Terminates at t_end or on a numerical error; the result carries the
-    reached time (the empirical lifespan) and a status string instead of
-    raising, so callers can report blow-up cleanly. A recorded state's
-    right-hand side serves its record and the next step's first stage.
+    Terminates at t_end or on a numerical error in a step or a record; the
+    result carries the reached time (the empirical lifespan) and a status
+    string instead of raising, so callers can report blow-up cleanly. A
+    failed step leaves the last good state; a failed record, the state it
+    was recording. A recorded state's right-hand side serves its record and
+    the next step's first stage.
     Parameters the state cannot honour raise ValueError before any work.
     """
     check_params(state.formulation, state.grid.dim, params)
@@ -255,26 +258,26 @@ def run(
         diag_sink(diagnostic_record(st, params, s, delta, rhs))
         return rhs
 
-    rhs = emit(state)
-    if snap_sink is not None and cfg.snapshot_every > 0:
-        snap_sink(state, 0)
-    for k in range(1, n_steps + 1):
-        try:
-            state = stepper(state, params, cfg, dealias, rhs)
-        except NumericalError as err:
-            if isinstance(err, BlowUpError):
-                status = "blowup"
-            elif isinstance(err, CflError):
-                status = "cfl_violation"
-            else:
-                status = "numerical_guard"
-            return RunResult(state, state.t, status, k - 1, str(err))
-        state = replace(state, t=k * cfg.dt)
-        rhs = None
-        if k % cfg.diag_every == 0 or k == n_steps:
-            rhs = emit(state)
-        if snap_sink is not None and cfg.snapshot_every > 0 and (
-            k % cfg.snapshot_every == 0 or k == n_steps
-        ):
-            snap_sink(state, k)
+    steps = 0
+    try:
+        rhs = emit(state)
+        if snap_sink is not None and cfg.snapshot_every > 0:
+            snap_sink(state, 0)
+        for k in range(1, n_steps + 1):
+            state = replace(stepper(state, params, cfg, dealias, rhs), t=k * cfg.dt)
+            steps, rhs = k, None
+            if k % cfg.diag_every == 0 or k == n_steps:
+                rhs = emit(state)
+            if snap_sink is not None and cfg.snapshot_every > 0 and (
+                k % cfg.snapshot_every == 0 or k == n_steps
+            ):
+                snap_sink(state, k)
+    except NumericalError as err:
+        if isinstance(err, BlowUpError):
+            status = "blowup"
+        elif isinstance(err, CflError):
+            status = "cfl_violation"
+        else:
+            status = "numerical_guard"
+        return RunResult(state, state.t, status, steps, str(err))
     return RunResult(state, state.t, "completed", n_steps)

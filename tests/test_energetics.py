@@ -19,16 +19,12 @@ from elastomag.energetics import (
     constraint_bundle,
     delta_default,
     diagnostic_record,
-    global_functionals,
-    grad_sobolev_norm_sq,
-    l2_norm_sq_modes,
-    laplacian_sobolev_norm_sq,
-    local_functionals,
     multiindex_count,
     multiindices,
     sobolev_norm_sq,
     sobolev_weight,
 )
+from elastomag.errors import NearSingularError
 from elastomag.fields import HExt, PhysParams, StateA, StateB, identity_matrix_field
 from elastomag.spectral import (
     MatrixField,
@@ -114,7 +110,7 @@ class TestSobolevNorms:
         f = random_band_limited(grid, rng, band=4)
         s = 2
         direct = sum(
-            l2_norm_sq_modes(ScalarField(grid, deriv_values(grid, f, m)))
+            sobolev_norm_sq(ScalarField(grid, deriv_values(grid, f, m)), 0)
             for m in multiindices(grid.dim, s)
         )
         assert sobolev_norm_sq(ScalarField(grid, f), s) == pytest.approx(direct, rel=1e-12)
@@ -137,15 +133,15 @@ class TestHatNorms:
         hat = grid.fft(field.values)
         sq = _hat_sq(hat)
         scale = grid.volume / grid.n ** (2 * dim)
-        norms = (sobolev_norm_sq, grad_sobolev_norm_sq, laplacian_sobolev_norm_sq)
         for s in range(4):
-            for power, norm in enumerate(norms):
+            for power in range(3):
                 weight = sobolev_weight(grid, s) * grid.k_sq**power
                 parseval = float(
                     scale * np.sum(weight * grid.mode_weight * (hat.real**2 + hat.imag**2))
                 )
-                assert _hat_norm_sq(grid, sq, s, power) == norm(field, s) == parseval
-        assert _hat_norm_sq(grid, sq, 0) == l2_norm_sq_modes(field)
+                assert _hat_norm_sq(grid, sq, s, power) == sobolev_norm_sq(field, s, power)
+                assert sobolev_norm_sq(field, s, power) == parseval
+        assert _hat_norm_sq(grid, sq, 0) == sobolev_norm_sq(field, 0)
 
 
 class TestLocalFunctionals:
@@ -157,13 +153,23 @@ class TestLocalFunctionals:
             F=identity_matrix_field(grid2),
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
-        e_s, d_s = local_functionals(state, nu=1.0, s=2)
-        assert e_s == pytest.approx(2.0 * (2 * math.pi) ** 2, rel=1e-13)
-        assert d_s == pytest.approx(0.0, abs=1e-12)
+        record = diagnostic_record(state, PhysParams(nu=1.0), s=2, delta=0.1, rhs=rhs_A(state, 1.0))
+        assert record.e_s == pytest.approx(2.0 * (2 * math.pi) ** 2, rel=1e-13)
+        assert record.d_s == pytest.approx(0.0, abs=1e-12)
 
     def test_steady_circle_state(self, grid2: TorusGrid) -> None:
-        e_0, _ = local_functionals(harmonic_state(grid2), nu=1.0, s=0)
-        assert e_0 == pytest.approx(2.0 * (2 * math.pi) ** 2 + (2 * math.pi) ** 2, rel=1e-13)
+        """E_s is the sum of its component norms: the record's at s = 2 is
+        that sum bit for bit; at s = 0, which a record cannot take (its
+        tendency norms are of order s - 2), the sum has the closed form."""
+        state = harmonic_state(grid2)
+
+        def e_sum(s: int) -> float:
+            return (sobolev_norm_sq(state.v, s) + sobolev_norm_sq(state.F, s)
+                    + sobolev_norm_sq(state.M, s, 1))
+
+        record = diagnostic_record(state, PhysParams(nu=1.0), s=2, delta=0.1, rhs=rhs_A(state, 1.0))
+        assert record.e_s == e_sum(2)
+        assert e_sum(0) == pytest.approx(2.0 * (2 * math.pi) ** 2 + (2 * math.pi) ** 2, rel=1e-13)
 
     def test_basic_energy_of_steady_circle_state(self, grid2: TorusGrid) -> None:
         expected = 0.5 * (2.0 * (2 * math.pi) ** 2 + (2 * math.pi) ** 2)
@@ -178,6 +184,12 @@ class TestGlobalFunctionals:
         zero = tuple(np.zeros_like(hat) for hat in hats)
         return Rhs(state_hats=hats, stage1_hats=zero, tendency_hats=zero)
 
+    def global_pair(self, state: StateB, rhs: Rhs, nu: float, s: int,
+                    delta: float) -> tuple[float, float]:
+        """(E_glob, D_glob) as the diagnostic record computes them."""
+        record = diagnostic_record(state, PhysParams(nu=nu), s, delta, rhs)
+        return record.e_global, record.d_global
+
     def test_zero_state(self, grid2: TorusGrid) -> None:
         zero = np.zeros(grid2.shape)
         state = StateB(
@@ -186,20 +198,22 @@ class TestGlobalFunctionals:
             psi=vector(grid2, zero, zero),
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
-        e, d = global_functionals(state, self.zero_rhs(state), nu=1.0, s=2, delta=0.1)
+        e, d = self.global_pair(state, self.zero_rhs(state), nu=1.0, s=2, delta=0.1)
         assert e == pytest.approx(0.0, abs=1e-13)
         assert d == pytest.approx(0.0, abs=1e-13)
 
     def test_pure_potential_state(self, grid2: TorusGrid) -> None:
+        """psi^1 = sin(x)/2: the record also makes F = (I + grad psi)^{-1},
+        and det(I + grad psi) = 1 + cos(x)/2 keeps it invertible."""
         zero = np.zeros(grid2.shape)
         state = StateB(
             t=0.0,
             v=vector(grid2, zero, zero),
-            psi=vector(grid2, np.sin(grid2.x[0]), zero),
+            psi=vector(grid2, 0.5 * np.sin(grid2.x[0]), zero),
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
-        e, _ = global_functionals(state, self.zero_rhs(state), nu=1.0, s=2, delta=0.1)
-        assert e == pytest.approx(0.1 * 6.0 * PI_SQ, rel=1e-13)
+        e, _ = self.global_pair(state, self.zero_rhs(state), nu=1.0, s=2, delta=0.1)
+        assert e == pytest.approx(0.1 * 0.25 * 6.0 * PI_SQ, rel=1e-13)
 
     def test_rejects_low_order(self, grid2: TorusGrid) -> None:
         zero = np.zeros(grid2.shape)
@@ -210,33 +224,30 @@ class TestGlobalFunctionals:
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
         with pytest.raises(ValueError):
-            global_functionals(state, self.zero_rhs(state), nu=1.0, s=1, delta=0.1)
+            self.global_pair(state, self.zero_rhs(state), nu=1.0, s=1, delta=0.1)
 
     def test_recomputes_from_component_norms(self, grid2: TorusGrid) -> None:
         rng = np.random.default_rng(12)
-        from conftest import div_free_vector
-        from elastomag.energetics import laplacian_sobolev_norm_sq
-
         v = div_free_vector(grid2, rng)
         psi = VectorField(grid2, 0.05 * random_band_limited(grid2, rng, ncomp=2, band=2))
         state = StateB(t=0.0, v=v, psi=psi, M=const_m(grid2, (0.0, 0.0, 1.0)))
         nu, s, delta = 0.8, 2, 0.05
         rhs = rhs_B(state, nu)
-        e, d = global_functionals(state, rhs, nu, s, delta)
+        e, d = self.global_pair(state, rhs, nu, s, delta)
         dv, dpsi = (VectorField(grid2, grid2.ifft(hat)) for hat in rhs.tendency_hats[:2])
         e_direct = (
             delta**2 * sobolev_norm_sq(state.v, s)
-            + grad_sobolev_norm_sq(state.M, s)
-            + delta * grad_sobolev_norm_sq(state.psi, s)
+            + sobolev_norm_sq(state.M, s, 1)
+            + delta * sobolev_norm_sq(state.psi, s, 1)
             + sobolev_norm_sq(dv, s - 2)
-            + grad_sobolev_norm_sq(dpsi, s - 2)
+            + sobolev_norm_sq(dpsi, s - 2, 1)
         )
         d_direct = (
-            0.5 * delta**2 * nu * grad_sobolev_norm_sq(state.v, s)
-            + delta**2 * nu * grad_sobolev_norm_sq(dpsi, s - 2)
-            + 2.0 * laplacian_sobolev_norm_sq(state.M, s)
-            + delta / (2.0 * nu) * grad_sobolev_norm_sq(state.psi, s)
-            + nu * grad_sobolev_norm_sq(dv, s - 2)
+            0.5 * delta**2 * nu * sobolev_norm_sq(state.v, s, 1)
+            + delta**2 * nu * sobolev_norm_sq(dpsi, s - 2, 1)
+            + 2.0 * sobolev_norm_sq(state.M, s, 2)
+            + delta / (2.0 * nu) * sobolev_norm_sq(state.psi, s, 1)
+            + nu * sobolev_norm_sq(dv, s - 2, 1)
         )
         assert e == pytest.approx(e_direct, rel=1e-13)
         assert d == pytest.approx(d_direct, rel=1e-13)
@@ -246,17 +257,17 @@ class TestGlobalFunctionals:
         state = StateB(
             t=0.0,
             v=vector(grid2, np.sin(grid2.x[1]), zero),
-            psi=vector(grid2, np.sin(grid2.x[0]), zero),
+            psi=vector(grid2, 0.5 * np.sin(grid2.x[0]), zero),  # I + grad psi invertible
             M=const_m(grid2, (0.0, 0.0, 1.0)),
         )
         rhs = self.zero_rhs(state)
         nu, s = 1.0, 2
         values = {}
         for delta in (0.1, 0.2, 0.4):
-            values[delta], _ = global_functionals(state, rhs, nu, s, delta)
+            values[delta], _ = self.global_pair(state, rhs, nu, s, delta)
         v_sq = sobolev_norm_sq(state.v, s)
-        gpsi = grad_sobolev_norm_sq(state.psi, s)
-        gm = grad_sobolev_norm_sq(state.M, s)
+        gpsi = sobolev_norm_sq(state.psi, s, 1)
+        gm = sobolev_norm_sq(state.M, s, 1)
         for delta, e in values.items():
             assert e == pytest.approx(delta**2 * v_sq + delta * gpsi + gm, rel=1e-13)
 
@@ -302,6 +313,21 @@ class TestConstraintBundle:
         assert bundle["curl_res"] <= 1e-11
         assert bundle["trG_vs_divpsi_res"] <= 1e-13
         assert bundle["key_structure_ratio"] >= 0.0
+
+    def test_near_singular_potential_is_reported_not_refused(self, grid2: TorusGrid) -> None:
+        """det(I + grad psi) = 1 + 0.95 cos(x) dips to 0.05, below the
+        determinant guard: the bundle reports it, while a record, which needs
+        F = (I + grad psi)^{-1}, refuses the state."""
+        zero = np.zeros(grid2.shape)
+        state = StateB(
+            t=0.0,
+            v=vector(grid2, zero, zero),
+            psi=vector(grid2, 0.95 * np.sin(grid2.x[0]), zero),
+            M=const_m(grid2, (0.0, 0.0, 1.0)),
+        )
+        assert constraint_bundle(state)["det_res"] == pytest.approx(19.0, rel=1e-10)
+        with pytest.raises(NearSingularError):
+            diagnostic_record(state, PhysParams(), s=2, delta=0.1, rhs=rhs_B(state, 1.0))
 
 
 class TestDiagnosticRecord:

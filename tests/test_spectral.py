@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastomag.energetics import l2_norm_sq_modes
+from elastomag.energetics import sobolev_norm_sq
 from elastomag.spectral import (
     ScalarField,
     TorusGrid,
@@ -205,14 +205,14 @@ class TestNorms:
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(grid.shape)
         grid_sum = float(np.sum(values**2)) * grid.cell_volume
-        mode_sum = l2_norm_sq_modes(ScalarField(grid, values))
+        mode_sum = sobolev_norm_sq(ScalarField(grid, values), 0)
         assert mode_sum == pytest.approx(grid_sum, rel=1e-12)
 
     def test_parseval_in_3d(self, grid3: TorusGrid) -> None:
         rng = np.random.default_rng(1)
         values = rng.standard_normal(grid3.shape)
         grid_sum = float(np.sum(values**2)) * grid3.cell_volume
-        assert l2_norm_sq_modes(ScalarField(grid3, values)) == pytest.approx(grid_sum, rel=1e-12)
+        assert sobolev_norm_sq(ScalarField(grid3, values), 0) == pytest.approx(grid_sum, rel=1e-12)
 
 
 class TestDivergence:

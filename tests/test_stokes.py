@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastomag.energetics import grad_sobolev_norm_sq
+from elastomag.energetics import sobolev_norm_sq
 from elastomag.fields import PhysParams, StateB, grad_potential
 from elastomag.spectral import (
     ScalarField,
@@ -171,4 +171,4 @@ class TestWDiagnostic:
         state = self._state(grid, seed=seed)
         diag = w_diagnostic(state, PhysParams(nu=nu), 2)
         w = VectorField(grid, nu * state.v.values - state.psi.values)
-        assert diag.grad_w_hs == pytest.approx(math.sqrt(grad_sobolev_norm_sq(w, 2)), rel=1e-10)
+        assert diag.grad_w_hs == pytest.approx(math.sqrt(sobolev_norm_sq(w, 2, 1)), rel=1e-10)

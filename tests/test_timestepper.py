@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elastomag import dynamics
+from elastomag import dynamics, timestepper
 from elastomag.energetics import diagnostic_record
-from elastomag.errors import CflError
+from elastomag.errors import BlowUpError, CflError, NearSingularError
 from elastomag.fields import (
     HExt,
     PhysParams,
@@ -29,7 +29,7 @@ from elastomag.timestepper import (
     step_B,
 )
 
-from conftest import vector
+from conftest import TransformCounter, vector
 
 
 def const_m(grid: TorusGrid, direction: tuple[float, float, float]) -> VectorField:
@@ -245,6 +245,50 @@ class TestGuards:
         assert result.status == "blowup"
         assert result.steps == 0
 
+    def test_run_reports_a_failed_first_record(self, grid2: TorusGrid) -> None:
+        """F scaled by 1/4 at one node (det F = 1/16) steps cleanly, but its
+        record's curl residual inverts F, which the determinant guard refuses."""
+        state = uniform_steady(grid2, "A")
+        pinched = np.array(state.F.values)
+        pinched[:, :, 0, 0] *= 0.25
+        state = replace(state, F=MatrixField(grid2, pinched))
+        cfg = IntegratorConfig(dt=1e-3, t_end=5e-3)
+        assert run(state, PARAMS, cfg).status == "completed"
+        records = []
+        result = run(state, PARAMS, cfg, diag_sink=records.append)
+        assert (result.status, result.steps, result.t_reached) == ("numerical_guard", 0, 0.0)
+        assert "F_to_G" in result.message
+        assert records == []
+
+    @pytest.mark.parametrize(
+        "error, status",
+        [(NearSingularError("record refused"), "numerical_guard"),
+         (BlowUpError(1e-3), "blowup")],
+        ids=["near_singular", "blowup"],
+    )
+    def test_run_reports_a_failed_record_mid_run(
+        self, grid2: TorusGrid, monkeypatch, error: Exception, status: str
+    ) -> None:
+        """The second record fails: the run ends at the state it was recording,
+        and the first record has reached the sink."""
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+            return diagnostic_record(*args, **kwargs)
+
+        monkeypatch.setattr(timestepper, "diagnostic_record", second_fails)
+        records, snaps = [], []
+        cfg = IntegratorConfig(dt=1e-3, t_end=5e-3, snapshot_every=1)
+        result = run(uniform_steady(grid2, "A"), PARAMS, cfg, diag_sink=records.append,
+                     snap_sink=lambda st, k: snaps.append(k))
+        assert (result.status, result.steps, result.t_reached) == (status, 1, 1e-3)
+        assert result.state.t == 1e-3
+        assert [r.t for r in records] == [0.0]
+        assert snaps == [0]
+
     @pytest.mark.parametrize(
         "formulation, params",
         [
@@ -432,3 +476,37 @@ class TestSharedEvaluation:
         shared = stepper(state, params, cfg, dealias, evaluate_rhs(state, params, dealias))
         plain = stepper(state, params, cfg, dealias)
         assert state_bytes(shared) == state_bytes(plain)
+
+
+# Scalar transforms (forward, inverse) of one step from random_small data at
+# 2D n = 16 and 3D n = 8: a plain step, the rhs_A/rhs_B evaluation run()
+# makes at a recorded state, and the step given that evaluation. The
+# evaluation is the step's first stage, so the last two add up to the first.
+STEP_TRANSFORMS = {
+    (2, "A"): {"step": (35, 60), "rhs": (22, 21), "step_given_rhs": (13, 39)},
+    (2, "B"): {"step": (29, 48), "rhs": (18, 17), "step_given_rhs": (11, 31)},
+    (3, "A"): {"step": (63, 126), "rhs": (39, 48), "step_given_rhs": (24, 78)},
+    (3, "B"): {"step": (45, 78), "rhs": (27, 30), "step_given_rhs": (18, 48)},
+}
+
+
+@pytest.mark.parametrize("dim, formulation", sorted(STEP_TRANSFORMS))
+def test_scalar_transforms_per_step(monkeypatch, dim: int, formulation: str) -> None:
+    grid = TorusGrid(dim=dim, n=16 if dim == 2 else 8)
+    state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+    stepper = step_A if formulation == "A" else step_B
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-3)
+    counts = TransformCounter(monkeypatch, grid).counts
+    seen = {}
+
+    def count(name: str, call):
+        before = dict(counts)
+        out = call()
+        seen[name] = (counts["fwd"] - before["fwd"], counts["inv"] - before["inv"])
+        return out
+
+    plain = count("step", lambda: stepper(state, PARAMS, cfg))
+    rhs = count("rhs", lambda: evaluate_rhs(state, PARAMS, True))
+    shared = count("step_given_rhs", lambda: stepper(state, PARAMS, cfg, True, rhs))
+    assert state_bytes(shared) == state_bytes(plain)
+    assert seen == STEP_TRANSFORMS[dim, formulation]
