@@ -1,5 +1,11 @@
 """Deterministic initial-data generators for both formulations.
 
+Each variant builds the velocity, the magnetization and a deformation
+potential psi (none for the undeformed `zero_steady` and `harmonic_map`);
+formulation A takes F = (I + grad psi)^{-1} and B takes psi itself. Only
+`flow_map_F` builds F directly; it has no potential, so formulation B
+refuses it.
+
 Random variants draw trigonometric-polynomial coefficients in a canonical
 mode order that does not depend on the grid resolution, then synthesize the
 sums at the grid nodes with one inverse FFT of those coefficients; a mode
@@ -189,13 +195,6 @@ def _flow_map_deformation(
     return MatrixField(grid, F)
 
 
-def _constant_m(grid: TorusGrid, direction: tuple[float, float, float]) -> VectorField:
-    vals = np.zeros((3,) + grid.shape)
-    for i, c in enumerate(direction):
-        vals[i] = c
-    return VectorField(grid, vals)
-
-
 def _zero_velocity(grid: TorusGrid) -> VectorField:
     return VectorField(grid, np.zeros((grid.dim,) + grid.shape))
 
@@ -226,52 +225,49 @@ def generate_initial_data(
     seed: int = 0,
     snapshot_path: str | Path | None = None,
 ) -> StateA | StateB:
-    """Build the initial state for a run; deterministic for a fixed seed."""
+    """Build the initial state for a run; deterministic for a fixed seed.
+
+    Every variant makes v, M and a potential psi (None: undeformed), except
+    flow_map_F, which makes F itself; one conversion at the end picks the
+    formulation: A takes F = (I + grad psi)^{-1}, B takes psi.
+    """
     if formulation not in STATES:
         raise ConfigError(f"formulation must be A or B, got {formulation!r}")
     if variant == "from_snapshot":
         return _from_snapshot(grid, formulation, snapshot_path)
 
     rng = np.random.default_rng(seed)
-    if variant in ("zero_steady", "harmonic_map"):
-        if variant == "zero_steady":
-            m = _constant_m(grid, (0.0, 0.0, 1.0))
-        else:
-            mvals = np.zeros((3,) + grid.shape)
+    v, psi, F = _zero_velocity(grid), None, None
+    if variant in ("zero_steady", "harmonic_map", "shear_F"):
+        mvals = np.zeros((3,) + grid.shape)
+        if variant == "harmonic_map":
             mvals[0] = np.cos(grid.x[0])
             mvals[1] = np.sin(grid.x[0])
-            m = VectorField(grid, mvals)
-        # at rest and undeformed: v = 0 and F = I, or psi = 0
-        rest = identity_matrix_field(grid) if formulation == "A" else _zero_velocity(grid)
-        return STATES[formulation](0.0, _zero_velocity(grid), rest, m)
-
-    if variant == "shear_F":
-        v = _zero_velocity(grid)
-        m = _constant_m(grid, (0.0, 0.0, 1.0))
-        if formulation == "A":
-            fvals = identity_values(grid)
-            fvals[0, 1] += amplitude * np.sin(grid.x[1])
-            return StateA(t=0.0, v=v, F=MatrixField(grid, fvals), M=m)
-        pvals = np.zeros((grid.dim,) + grid.shape)
-        pvals[0] = amplitude * np.cos(grid.x[1])
-        return StateB(t=0.0, v=v, psi=VectorField(grid, pvals), M=m)
-
-    if variant == "random_small":
+        else:
+            mvals[2] = 1.0
+        m = VectorField(grid, mvals)
+        if variant == "shear_F":
+            pvals = np.zeros((grid.dim,) + grid.shape)
+            pvals[0] = amplitude * np.cos(grid.x[1])
+            psi = VectorField(grid, pvals)
+    elif variant == "random_small":
         v = _random_velocity(rng, grid, amplitude)
         psi = _random_potential(rng, grid, amplitude)
         m = _random_magnetization(rng, grid, amplitude)
-        if formulation == "B":
-            return StateB(t=0.0, v=v, psi=psi, M=m)
-        return StateA(t=0.0, v=v, F=G_to_F(grad_potential(psi)), M=m)
-
-    if variant == "flow_map_F":
-        if formulation == "B":
-            # The reformulation needs rows of G to be exact gradients, so it
-            # takes the psi-generated data instead of the flow-map F.
-            return generate_initial_data(grid, "random_small", "B", amplitude, seed)
+    elif variant == "flow_map_F":
         v = _random_velocity(rng, grid, amplitude)
         m = _random_magnetization(rng, grid, amplitude)
         F = _flow_map_deformation(rng, grid, amplitude)
-        return StateA(t=0.0, v=v, F=F, M=m)
+    else:
+        raise ConfigError(f"unknown initial data variant {variant!r}")
 
-    raise ConfigError(f"unknown initial data variant {variant!r}")
+    if formulation == "B":
+        if F is not None:
+            raise ConfigError(
+                f"{variant} initial data has no potential: formulation B needs every "
+                "row of G to be an exact gradient"
+            )
+        return StateB(t=0.0, v=v, psi=_zero_velocity(grid) if psi is None else psi, M=m)
+    if F is None:
+        F = identity_matrix_field(grid) if psi is None else G_to_F(grad_potential(psi))
+    return StateA(t=0.0, v=v, F=F, M=m)

@@ -2,7 +2,11 @@
 
 Every scenario emits CSV diagnostics plus a verdict.json whose per-check
 entries carry the measured value and the threshold it was compared with,
-so a verdict can be audited from the written files alone. Exit semantics:
+so a verdict can be audited from the written files alone. Every check is
+built by `_at_most` or `_at_least`. A scenario that runs the solver more
+than once writes each further run into its own subdirectory of out_dir:
+`formulation_equivalence` writes `A/` and `B/`, the formulation B
+`constraint_audit` its half-resolution run in `coarse/`. Exit semantics:
 the caller gets 0 when every check passed and 1 otherwise; numerical
 failures inside a scenario that needs a completed run are raised (the CLI
 maps them to exit 3).
@@ -79,6 +83,20 @@ class Check:
     threshold: float
 
 
+def _at_most(name: str, value: float, threshold: float) -> Check:
+    return Check(name, value <= threshold, value, threshold)
+
+
+def _at_least(name: str, value: float, threshold: float) -> Check:
+    return Check(name, value >= threshold, value, threshold)
+
+
+def _spread(a: float, b: float) -> float:
+    """max/min of two positive measurements; inf when the smaller is not positive."""
+    lo, hi = min(a, b), max(a, b)
+    return hi / lo if lo > 0 else math.inf
+
+
 @dataclass(frozen=True, eq=False)
 class RunArtifacts:
     """What one simulation run left on disk and in memory."""
@@ -99,49 +117,59 @@ def _csv_row(cells: tuple) -> str:
     return ",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells)
 
 
-def _suffixed(csv_name: str, suffix: str) -> str:
-    p = Path(csv_name)
-    return f"{p.stem}{suffix}{p.suffix or '.csv'}"
+def _write_table(config: SimulationConfig, header: str, rows: list[str]) -> Path:
+    """Write config.csv_name into config.out_dir, creating it; returns the path."""
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / config.csv_name
+    _write_csv(csv_path, header, rows)
+    return csv_path
 
 
-def run_simulation(
-    config: SimulationConfig, csv_name: str | None = None, snap_prefix: str = ""
-) -> RunArtifacts:
-    """Generate initial data, integrate, and write CSV plus final snapshot."""
+def _integrate(config: SimulationConfig, state: Any, **sinks: Any) -> RunResult:
+    """Run state under the config's physics, integrator and diagnostic settings."""
+    return run(
+        state,
+        config.make_params(),
+        config.make_integrator(),
+        s=config.s,
+        delta=config.resolved_delta(),
+        dealias=config.dealias,
+        **sinks,
+    )
+
+
+def run_simulation(config: SimulationConfig) -> RunArtifacts:
+    """Generate initial data, integrate, and write CSV plus final snapshot.
+
+    Invalid initial data raises ConfigError before out_dir is created.
+    """
     state0 = config.make_state()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records: list[DiagnosticRecord] = []
 
     def snap_sink(state: Any, k: int) -> None:
-        write_snapshot(state, out_dir / f"{snap_prefix}step_{k:08d}.snap")
+        write_snapshot(state, out_dir / f"step_{k:08d}.snap")
 
-    result = run(
-        state0,
-        config.make_params(),
-        config.make_integrator(),
-        s=config.s,
-        delta=config.resolved_delta(),
-        dealias=config.dealias,
-        diag_sink=records.append,
-        snap_sink=snap_sink,
-    )
-    csv_path = out_dir / (csv_name or config.csv_name)
-    _write_csv(csv_path, CSV_HEADER, [r.to_csv_row() for r in records])
-    final_snapshot = out_dir / f"{snap_prefix}final.snap"
+    result = _integrate(config, state0, diag_sink=records.append, snap_sink=snap_sink)
+    csv_path = _write_table(config, CSV_HEADER, [r.to_csv_row() for r in records])
+    final_snapshot = out_dir / "final.snap"
     write_snapshot(result.state, final_snapshot)
     return RunArtifacts(
         result=result, records=records, csv_path=csv_path, final_snapshot=final_snapshot
     )
 
 
-def _require_completed(result: RunResult, context: str) -> None:
+def _completed(result: RunResult, context: str) -> RunResult:
+    """The result of a completed run; any other ending raises BlowUpError."""
     if result.status != "completed":
         raise BlowUpError(
             result.t_reached,
             f"{context}: run ended with status {result.status} at t = {result.t_reached:.6g}"
             + (f" ({result.message})" if result.message else ""),
         )
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +182,7 @@ def _decay_small_data(config: SimulationConfig) -> tuple[list[Check], dict]:
     if config.formulation != "B":
         raise ConfigError("decay_small_data requires formulation B")
     art = run_simulation(config)
-    _require_completed(art.result, "decay_small_data")
+    _completed(art.result, "decay_small_data")
     recs = art.records
     worst = -math.inf
     for prev, cur in zip(recs, recs[1:]):
@@ -165,18 +193,8 @@ def _decay_small_data(config: SimulationConfig) -> tuple[list[Check], dict]:
         recs[-1].e_global / recs[0].e_global if recs[0].e_global > 0 else 0.0
     )
     checks = [
-        Check(
-            "e_global_per_step_increase",
-            worst <= DECAY_STEP_SLACK,
-            worst,
-            DECAY_STEP_SLACK,
-        ),
-        Check(
-            "e_global_final_ratio",
-            final_ratio <= DECAY_FINAL_RATIO,
-            final_ratio,
-            DECAY_FINAL_RATIO,
-        ),
+        _at_most("e_global_per_step_increase", worst, DECAY_STEP_SLACK),
+        _at_most("e_global_final_ratio", final_ratio, DECAY_FINAL_RATIO),
     ]
     extra = {
         "e_global_initial": recs[0].e_global,
@@ -194,31 +212,22 @@ def _formulation_equivalence(config: SimulationConfig) -> tuple[list[Check], dic
             "deformation has no exact potential counterpart"
         )
     # both configs are validated before any work: B refuses an external field or kappa
-    config_a = config.with_overrides(formulation="A")
-    config_b = config.with_overrides(formulation="B")
-    art_a = run_simulation(
-        config_a,
-        csv_name=_suffixed(config.csv_name, "_A"),
-        snap_prefix="A_",
+    configs = {
+        f: config.with_overrides(formulation=f, out_dir=str(Path(config.out_dir) / f))
+        for f in ("A", "B")
+    }
+    arts = {f: run_simulation(cfg) for f, cfg in configs.items()}
+    state_a, state_b = (
+        _completed(arts[f].result, f"formulation_equivalence[{f}]").state for f in ("A", "B")
     )
-    art_b = run_simulation(
-        config_b,
-        csv_name=_suffixed(config.csv_name, "_B"),
-        snap_prefix="B_",
-    )
-    _require_completed(art_a.result, "formulation_equivalence[A]")
-    _require_completed(art_b.result, "formulation_equivalence[B]")
-    state_a = art_a.result.state
-    state_b = art_b.result.state
     f_from_b = state_B_to_A(state_b).F
     gap = float(np.max(np.abs(state_a.F.values - f_from_b.values)))
     v_gap = float(np.max(np.abs(state_a.v.values - state_b.v.values)))
-    checks = [Check("deformation_gap_max", gap <= EQUIVALENCE_TOL, gap, EQUIVALENCE_TOL)]
+    checks = [_at_most("deformation_gap_max", gap, EQUIVALENCE_TOL)]
     extra = {
         "velocity_gap_max": v_gap,
         "t_final": state_a.t,
-        "csv_A": art_a.csv_path.name,
-        "csv_B": art_b.csv_path.name,
+        **{f"csv_{f}": f"{f}/{art.csv_path.name}" for f, art in arts.items()},
     }
     return checks, extra
 
@@ -226,45 +235,36 @@ def _formulation_equivalence(config: SimulationConfig) -> tuple[list[Check], dic
 def _constraint_audit(config: SimulationConfig) -> tuple[list[Check], dict]:
     """Track every geometric constraint residual along one run."""
     art = run_simulation(config)
-    _require_completed(art.result, "constraint_audit")
+    _completed(art.result, "constraint_audit")
     recs = art.records
     sphere_tol = SPHERE_TOL_PER_TIME * max(1.0, config.t_end)
     sphere_max = max(r.sphere_res for r in recs)
     det_drift = max(r.det_res for r in recs) - recs[0].det_res
     div_max = max(r.div_v_res for r in recs)
     checks = [
-        Check("sphere_res_max", sphere_max <= sphere_tol, sphere_max, sphere_tol),
-        Check("det_res_drift", det_drift <= DET_DRIFT_TOL, det_drift, DET_DRIFT_TOL),
-        Check("div_v_res_max", div_max <= DIV_TOL, div_max, DIV_TOL),
+        _at_most("sphere_res_max", sphere_max, sphere_tol),
+        _at_most("det_res_drift", det_drift, DET_DRIFT_TOL),
+        _at_most("div_v_res_max", div_max, DIV_TOL),
     ]
     extra: dict[str, Any] = {"csv": art.csv_path.name}
     if config.formulation == "B":
         curl_max = max(r.curl_res for r in recs)
         trg_max = max(r.trG_vs_divpsi_res for r in recs)
-        checks.append(Check("curl_res_max", curl_max <= CURL_TOL, curl_max, CURL_TOL))
-        checks.append(
-            Check("trG_vs_divpsi_res_max", trg_max <= TRG_TOL, trg_max, TRG_TOL)
-        )
+        checks.append(_at_most("curl_res_max", curl_max, CURL_TOL))
+        checks.append(_at_most("trG_vs_divpsi_res_max", trg_max, TRG_TOL))
         if config.n // 2 >= 8:
-            ratio_fine = constraint_bundle(art.result.state, config.s)[
-                "key_structure_ratio"
-            ]
             coarse_cfg = config.with_overrides(
                 n=config.n // 2, out_dir=str(Path(config.out_dir) / "coarse")
             )
-            art_coarse = run_simulation(coarse_cfg)
-            _require_completed(art_coarse.result, "constraint_audit[coarse]")
-            ratio_coarse = constraint_bundle(art_coarse.result.state, config.s)[
-                "key_structure_ratio"
-            ]
-            lo = min(ratio_fine, ratio_coarse)
-            hi = max(ratio_fine, ratio_coarse)
-            stability = hi / lo if lo > 0 else math.inf
+            coarse = _completed(run_simulation(coarse_cfg).result, "constraint_audit[coarse]")
+            ratio_fine, ratio_coarse = (
+                constraint_bundle(st, config.s)["key_structure_ratio"]
+                for st in (art.result.state, coarse.state)
+            )
             checks.append(
-                Check(
+                _at_most(
                     "key_structure_ratio_stability",
-                    stability <= RATIO_STABILITY,
-                    stability,
+                    _spread(ratio_fine, ratio_coarse),
                     RATIO_STABILITY,
                 )
             )
@@ -275,9 +275,7 @@ def _constraint_audit(config: SimulationConfig) -> tuple[list[Check], dict]:
 
 def _picard_rows(prun: PicardRun, distances: list[float]) -> list[str]:
     rows = []
-    ratios = prun.ratios
-    for i, diff in enumerate(prun.diffs):
-        ratio = ratios[i - 1] if i >= 1 else math.nan
+    for i, (diff, ratio) in enumerate(zip(prun.diffs, [math.nan, *prun.ratios])):
         cells = (
             prun.variant,
             i + 1,
@@ -300,19 +298,8 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
     initial = config.make_state()
     params = config.make_params()
     integ = config.make_integrator()
-    ref_result = run(
-        initial,
-        params,
-        integ,
-        s=config.s,
-        delta=config.resolved_delta(),
-        dealias=config.dealias,
-    )
-    _require_completed(ref_result, "picard_study[reference]")
-    reference = ref_result.state
+    reference = _completed(_integrate(config, initial), "picard_study[reference]").state
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[str] = []
     runs: dict[str, PicardRun] = {}
     distances: dict[str, list[float]] = {}
@@ -333,32 +320,23 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
         dists = [picard_metric(state, reference, config.s) for state in prun.states_at_T[1:]]
         runs[variant], distances[variant] = prun, dists
         rows.extend(_picard_rows(prun, dists))
-    csv_path = out_dir / config.csv_name
     header = "variant,iterate,diff,ratio,e_sup,d_int,div_v_res,sphere_res,distance_to_reference"
-    _write_csv(csv_path, header, rows)
+    csv_path = _write_table(config, header, rows)
 
     frozen, distance = runs["frozen"], distances["frozen"][-1]
-    max_ratio = max(frozen.ratios) if frozen.ratios else math.inf
+    max_ratio = max(frozen.ratios, default=math.inf)
     # the iterates' uniform bound: sup_t E_s + int D_s dt stays below 2 E_s(0)
     max_total = max(e + d for e, d in zip(frozen.e_sup, frozen.d_int))
-    bound = 2.0 * frozen.e0
     checks = [
-        Check("frozen_ratio_max", max_ratio <= PICARD_RATIO_TOL, max_ratio, PICARD_RATIO_TOL),
-        Check(
-            "frozen_distance_to_monolithic",
-            distance <= PICARD_DISTANCE_TOL,
-            distance,
-            PICARD_DISTANCE_TOL,
-        ),
-        Check("frozen_uniform_bound", max_total <= bound, max_total, bound),
+        _at_most("frozen_ratio_max", max_ratio, PICARD_RATIO_TOL),
+        _at_most("frozen_distance_to_monolithic", distance, PICARD_DISTANCE_TOL),
+        _at_most("frozen_uniform_bound", max_total, 2.0 * frozen.e0),
     ]
     extra = {
         "T": config.t_end,
         "iterates": PICARD_ITERATES,
         "transported_distance": distances["transported"][-1],
-        "transported_ratio_max": (
-            max(runs["transported"].ratios) if runs["transported"].ratios else math.inf
-        ),
+        "transported_ratio_max": max(runs["transported"].ratios, default=math.inf),
         "csv": csv_path.name,
     }
     return checks, extra
@@ -366,8 +344,7 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
 
 def _mollifier_rows(report: MollifierReport) -> list[str]:
     rows = []
-    for i, mrun in enumerate(report.runs):
-        diff = report.diffs[i] if i < len(report.diffs) else math.nan
+    for mrun, diff in zip(report.runs, [*report.diffs, math.nan]):
         cells = (
             mrun.cutoff,
             mrun.sup_e_eps,
@@ -381,28 +358,22 @@ def _mollifier_rows(report: MollifierReport) -> list[str]:
 
 def _mollifier_study(config: SimulationConfig) -> tuple[list[Check], dict]:
     """Cutoff-refinement study of the mollified magnetization scheme."""
-    grid = config.make_grid()
-    state0 = config.make_state()
     cutoffs = list(MOLLIFIER_CUTOFFS)
-    if cutoffs[-1] > grid.n / 3.0:
+    if cutoffs[-1] > config.n / 3.0:
         raise ConfigError(
-            f"largest cutoff {cutoffs[-1]} exceeds the resolution bound n/3 = {grid.n / 3:.6g}"
+            f"largest cutoff {cutoffs[-1]} exceeds the resolution bound n/3 = {config.n / 3:.6g}"
         )
     report = mollifier_convergence_study(
-        cutoffs, state0.M, config.h_ext, config.s, config.make_integrator()
+        cutoffs, config.make_state().M, config.h_ext, config.s, config.make_integrator()
     )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / config.csv_name
     header = "cutoff,sup_e_eps,max_d_eps,e_eps_final,diff_to_next"
-    _write_csv(csv_path, header, _mollifier_rows(report))
+    csv_path = _write_table(config, header, _mollifier_rows(report))
 
-    drops = report.drop_factors
-    min_drop = min(drops) if drops else math.inf
+    min_drop = min(report.drop_factors, default=math.inf)
     sup_e = max(r.sup_e_eps for r in report.runs)
     checks = [
-        Check("diff_drop_per_doubling", min_drop >= MOLLIFIER_MIN_DROP, min_drop, MOLLIFIER_MIN_DROP),
-        Check("energy_bound", report.bound_ok, sup_e, report.e_bound),
+        _at_least("diff_drop_per_doubling", min_drop, MOLLIFIER_MIN_DROP),
+        _at_most("energy_bound", sup_e, report.e_bound),
     ]
     extra = {
         "cutoffs": cutoffs,
@@ -460,23 +431,21 @@ def _stokes_analytic_error(grid: TorusGrid) -> float:
     zero_v = np.zeros((grid.dim,) + grid.shape)
     zero_s = np.zeros(grid.shape)
     x, y = grid.x[0], grid.x[1]
-    err = 0.0
-
-    sol = solve_generalized_stokes(VectorField(grid, zero_v), ScalarField(grid, zero_s))
-    err = max(err, float(np.max(np.abs(sol.w.values))), float(np.max(np.abs(sol.q.values))))
-
-    f_vals = zero_v.copy()
-    f_vals[0] = np.sin(y)
-    sol = solve_generalized_stokes(VectorField(grid, f_vals), ScalarField(grid, zero_s))
-    err = max(err, float(np.max(np.abs(sol.w.values - f_vals))))
-    err = max(err, float(np.max(np.abs(sol.q.values))))
-
-    g_vals = np.sin(x)
+    shear = zero_v.copy()
+    shear[0] = np.sin(y)
     w_expect = zero_v.copy()
     w_expect[0] = -np.cos(x)
-    sol = solve_generalized_stokes(VectorField(grid, zero_v), ScalarField(grid, g_vals))
-    err = max(err, float(np.max(np.abs(sol.w.values - w_expect))))
-    err = max(err, float(np.max(np.abs(sol.q.values - g_vals))))
+    # (f, g) -> (w, q): no data, a shear force solved by w = f, a divergence source g = sin x
+    examples = [
+        (zero_v, zero_s, zero_v, zero_s),
+        (shear, zero_s, shear, zero_s),
+        (zero_v, np.sin(x), w_expect, np.sin(x)),
+    ]
+    err = 0.0
+    for f, g, w, q in examples:
+        sol = solve_generalized_stokes(VectorField(grid, f), ScalarField(grid, g))
+        err = max(err, float(np.max(np.abs(sol.w.values - w))))
+        err = max(err, float(np.max(np.abs(sol.q.values - q))))
     return err
 
 
@@ -487,18 +456,10 @@ def _stokes_verify(config: SimulationConfig) -> tuple[list[Check], dict]:
     alt_n = 32 if config.n != 32 else 64
     alt_grid = TorusGrid(dim=config.dim, n=alt_n)
     _, _, _, c_alt = _stokes_trials(alt_grid, config.seed, STOKES_TRIALS)
-    lo, hi = min(c_fine, c_alt), max(c_fine, c_alt)
-    stability = hi / lo if lo > 0 else math.inf
-    analytic_err = _stokes_analytic_error(grid)
     checks = [
-        Check("residual_trials_passed", passes == STOKES_TRIALS, float(passes), float(STOKES_TRIALS)),
-        Check(
-            "analytic_examples_max_err",
-            analytic_err <= STOKES_ANALYTIC_TOL,
-            analytic_err,
-            STOKES_ANALYTIC_TOL,
-        ),
-        Check("c_hat_stability", stability <= RATIO_STABILITY, stability, RATIO_STABILITY),
+        _at_least("residual_trials_passed", float(passes), float(STOKES_TRIALS)),
+        _at_most("analytic_examples_max_err", _stokes_analytic_error(grid), STOKES_ANALYTIC_TOL),
+        _at_most("c_hat_stability", _spread(c_fine, c_alt), RATIO_STABILITY),
     ]
     extra = {
         "worst_momentum_residual_rel": worst_f,
@@ -514,9 +475,7 @@ def _lifespan_probe(config: SimulationConfig) -> tuple[list[Check], dict]:
     """Report the empirical lifespan; any cleanly reported outcome passes."""
     art = run_simulation(config)
     result = art.result
-    checks = [
-        Check("lifespan_reported", result.t_reached >= 0.0, result.t_reached, 0.0)
-    ]
+    checks = [_at_least("lifespan_reported", result.t_reached, 0.0)]
     extra = {
         "status": result.status,
         "t_reached": result.t_reached,

@@ -193,24 +193,6 @@ Field = ScalarField | VectorField | MatrixField
 # --------------------------------------------------------------------------
 
 
-def _deriv_multiplier(grid: TorusGrid, m: tuple[int, ...]) -> np.ndarray:
-    """Fourier multiplier prod_i (i*k_i)^m_i of the multi-index m."""
-    if len(m) != grid.dim:
-        raise ValueError(f"multi-index length {len(m)} != grid dim {grid.dim}")
-    if any(mi < 0 for mi in m):
-        raise ValueError(f"multi-index entries must be >= 0, got {m}")
-    mult = np.ones(grid.hat_shape, dtype=np.complex128)
-    for i, mi in enumerate(m):
-        if mi > 0:
-            mult = mult * (1j * grid.k[i]) ** mi
-    return mult
-
-
-def deriv_values(grid: TorusGrid, values: np.ndarray, m: tuple[int, ...]) -> np.ndarray:
-    """Partial derivative of multi-index m via the multiplier prod_i (i*k_i)^m_i."""
-    return grid.ifft(grid.fft(values) * _deriv_multiplier(grid, m))
-
-
 def jacobian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """All first derivatives; output[..., j, <space>] = d_j values[..., <space>]."""
     return jacobian_from_hat(grid, grid.fft(values))
@@ -223,11 +205,6 @@ def jacobian_from_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
 
 def laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return grid.ifft(grid.fft(values) * (-grid.k_sq))
-
-
-def inverse_laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Zero-mean inverse Laplacian; the zero mode of the result is 0."""
-    return grid.ifft(grid.fft(values) * (-grid.inv_k_sq))
 
 
 def divergence_values(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:

@@ -234,9 +234,10 @@ def run(
     diag_sink: Callable[[DiagnosticRecord], None] | None = None,
     snap_sink: Callable[[StateA | StateB, int], None] | None = None,
 ) -> RunResult:
-    """Iterate steps to t_end, emitting diagnostics and snapshots.
+    """Step for a duration t_end from the state's time t0, emitting
+    diagnostics and snapshots; step k is stamped t0 + k dt.
 
-    Terminates at t_end or on a numerical error in a step or a record; the
+    Terminates at t0 + t_end or on a numerical error in a step or a record; the
     result carries the reached time (the empirical lifespan) and a status
     string instead of raising, so callers can report blow-up cleanly. A
     failed step leaves the last good state; a failed record, the state it
@@ -250,6 +251,7 @@ def run(
     else:
         stepper, evaluate = step_B, dynamics.rhs_B
     n_steps = _step_count(cfg.t_end, cfg.dt)
+    t0 = state.t
 
     def emit(st: StateA | StateB) -> dynamics.Rhs | None:
         if diag_sink is None:
@@ -264,7 +266,7 @@ def run(
         if snap_sink is not None and cfg.snapshot_every > 0:
             snap_sink(state, 0)
         for k in range(1, n_steps + 1):
-            state = replace(stepper(state, params, cfg, dealias, rhs), t=k * cfg.dt)
+            state = replace(stepper(state, params, cfg, dealias, rhs), t=t0 + k * cfg.dt)
             steps, rhs = k, None
             if k % cfg.diag_every == 0 or k == n_steps:
                 rhs = emit(state)

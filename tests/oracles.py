@@ -6,7 +6,9 @@ sum agrees to rounding with the fused kernels of elastomag.dynamics, which
 dealias whole sums in Fourier space. Nothing here comes from
 elastomag.dynamics: these functions are the independent reference that the
 kernels are tested against. Index conventions follow elastomag.dynamics:
-(grad v)_{ij} = d_j v^i and (div G)_i = d_j G^{ji}.
+(grad v)_{ij} = d_j v^i and (div G)_i = d_j G^{ji}. The module also holds
+the spectral operators that only tests use: the multi-index derivative
+and the zero-mean inverse Laplacian.
 """
 
 from __future__ import annotations
@@ -151,3 +153,26 @@ def trig_sum(grid: TorusGrid, modes: list[tuple[int, ...]], a: np.ndarray,
                 phase += ki * grid.x[i]
         out += a[:, m][lift] * np.cos(phase) + b[:, m][lift] * np.sin(phase)
     return out
+
+
+def _deriv_multiplier(grid: TorusGrid, m: tuple[int, ...]) -> np.ndarray:
+    """Fourier multiplier prod_i (i*k_i)^m_i of the multi-index m."""
+    if len(m) != grid.dim:
+        raise ValueError(f"multi-index length {len(m)} != grid dim {grid.dim}")
+    if any(mi < 0 for mi in m):
+        raise ValueError(f"multi-index entries must be >= 0, got {m}")
+    mult = np.ones(grid.hat_shape, dtype=np.complex128)
+    for i, mi in enumerate(m):
+        if mi > 0:
+            mult = mult * (1j * grid.k[i]) ** mi
+    return mult
+
+
+def deriv_values(grid: TorusGrid, values: np.ndarray, m: tuple[int, ...]) -> np.ndarray:
+    """Partial derivative of multi-index m via the multiplier prod_i (i*k_i)^m_i."""
+    return grid.ifft(grid.fft(values) * _deriv_multiplier(grid, m))
+
+
+def inverse_laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Zero-mean inverse Laplacian; the zero mode of the result is 0."""
+    return grid.ifft(grid.fft(values) * (-grid.inv_k_sq))

@@ -41,13 +41,13 @@ from elastomag.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    deriv_values,
     divergence_values,
     l2_norm_sq_values,
 )
 from elastomag.timestepper import IntegratorConfig, run
 
 from conftest import leray, truncate
+from oracles import deriv_values
 
 GRID_N = 64
 DT = 1e-3

@@ -31,10 +31,10 @@ from elastomag.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    deriv_values,
 )
 
 from conftest import div_free_vector, random_band_limited, vector
+from oracles import deriv_values
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PI_SQ = math.pi**2

@@ -176,6 +176,11 @@ class TestInitialData:
     @pytest.mark.parametrize("variant", ["zero_steady", "harmonic_map", "shear_F", "random_small", "flow_map_F"])
     @pytest.mark.parametrize("formulation", ["A", "B"])
     def test_generated_triples_satisfy_hypotheses(self, grid2, variant: str, formulation: str) -> None:
+        if (variant, formulation) == ("flow_map_F", "B"):
+            # the flow-map F has no potential, which formulation B needs
+            with pytest.raises(ConfigError, match="potential"):
+                generate_initial_data(grid2, variant, formulation, amplitude=1e-2, seed=3)
+            return
         state = generate_initial_data(grid2, variant, formulation, amplitude=1e-2, seed=3)
         assert np.max(np.abs(divergence_values(grid2, state.v.values))) <= 1e-11
         assert sphere_residual(state.M) <= 1e-14
@@ -461,3 +466,69 @@ class TestCli:
         assert verdict["scenario"] == "stokes_verify"
         out = capsys.readouterr().out
         assert "PASS" in out
+
+
+SCENARIO_BASE = {"dim": 2, "n": 16, "dt": 1e-3, "t_end": 0.02, "initial_data": "random_small",
+                 "amplitude": 0.01}
+RUN_FILES = ["diagnostics.csv", "final.snap", "verdict.json"]
+# id -> (CLI arguments before the config, config overrides, exit code, checks, files written,
+#        verdict entries); a case that exits 2 writes nothing
+SCENARIO_CASES = {
+    "decay_small_data_B": (
+        ["scenario", "decay_small_data"], {"formulation": "B"}, 0,
+        [("e_global_per_step_increase", True), ("e_global_final_ratio", True)], RUN_FILES, {},
+    ),
+    "decay_small_data_A": (["scenario", "decay_small_data"], {}, 2, None, None, None),
+    "formulation_equivalence": (
+        ["scenario", "formulation_equivalence"], {}, 0, [("deformation_gap_max", True)],
+        ["A/diagnostics.csv", "A/final.snap", "B/diagnostics.csv", "B/final.snap", "verdict.json"],
+        {"csv_A": "A/diagnostics.csv", "csv_B": "B/diagnostics.csv"},
+    ),
+    "formulation_equivalence_kappa": (
+        ["scenario", "formulation_equivalence"], {"kappa": 0.1}, 2, None, None, None,
+    ),
+    "formulation_equivalence_flow_map": (
+        ["scenario", "formulation_equivalence"], {"initial_data": "flow_map_F"}, 2, None, None,
+        None,
+    ),
+    "constraint_audit_B": (
+        ["scenario", "constraint_audit"], {"formulation": "B"}, 0,
+        [("sphere_res_max", True), ("det_res_drift", True), ("div_v_res_max", True),
+         ("curl_res_max", True), ("trG_vs_divpsi_res_max", True),
+         ("key_structure_ratio_stability", True)],
+        ["coarse/diagnostics.csv", "coarse/final.snap", *RUN_FILES], {},
+    ),
+    "lifespan_probe": (
+        ["scenario", "lifespan_probe"], {}, 0, [("lifespan_reported", True)], RUN_FILES,
+        {"status": "completed", "steps": 20},
+    ),
+    "lifespan_probe_cfl": (
+        ["scenario", "lifespan_probe"], {"dt": 1.0, "t_end": 4.0, "amplitude": 0.3}, 0,
+        [("lifespan_reported", True)], RUN_FILES,
+        {"status": "cfl_violation", "t_reached": 0.0, "steps": 0},
+    ),
+    "run_flow_map_B": (
+        ["run"], {"formulation": "B", "initial_data": "flow_map_F"}, 2, None, None, None,
+    ),
+}
+
+
+class TestScenarios:
+    """Each scenario through the CLI: exit code, verdict checks and the files written."""
+
+    @pytest.mark.parametrize("case", list(SCENARIO_CASES))
+    def test_exit_checks_and_files(self, case: str, tmp_path: Path, capsys) -> None:
+        args, overrides, code, checks, files, entries = SCENARIO_CASES[case]
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, **{**SCENARIO_BASE, **overrides, "out_dir": str(out_dir)})
+        assert main(args + [str(config), "--quiet"]) == code
+        capsys.readouterr()
+        if files is None:
+            assert not out_dir.exists()
+            return
+        written = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file())
+        assert written == files
+        verdict = json.loads((out_dir / "verdict.json").read_text())
+        assert [(c["name"], c["pass"]) for c in verdict["checks"]] == checks
+        assert verdict["pass"] is (code == 0)
+        assert {key: verdict[key] for key in entries} == entries

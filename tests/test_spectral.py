@@ -12,9 +12,7 @@ from elastomag.spectral import (
     ScalarField,
     TorusGrid,
     VectorField,
-    deriv_values,
     divergence_values,
-    inverse_laplacian_values,
     l2_norm_sq_values,
     laplacian_values,
 )
@@ -28,6 +26,7 @@ from conftest import (
     truncate,
     vector,
 )
+from oracles import deriv_values, inverse_laplacian_values
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 

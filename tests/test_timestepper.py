@@ -380,6 +380,20 @@ class TestRunLoop:
         assert result.t_reached == pytest.approx(7e-3, rel=1e-12)
         assert result.state.t == pytest.approx(7e-3, rel=1e-12)
 
+    def test_restart_continues_the_clock(self, grid2: TorusGrid) -> None:
+        """3 + 3 steps, restarted from the first run's final state, are 6 steps."""
+        h_ext = HExt(kind="single_mode", amplitude=0.5, wavevector=(1, 0), component=0, omega=20.0)
+        params = PhysParams(nu=1.0, kappa=0.1, h_ext=h_ext)
+        state = generate_initial_data(grid2, "random_small", "A", amplitude=1e-2, seed=3)
+        whole = run(state, params, IntegratorConfig(dt=1e-3, t_end=6e-3))
+        half = IntegratorConfig(dt=1e-3, t_end=3e-3)
+        records = []
+        second = run(run(state, params, half).state, params, half, diag_sink=records.append)
+        assert second.steps == 3
+        assert [r.t for r in records] == pytest.approx([3e-3, 4e-3, 5e-3, 6e-3], rel=1e-12)
+        assert second.t_reached == pytest.approx(6e-3, rel=1e-12)
+        assert max_state_change(whole.state, second.state) <= 1e-12
+
 
 class TestFormulationAgreement:
     def test_matched_small_data_stays_close(self) -> None:

@@ -1,7 +1,8 @@
 """Print the golden hashes of the reproducibility configs.
 
-Runs every tracked config through the elastomag CLI, each in a fresh
-temporary directory, and prints one line per output file:
+Runs every tracked config and all seven scenarios through the elastomag
+CLI, each in a fresh temporary directory, and prints one line per output
+file, with its path relative to the run's output directory:
 
     <config> <file> <sha256[:16]>
 
@@ -32,8 +33,8 @@ RUN3D_SPARSE = {"dim": 3, "n": 32, "dt": 0.001, "t_end": 0.012, "initial_data": 
 N32 = {"dim": 2, "n": 32, "dt": 0.001, "t_end": 0.05, "initial_data": "random_small",
        "amplitude": 0.01}
 
-# name -> (CLI subcommand and its leading arguments, config, seed)
-RUNS: dict[str, tuple[list[str], dict, int]] = {
+# name -> (CLI subcommand and its leading arguments, config dict or file, seed)
+RUNS: dict[str, tuple[list[str], dict | Path, int]] = {
     "run2d_diag_A": (["run"], {**RUN2D_DIAG, "formulation": "A"}, 0),
     "run2d_diag_B": (["run"], {**RUN2D_DIAG, "formulation": "B"}, 0),
     "run3d_sparse_A": (["run"], {**RUN3D_SPARSE, "formulation": "A"}, 0),
@@ -48,12 +49,24 @@ RUNS: dict[str, tuple[list[str], dict, int]] = {
     "n32_B_sparse_renormalized": (["run"], {**N32, "formulation": "B", "diag_every": 3,
                                             "renormalize_m": True, "snapshot_every": 5}, 0),
 }
-SCENARIOS = ("mollifier_study", "picard_study", "stokes_verify")
+# the scenarios: three on their perfbench configs, then the four without one
+RUNS.update(
+    (name, (["scenario", name], config, 0))
+    for name, config in (
+        ("mollifier_study", ROOT / "perfbench" / "configs" / "mollifier_study.json"),
+        ("picard_study", ROOT / "perfbench" / "configs" / "picard_study.json"),
+        ("stokes_verify", ROOT / "perfbench" / "configs" / "stokes_verify.json"),
+        ("decay_small_data", {**N32, "formulation": "B"}),
+        ("formulation_equivalence", N32),
+        ("constraint_audit", {**N32, "formulation": "B"}),
+        ("lifespan_probe", {**N32, "formulation": "A"}),
+    )
+)
 
 
 def _hashes(out_dir: Path) -> list[tuple[str, str]]:
-    return [(p.name, hashlib.sha256(p.read_bytes()).hexdigest()[:16])
-            for p in sorted(out_dir.iterdir())]
+    return [(p.relative_to(out_dir).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest()[:16])
+            for p in sorted(out_dir.rglob("*")) if p.is_file()]
 
 
 def _run(args: list[str], config_path: Path, seed: int, out_dir: Path) -> None:
@@ -66,15 +79,11 @@ def _run(args: list[str], config_path: Path, seed: int, out_dir: Path) -> None:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        jobs = []
         for name, (args, config, seed) in RUNS.items():
-            path = work / f"{name}.json"
-            path.write_text(json.dumps(config))
-            jobs.append((name, args, path, seed))
-        for name in SCENARIOS:
-            jobs.append((name, ["scenario", name], ROOT / "perfbench" / "configs" / f"{name}.json",
-                         0))
-        for name, args, path, seed in jobs:
+            path = config
+            if isinstance(config, dict):
+                path = work / f"{name}.json"
+                path.write_text(json.dumps(config))
             out_dir = work / "out" / name
             _run(args, path, seed, out_dir)
             for file_name, digest in _hashes(out_dir):
