@@ -29,7 +29,7 @@ Every norm is one weighted mode sum over |fhat|^2 (_hat_norm_sq); _norms
 sums over named hats, forming each |fhat|^2 and each distinct norm once, on
 first use. _residuals makes the geometric residuals from a state's named
 hats and, for B, the hat of F = (I + grad psi)^{-1}: diagnostic_record names
-the hats of one dynamics.Rhs, basic_energy and constraint_bundle the state's.
+the hats of one dynamics.Rhs, constraint_bundle the state's (_StateHats).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .fields import (
     det_values,
     identity_values,
     sphere_residual,
+    state_B_to_A,
 )
 from .spectral import (
     Field, MatrixField, ScalarField, TorusGrid, divergence_from_hat, jacobian_from_hat
@@ -152,14 +153,18 @@ def _norms(grid: TorusGrid, hats: Mapping[str, np.ndarray]) -> Norm:
 
 
 class _StateHats(dict):
-    """The named hats of a state, each field transformed on first use."""
+    """The named hats of a state, each field transformed on first use; a B
+    state's "F" is the hat of F = (I + grad psi)^{-1}."""
 
     def __init__(self, state: StateA | StateB) -> None:
         super().__init__()
         self.state = state
 
     def __missing__(self, name: str) -> np.ndarray:
-        hat = self[name] = self.state.grid.fft(getattr(self.state, name).values)
+        state = self.state
+        if name == "F" and state.formulation == "B":
+            state = state_B_to_A(state)
+        hat = self[name] = state.grid.fft(getattr(state, name).values)
         return hat
 
 
@@ -240,9 +245,7 @@ def _residuals(state: StateA | StateB, hats: dict[str, np.ndarray], s: int | Non
 
 def basic_energy(state: StateA | StateB) -> float:
     """(1/2)(||v||^2 + ||F||^2 + ||grad M||^2)_{L^2}, a B state's F being (I + grad psi)^{-1}."""
-    hats = _StateHats(state)
-    _residuals(state, hats, with_F=True)
-    return _basic(_norms(state.grid, hats))
+    return _basic(_norms(state.grid, _StateHats(state)))
 
 
 def constraint_bundle(state: StateA | StateB, s: int = 2) -> dict[str, float]:

@@ -70,10 +70,9 @@ def _draw_coeffs(
     rng: np.random.Generator,
     ncomp: int,
     modes: list[tuple[int, ...]],
-    decay: float = COEFF_DECAY,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian cosine/sine coefficients, damped by 1/|k|^decay."""
-    weight = np.array([sum(c * c for c in k) ** (-decay / 2.0) for k in modes])
+    """Gaussian cosine/sine coefficients, damped by 1/|k|^COEFF_DECAY."""
+    weight = np.array([sum(c * c for c in k) ** (-COEFF_DECAY / 2.0) for k in modes])
     a = rng.standard_normal((ncomp, len(modes))) * weight
     b = rng.standard_normal((ncomp, len(modes))) * weight
     return a, b
@@ -116,7 +115,6 @@ def random_trig_field(
     grid: TorusGrid,
     ncomp: int,
     band: int,
-    decay: float = COEFF_DECAY,
 ) -> np.ndarray:
     """Unscaled random trig polynomial, shape (ncomp,) + grid.shape, synthesized
     by one inverse FFT.

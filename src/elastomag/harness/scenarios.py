@@ -298,14 +298,11 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
     initial = config.make_state()
     params = config.make_params()
     integ = config.make_integrator()
-    reference = _completed(_integrate(config, initial), "picard_study[reference]").state
-
-    rows: list[str] = []
+    # both variants run before the reference, so unsuitable data fails before any run
     runs: dict[str, PicardRun] = {}
-    distances: dict[str, list[float]] = {}
     for variant in ("frozen", "transported"):
         try:
-            prun = picard_iterate(
+            runs[variant] = picard_iterate(
                 initial,
                 params,
                 PICARD_ITERATES,
@@ -316,9 +313,14 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
             )
         except ValueError as err:
             raise ConfigError(f"picard_study initial data unsuitable: {err}") from None
+    reference = _completed(_integrate(config, initial), "picard_study[reference]").state
+
+    rows: list[str] = []
+    distances: dict[str, list[float]] = {}
+    for variant, prun in runs.items():
         # each iterate's distance to the monolithic solution, computed once
         dists = [picard_metric(state, reference, config.s) for state in prun.states_at_T[1:]]
-        runs[variant], distances[variant] = prun, dists
+        distances[variant] = dists
         rows.extend(_picard_rows(prun, dists))
     header = "variant,iterate,diff,ratio,e_sup,d_int,div_v_res,sphere_res,distance_to_reference"
     csv_path = _write_table(config, header, rows)

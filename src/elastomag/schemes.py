@@ -1,7 +1,7 @@
 """Constructive solution schemes: mollified magnetization flow and Picard iteration.
 
 Two solver families live here. solve_llg_given_v integrates the
-magnetization equation with a prescribed velocity, wrapping every nonlinear
+magnetization equation with the velocity at rest, wrapping every nonlinear
 term in a sharp Fourier-ball projection J (cutoff=None means the native
 2/3-rule projection, i.e. full resolution). picard_iterate runs the staged
 linearization: per iterate a linear implicit Stokes-type velocity solve with
@@ -10,30 +10,30 @@ full magnetization solve with the previous iterate's velocity. Both come
 with convergence-study drivers that report the quantities the acceptance
 checks assert.
 
-Both families advance in time with the IMEX2 rule of the timestepper
-(timestepper._imex2, shared with step_A and step_B), one field at a time
-through _imex2_field. _integrate_llg marches M with diffusivity 1 and the
-magnetization tendency of dynamics._llg_hat under the projection's mask;
-on_node(k, t, m, m_hat) fires at each node, the initial one included, with
-the values and the transform the next step starts from.
+Both families advance in time with the IMEX2 rule of the timestepper,
+one timestepper._imex2 call per step. _integrate_llg marches M alone, from
+t = 0 (M0 carries no time), with diffusivity 1 and the magnetization
+tendency of dynamics._llg_hat under the projection's mask; on_node(k, t, m,
+m_hat) fires at each node, the initial one included, with the values and
+the transform the next step starts from.
 
-picard_iterate makes one sweep over the time steps. At step k -> k+1,
-iterates n = 1, 2, ... in turn advance their velocity (Crank-Nicolson),
-deformation (Crank-Nicolson when frozen, IMEX2 when transported) and
-magnetization (IMEX2) by one step, reading iterate n-1's nodes k and k+1.
-Each node (_Node) is transformed once, and makes each jacobian at most
-once, for every stage that reads it; no trajectory is stored. In both
-families a non-finite value raises BlowUpError at its node's time; in the
-sweep, for the first (node, iterate, stage) in that order.
+picard_iterate makes one sweep over the time steps from the initial
+state's time. At step k -> k+1, iterates n = 1, 2, ... in turn advance
+(v, F, M) by one _imex2 call, reading iterate n-1's nodes k and k+1: v and
+a frozen F take iterate n-1's sources (Crank-Nicolson), a transported F
+and M read their own predictors. Each node (_Node) is transformed once, and
+makes each jacobian at most once, for every stage that reads it; no
+trajectory is stored. In both families a non-finite value raises
+BlowUpError at its node's time; in the sweep, for the first (node,
+iterate, stage) in that order.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .dynamics import (
     _momentum_hat,
 )
 from .energetics import _hat_norm_sq, _hat_sq, _local, _norms, sobolev_norm_sq
-from .errors import BlowUpError, NumericalError
+from .errors import BlowUpError
 from .fields import HExt, PhysParams, StateA, det_field, sphere_residual
 from .spectral import (
     MatrixField,
@@ -55,9 +55,8 @@ from .spectral import (
     jacobian_from_hat,
     leray_hat,
 )
-from .timestepper import IntegratorConfig, _cn_stage, _imex2, _step_count
+from .timestepper import _POSTS, IntegratorConfig, _imex2, _step_count
 
-VProvider = Callable[[float], VectorField]
 NodeHook = Callable[[int, float, np.ndarray, np.ndarray], None]
 
 SPHERE_TOL = 1e-8
@@ -66,43 +65,20 @@ DET_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------
-# Magnetization flow with prescribed velocity (mollified scheme)
+# Magnetization flow with the velocity at rest (mollified scheme)
 # --------------------------------------------------------------------------
-
-
-def _checked_hat(grid: TorusGrid, x: np.ndarray, t: float) -> np.ndarray:
-    """The transform of new values x; a non-finite one raises BlowUpError(t)."""
-    if not np.all(np.isfinite(x)):
-        raise BlowUpError(t)
-    return grid.fft(x)
-
-
-def _imex2_field(grid: TorusGrid, x: np.ndarray, x_hat: np.ndarray,
-                 tendency: Callable[[np.ndarray, np.ndarray, float], np.ndarray], c: float,
-                 t0: float, dt: float, n1: np.ndarray | None = None) -> np.ndarray:
-    """One IMEX2 step of x_t = c Delta x + N(x, t) from (x, x_hat) at t0,
-    tendency(x, x_hat, t) being N's hat; n1, when given, is N's hat at
-    (x, t0) already evaluated. Returns the new values."""
-
-    def tendency_hats(values, hats, t):
-        return (tendency(values[0], hats[0], t),)
-
-    (x,) = _imex2(grid, (x,), (x_hat,), t0, dt, tendency_hats, (c,), (None,),
-                  None if n1 is None else (n1,))
-    return x
 
 
 def _integrate_llg(
     grid: TorusGrid,
     m0: np.ndarray,
-    v_at: Callable[[float], np.ndarray | None],
     h_ext: HExt | None,
     mask: np.ndarray | None,
     dt: float,
     n_steps: int,
     on_node: NodeHook,
 ) -> np.ndarray:
-    """Integrate the magnetization flow with the single-field IMEX2 march.
+    """Integrate the magnetization flow with one single-field IMEX2 call per step.
 
     Delta M is Crank-Nicolson, everything else trapezoidal-explicit, with
     the nonlinear terms truncated to mask (None: no truncation).
@@ -111,17 +87,25 @@ def _integrate_llg(
     a non-finite one raises BlowUpError.
     """
 
-    def tendency(m, m_hat, t):
+    def llg_hat(m, m_hat, t):
         jac = jacobian_from_hat(grid, m_hat)
-        return _llg_hat(grid, v_at(t), m, jac, m_hat, _h_values(h_ext, grid, t), mask)
+        return _llg_hat(grid, None, m, jac, m_hat, _h_values(h_ext, grid, t), mask)
+
+    def tendency(star, t):
+        m_hat = star(0)
+        return (llg_hat(grid.ifft(m_hat), m_hat, t),)
 
     m = m0
     m_hat = grid.fft(m)
     on_node(0, 0.0, m, m_hat)
     for k in range(n_steps):
-        m = _imex2_field(grid, m, m_hat, tendency, 1.0, k * dt, dt)
+        t0 = k * dt
+        (m,) = _imex2(grid, (m_hat,), (llg_hat(m, m_hat, t0),), t0, dt, tendency, (1.0,),
+                      (None,))
         t1 = (k + 1) * dt
-        m_hat = _checked_hat(grid, m, t1)
+        if not np.all(np.isfinite(m)):
+            raise BlowUpError(t1)
+        m_hat = grid.fft(m)
         on_node(k + 1, t1, m, m_hat)
     return m
 
@@ -151,14 +135,13 @@ class MollifierRun:
 
 
 def solve_llg_given_v(
-    v_provider: VProvider | None,
     M0: VectorField,
     h_ext: HExt | None,
     cutoff: float | None,
     s: int,
     cfg: IntegratorConfig,
 ) -> MollifierRun:
-    """Integrate the magnetization flow with velocity supplied from outside.
+    """Integrate the magnetization flow with the velocity at rest, from t = 0.
 
     cutoff = K wraps each nonlinear term in the sharp ball projection
     |k| <= K and starts from the projected initial data; cutoff = None uses
@@ -173,10 +156,6 @@ def solve_llg_given_v(
         raise ValueError(f"cutoff {cutoff} exceeds the dealias bound n/3 = {grid.n / 3:g}")
 
     mask = grid.dealias_mask if cutoff is None else grid.k_sq <= cutoff * cutoff
-
-    def v_at(t: float) -> np.ndarray | None:
-        return None if v_provider is None else v_provider(t).values
-
     m0_trunc = grid.ifft(grid.fft(M0.values) * mask)
     n_steps = _step_count(cfg.t_end, cfg.dt)
     times: list[float] = []
@@ -195,7 +174,7 @@ def solve_llg_given_v(
         if cfg.snapshot_every > 0 and (k % cfg.snapshot_every == 0 or k == n_steps):
             trajectory.append((t, VectorField(grid, m.copy())))
 
-    m_final = _integrate_llg(grid, m0_trunc, v_at, h_ext, mask, cfg.dt, n_steps, on_node)
+    m_final = _integrate_llg(grid, m0_trunc, h_ext, mask, cfg.dt, n_steps, on_node)
     return MollifierRun(
         cutoff=cutoff,
         s=s,
@@ -238,12 +217,11 @@ def mollifier_convergence_study(
     h_ext: HExt | None,
     s: int,
     cfg: IntegratorConfig,
-    v_provider: VProvider | None = None,
 ) -> MollifierReport:
     """Run the mollified scheme across increasing cutoffs and compare limits."""
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    runs = [solve_llg_given_v(v_provider, M0, h_ext, k, s, cfg) for k in cutoffs]
+    runs = [solve_llg_given_v(M0, h_ext, k, s, cfg) for k in cutoffs]
     grid = M0.grid
     diffs = [
         math.sqrt(
@@ -278,10 +256,10 @@ def picard_metric(a: StateA, b: StateA, s: int) -> float:
 class PicardRun:
     """Iterate trajectory summary of the staged linearization.
 
-    states_at_T[n] is iterate n at the horizon cfg.t_end (index 0 is the
-    constant-in-time initial data); diffs[n] is the metric distance between
-    iterates n+1 and n there; e_sup/d_int/div_v_res/sphere_res are per
-    computed iterate (index n corresponds to iterate n+1).
+    states_at_T[n] is iterate n at the horizon initial.t + cfg.t_end (index 0
+    is the constant-in-time initial data); diffs[n] is the metric distance
+    between iterates n+1 and n there; e_sup/d_int/div_v_res/sphere_res are
+    per computed iterate (index n corresponds to iterate n+1).
     """
 
     variant: str
@@ -302,36 +280,20 @@ class PicardRun:
         ]
 
 
-@contextmanager
-def _stage(name: str, n: int) -> Iterator[None]:
-    """Context decoration for per-stage numerical failures."""
-    try:
-        yield
-    except NumericalError as exc:
-        t = getattr(exc, "t", float("nan"))
-        raise BlowUpError(t, f"iterate {n} {name} stage: {exc}") from exc
-
-
 @dataclass(frozen=True, eq=False)
 class _Node:
     """One node of a Picard iterate: the values of (v, F, M), their hats, and
-    each jacobian made once, on first use."""
+    the jacobian of field i, jac(i), made once, on first use."""
 
     grid: TorusGrid
     values: tuple[np.ndarray, np.ndarray, np.ndarray]
     hats: tuple[np.ndarray, np.ndarray, np.ndarray]
+    jacs: dict[int, np.ndarray] = field(default_factory=dict)
 
-    @cached_property
-    def jac_v(self) -> np.ndarray:
-        return jacobian_from_hat(self.grid, self.hats[0])
-
-    @cached_property
-    def jac_f(self) -> np.ndarray:
-        return jacobian_from_hat(self.grid, self.hats[1])
-
-    @cached_property
-    def jac_m(self) -> np.ndarray:
-        return jacobian_from_hat(self.grid, self.hats[2])
+    def jac(self, i: int) -> np.ndarray:
+        if i not in self.jacs:
+            self.jacs[i] = jacobian_from_hat(self.grid, self.hats[i])
+        return self.jacs[i]
 
     def norms(self, nu: float, s: int) -> tuple[float, float, float]:
         """(E_s, D_s, max |div v|) at this node, from its hats."""
@@ -358,17 +320,17 @@ def picard_iterate(
     time quadrature, the form the staged system displays) or transporting
     the new deformation ("transported"); (iii) the magnetization solves the
     full nonlinear flow with the previous iterate's velocity at full
-    resolution. The horizon is cfg.t_end; successive-difference norms are
-    recorded there.
+    resolution. The run starts at initial.t and lasts cfg.t_end;
+    successive-difference norms are recorded at its end.
 
     The iterates advance together in one sweep over the time steps: for
     k = 0, 1, ..., iterates n = 1..n_max in turn take the step k -> k+1 of
-    their velocity, deformation and magnetization stages, reading iterate
-    n-1's nodes k and k+1 (iterate 0 is one constant node). So only the
-    current nodes are held, each node is transformed once, and its jacobians
-    serve every stage that reads them. E_s, D_s and max |div v| per node
-    come from the node's hats. A non-finite value raises BlowUpError for the
-    first (node, iterate, stage) in this order.
+    their velocity, deformation and magnetization stages in one IMEX2 call,
+    reading iterate n-1's nodes k and k+1 (iterate 0 is one constant node).
+    So only the current nodes are held, each node is transformed once, and
+    its jacobians serve every stage that reads them. E_s, D_s and max |div v|
+    per node come from the node's hats. A non-finite value raises
+    BlowUpError for the first (node, iterate, stage) in this order.
     """
     if variant not in ("frozen", "transported"):
         raise ValueError(f"unknown deformation variant {variant!r}")
@@ -391,56 +353,57 @@ def picard_iterate(
         v, f, m = p.values
         stress = np.einsum("ik...,jk...->ij...", f, f)
         h = _h_values(params.h_ext, grid, t)
-        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac_v, p.jac_m, stress, h, mask))
+        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac(0), p.jac(2), stress, h, mask))
 
     def deformation_hat(p: _Node, f: np.ndarray, jac_f: np.ndarray) -> np.ndarray:
-        return _deformation_hat(grid, p.values[0], f, p.jac_v, jac_f, mask)
+        return _deformation_hat(grid, p.values[0], f, p.jac(0), jac_f, mask)
 
     def llg_hat(p: _Node, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
                 t: float) -> np.ndarray:
         return _llg_hat(grid, p.values[0], m, jac_m, m_hat, _h_values(params.h_ext, grid, t), mask)
 
+    def tendency(p1: _Node, v_src1: np.ndarray, f_src1: np.ndarray | None,
+                 star: Callable[[int], np.ndarray], t: float) -> tuple[np.ndarray, ...]:
+        # v and a frozen F take iterate n-1's sources at node k+1; a transported
+        # F and M read their predictors
+        if f_src1 is None:
+            f_star = star(1)
+            f_src1 = deformation_hat(p1, grid.ifft(f_star), jacobian_from_hat(grid, f_star))
+        m_star = star(2)
+        m_src1 = llg_hat(p1, grid.ifft(m_star), m_star, jacobian_from_hat(grid, m_star), t)
+        return v_src1, f_src1, m_src1
+
     # per iterate: its current node, and the CN sources at iterate n-1's node k
+    # (a transported F has none)
+    start = initial.t
     nodes = [node0] * (n_max + 1)
-    v_src = [velocity_hat(node0, 0.0)] * n_max
-    f_src = [deformation_hat(node0, values0[1], node0.jac_f)] * n_max if frozen else []
+    v_src = [velocity_hat(node0, start)] * n_max
+    f_src = [deformation_hat(node0, values0[1], node0.jac(1)) if frozen else None] * n_max
     e_sup, div_res = [e0] * n_max, [div0] * n_max
     d_nodes = [[d0] for _ in range(n_max)]  # scalar D_s per node, for the trapezoid
 
     for k in range(_step_count(cfg.t_end, dt)):
-        t0, t1 = k * dt, (k + 1) * dt
+        t0, t1 = start + k * dt, start + (k + 1) * dt
         p0 = node0
         for n in range(1, n_max + 1):
             # p0, p1: iterate n-1's nodes k and k+1; own: iterate n's node k
             i, p1, own = n - 1, nodes[n - 1], nodes[n]
-            (v, f, m), (v_hat, f_hat, m_hat) = own.values, own.hats
-            with _stage("velocity", n):
-                src = velocity_hat(p1, t1)
-                v = grid.ifft(leray_hat(grid, _cn_stage(grid, v_hat, v_src[i], src, nu, dt)))
-                v_hat, v_src[i] = _checked_hat(grid, v, t1), src
-            with _stage("deformation", n):
-                if frozen:
-                    src = deformation_hat(p1, p1.values[1], p1.jac_f)
-                    f = grid.ifft(_cn_stage(grid, f_hat, f_src[i], src, kappa, dt))
-                    f_src[i] = src
-                else:
-                    f = _imex2_field(
-                        grid, f, f_hat,
-                        lambda x, x_hat, t: deformation_hat(p1, x, jacobian_from_hat(grid, x_hat)),
-                        kappa, t0, dt, deformation_hat(p0, f, own.jac_f))
-                f_hat = _checked_hat(grid, f, t1)
-            with _stage("magnetization", n):
-                m = _imex2_field(
-                    grid, m, m_hat,
-                    lambda x, x_hat, t: llg_hat(p1, x, x_hat, jacobian_from_hat(grid, x_hat), t),
-                    1.0, t0, dt, llg_hat(p0, m, m_hat, own.jac_m, t0))
-                m_hat = _checked_hat(grid, m, t1)
-            p0, nodes[n] = own, _Node(grid, (v, f, m), (v_hat, f_hat, m_hat))
+            v_src1 = velocity_hat(p1, t1)
+            f_src1 = deformation_hat(p1, p1.values[1], p1.jac(1)) if frozen else None
+            f_src0 = f_src[i] if frozen else deformation_hat(p0, own.values[1], own.jac(1))
+            n1 = (v_src[i], f_src0, llg_hat(p0, own.values[2], own.hats[2], own.jac(2), t0))
+            values = _imex2(grid, own.hats, n1, t0, dt, partial(tendency, p1, v_src1, f_src1),
+                            (nu, kappa, 1.0), _POSTS["A"])
+            v_src[i], f_src[i] = v_src1, f_src1
+            for name, x in zip(("velocity", "deformation", "magnetization"), values):
+                if not np.all(np.isfinite(x)):
+                    raise BlowUpError(t1, f"iterate {n} {name} stage: {BlowUpError(t1)}")
+            p0, nodes[n] = own, _Node(grid, values, tuple(grid.fft(x) for x in values))
             e_s, d_s, div = nodes[n].norms(nu, s)
             e_sup[i], div_res[i] = max(e_sup[i], e_s), max(div_res[i], div)
             d_nodes[i].append(d_s)
 
-    states_at_T = [StateA.from_values(cfg.t_end, grid, node.values) for node in nodes]
+    states_at_T = [StateA.from_values(start + cfg.t_end, grid, node.values) for node in nodes]
     return PicardRun(
         variant=variant,
         s=s,

@@ -18,21 +18,21 @@ is reported with its time stamp, never silently clipped; the time step is
 fixed (no adaptivity) so energy-monotonicity checks stay clean and runs
 are bit-reproducible.
 
-The rule is written once, in _imex2, on Fourier coefficients: a tendency
-callable returns hats, the implicit divides (_implicit_stage, _cn_stage) and
-the per-field post-operations (_POSTS) are diagonal there, and each stage
-transforms back exactly once per field. A diffusivity of 0 makes a field
-purely explicit. _step is the one step body: step_A and step_B hand it
-their kernel (dynamics._tendency_hats_A/_B, one signature), v, F|psi and M
-diffuse with nu, kappa and 1 (check_params holds kappa at 0 in B), and
-schemes._imex2_field runs the same rule on one field (schemes._integrate_llg
-marches it).
+The rule is written once, in _imex2, on Fourier coefficients: it starts
+from the fields' hats and first-stage tendency hats n1, a tendency callable
+gives the hats at the predictor (field i's predictor hat is made when it
+asks star(i)), the implicit divides (_implicit_stage, _cn_stage) and the
+per-field post-operations (_POSTS) are diagonal there, and the step
+transforms back once per field. A diffusivity of 0 makes a field purely
+explicit. Every march makes one _imex2 call per step: _step, to which
+step_A and step_B hand their kernel (dynamics._tendency_hats_A/_B), and
+the marches of schemes._integrate_llg and schemes.picard_iterate.
 
 run picks the stepper and the evaluation (dynamics.rhs_A/rhs_B) in one
 formulation choice, and shares one evaluation between a diagnostic record
 and the next step: the record reads its state and tendency hats, and the
-step takes its state hats and nonstiff stage-1 hats as its first stage
-(_imex2's n1), which they equal bit for bit.
+step takes its state hats and nonstiff stage-1 hats as n1, which they
+equal bit for bit; without a record, _step makes n1 with its kernel.
 """
 
 from __future__ import annotations
@@ -146,33 +146,34 @@ def _cn_stage(
 
 def _imex2(
     grid: TorusGrid,
-    values: tuple[np.ndarray, ...],
     hats: tuple[np.ndarray, ...],
+    n1: tuple[np.ndarray, ...],
     t0: float,
     dt: float,
-    tendency: Callable[..., tuple[np.ndarray, ...]],
+    tendency: Callable[[Callable[[int], np.ndarray], float], tuple[np.ndarray, ...]],
     diffusivities: tuple[float, ...],
     posts: tuple[Callable[[TorusGrid, np.ndarray], np.ndarray] | None, ...],
-    n1: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """One IMEX2 step of a set of fields; returns the new values.
+    """One IMEX2 step of a set of fields from their hats at t0; returns the new values.
 
-    tendency(values, hats, t) gives the nonstiff tendency hats of every
-    field. Field i diffuses with diffusivities[i] (0: none), and posts[i]
-    (None: identity) is applied to its hat after each stage. n1, when
-    given, is tendency(values, hats, t0) already evaluated.
+    n1 holds the nonstiff tendency hats of every field at (hats, t0), and
+    tendency(star, t0 + dt) gives them at the predictor, where star(i) is
+    field i's predictor hat, made on first use. Field i diffuses with
+    diffusivities[i] (0: none), and posts[i] (None: identity) is applied to
+    its hat after each stage.
     """
 
     def post(hat: np.ndarray, op) -> np.ndarray:
         return hat if op is None else op(grid, hat)
 
-    if n1 is None:
-        n1 = tendency(values, hats, t0)
-    stars = tuple(
-        post(_implicit_stage(grid, h, n, c, dt), op)
-        for h, n, c, op in zip(hats, n1, diffusivities, posts)
-    )
-    n2 = tendency(tuple(grid.ifft(h) for h in stars), stars, t0 + dt)
+    stars: dict[int, np.ndarray] = {}
+
+    def star(i: int) -> np.ndarray:
+        if i not in stars:
+            stars[i] = post(_implicit_stage(grid, hats[i], n1[i], diffusivities[i], dt), posts[i])
+        return stars[i]
+
+    n2 = tendency(star, t0 + dt)
     return tuple(
         grid.ifft(post(_cn_stage(grid, h, a, b, c, dt), op))
         for h, a, b, c, op in zip(hats, n1, n2, diffusivities, posts)
@@ -189,18 +190,23 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
     grid = state.grid
     mask = dynamics._mask(grid, dealias)
 
-    def tendency(values, hats, t):
+    def nonstiff(values, hats, t):
         h = dynamics._h_values(params.h_ext, grid, t)
         return kernel(grid, *values, h, mask, hats)
 
-    values = tuple(f.values for f in state.fields)
+    def tendency(star, t):
+        stars = tuple(star(i) for i in range(3))
+        return nonstiff(tuple(grid.ifft(h) for h in stars), stars, t)
+
     if rhs is None:
-        hats, n1 = tuple(grid.fft(x) for x in values), None
+        values = tuple(f.values for f in state.fields)
+        hats = tuple(grid.fft(x) for x in values)
+        n1 = nonstiff(values, hats, state.t)
     else:
         hats, n1 = rhs.state_hats, rhs.stage1_hats
     v_new, second_new, m_new = _imex2(
-        grid, values, hats, state.t, cfg.dt, tendency, (params.nu, params.kappa, 1.0),
-        _POSTS[state.formulation], n1
+        grid, hats, n1, state.t, cfg.dt, tendency, (params.nu, params.kappa, 1.0),
+        _POSTS[state.formulation]
     )
     if cfg.renormalize_m:
         m_new = renormalize_M(VectorField(grid, m_new)).values

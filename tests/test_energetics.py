@@ -26,6 +26,7 @@ from elastomag.energetics import (
 )
 from elastomag.errors import NearSingularError
 from elastomag.fields import HExt, PhysParams, StateA, StateB, identity_matrix_field
+from elastomag.harness import generate_initial_data
 from elastomag.spectral import (
     MatrixField,
     ScalarField,
@@ -33,7 +34,7 @@ from elastomag.spectral import (
     VectorField,
 )
 
-from conftest import div_free_vector, random_band_limited, vector
+from conftest import TransformCounter, div_free_vector, random_band_limited, vector
 from oracles import deriv_values
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -174,6 +175,23 @@ class TestLocalFunctionals:
     def test_basic_energy_of_steady_circle_state(self, grid2: TorusGrid) -> None:
         expected = 0.5 * (2.0 * (2 * math.pi) ** 2 + (2 * math.pi) ** 2)
         assert basic_energy(harmonic_state(grid2)) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize(("dim", "formulation", "counts"), [
+        (2, "A", {"fwd": 9, "inv": 0}),
+        (2, "B", {"fwd": 11, "inv": 4}),
+        (3, "A", {"fwd": 15, "inv": 0}),
+        (3, "B", {"fwd": 18, "inv": 9}),
+    ])
+    def test_basic_energy_transforms_only_what_it_sums(
+        self, dim: int, formulation: str, counts: dict[str, int], monkeypatch
+    ) -> None:
+        """One forward transform per component of v, F and M, and no residual;
+        B first makes F = (I + grad psi)^{-1} from one transform of psi."""
+        grid = TorusGrid(dim=dim, n=16 if dim == 2 else 8)
+        state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+        counter = TransformCounter(monkeypatch, grid)
+        basic_energy(state)
+        assert counter.counts == counts
 
 
 class TestGlobalFunctionals:

@@ -21,7 +21,7 @@ from elastomag.harness import (
     run_simulation,
     write_snapshot,
 )
-from elastomag.harness import initial_data
+from elastomag.harness import initial_data, scenarios
 from elastomag.harness.cli import main
 from elastomag.harness.scenarios import _write_csv
 from elastomag.spectral import TorusGrid, divergence_values
@@ -515,6 +515,17 @@ SCENARIO_CASES = {
 
 class TestScenarios:
     """Each scenario through the CLI: exit code, verdict checks and the files written."""
+
+    def test_picard_study_refuses_data_before_any_run(self, tmp_path: Path,
+                                                       monkeypatch) -> None:
+        """random_small data has no unit determinant: picard_study refuses it
+        before it runs the monolithic reference."""
+        calls = []
+        monkeypatch.setattr(scenarios, "run", lambda *args, **kwargs: calls.append(args))
+        config = tiny_config(tmp_path, n=16)
+        with pytest.raises(ConfigError, match="unit determinant"):
+            scenarios.run_scenario("picard_study", config)
+        assert calls == []
 
     @pytest.mark.parametrize("case", list(SCENARIO_CASES))
     def test_exit_checks_and_files(self, case: str, tmp_path: Path, capsys) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,28 +76,28 @@ class TestSolveLlgGivenV:
         bad = VectorField(grid2, 1.5 * constant_m(grid2).values)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
         with pytest.raises(ValueError):
-            solve_llg_given_v(None, bad, None, 2.0, 2, cfg)
+            solve_llg_given_v(bad, None, 2.0, 2, cfg)
 
     def test_rejects_cutoff_beyond_dealias_band(self, grid2: TorusGrid) -> None:
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
         with pytest.raises(ValueError):
-            solve_llg_given_v(None, constant_m(grid2), None, grid2.n / 3.0 + 1.0, 2, cfg)
+            solve_llg_given_v(constant_m(grid2), None, grid2.n / 3.0 + 1.0, 2, cfg)
 
     def test_rejects_nonpositive_cutoff(self, grid2: TorusGrid) -> None:
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
         with pytest.raises(ValueError, match="cutoff must be > 0"):
-            solve_llg_given_v(None, constant_m(grid2), None, 0.0, 2, cfg)
+            solve_llg_given_v(constant_m(grid2), None, 0.0, 2, cfg)
 
     def test_constant_magnetization_is_fixed(self, grid2: TorusGrid) -> None:
         m0 = constant_m(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = solve_llg_given_v(None, m0, None, 2.0, 2, cfg)
+        out = solve_llg_given_v(m0, None, 2.0, 2, cfg)
         assert np.max(np.abs(out.M_final.values - m0.values)) <= 1e-14
 
     def test_harmonic_map_profile_is_stationary(self, grid2: TorusGrid) -> None:
         m0 = circle_m(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.5, snapshot_every=100)
-        out = solve_llg_given_v(None, m0, None, 4.0, 2, cfg)
+        out = solve_llg_given_v(m0, None, 4.0, 2, cfg)
         deviation = max(
             np.max(np.abs(m.values - m0.values)) for _, m in out.trajectory
         )
@@ -105,15 +106,15 @@ class TestSolveLlgGivenV:
     def test_resolving_cutoff_matches_native_projection(self, grid2: TorusGrid) -> None:
         m0 = perturbed_m(grid2, 1e-3, band=1, seed=7)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.1)
-        with_ball = solve_llg_given_v(None, m0, None, grid2.n / 3.0, 2, cfg)
-        native = solve_llg_given_v(None, m0, None, None, 2, cfg)
+        with_ball = solve_llg_given_v(m0, None, grid2.n / 3.0, 2, cfg)
+        native = solve_llg_given_v(m0, None, None, 2, cfg)
         diff = np.max(np.abs(with_ball.M_final.values - native.M_final.values))
         assert diff <= 1e-10
 
     def test_initial_energy_is_truncated_gradient_norm(self, grid2: TorusGrid) -> None:
         m0 = perturbed_m(grid2, 0.15, band=3, seed=2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
-        out = solve_llg_given_v(None, m0, None, 2.0, 2, cfg)
+        out = solve_llg_given_v(m0, None, 2.0, 2, cfg)
         projected = VectorField(grid2, truncate(grid2, m0.values, 2.0))
         assert np.array_equal(out.M0_truncated.values, projected.values)
         assert out.e_eps[0] == pytest.approx(sobolev_norm_sq(projected, 2, 1), rel=1e-13)
@@ -122,7 +123,7 @@ class TestSolveLlgGivenV:
 
     def test_series_covers_the_horizon(self, grid2: TorusGrid) -> None:
         cfg = IntegratorConfig(dt=1e-3, t_end=0.02, diag_every=5)
-        out = solve_llg_given_v(None, constant_m(grid2), None, 2.0, 2, cfg)
+        out = solve_llg_given_v(constant_m(grid2), None, 2.0, 2, cfg)
         assert out.times[0] == 0.0
         assert out.times[-1] == pytest.approx(0.02, rel=1e-12)
         assert len(out.times) == len(out.e_eps) == len(out.d_eps)
@@ -137,7 +138,7 @@ class TestSolveLlgGivenV:
         totals = []
         for steps in (4, 5):
             cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3)
-            solve_llg_given_v(None, m0, None, None, 2, cfg)
+            solve_llg_given_v(m0, None, None, 2, cfg)
             totals.append(dict(counter.counts))
         assert {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]} == {"fwd": 12, "inv": 24}
 
@@ -298,6 +299,22 @@ class TestPicardIteration:
         with pytest.raises(BlowUpError, match="iterate 1 velocity stage") as info:
             picard_iterate(init, PARAMS, 3, IntegratorConfig(dt=dt, t_end=5 * dt), 2)
         assert info.value.t == 2 * dt
+
+    def test_sweep_starts_at_the_initial_time(self, grid2: TorusGrid) -> None:
+        """From data at t = 0.5 the sweep samples a time-dependent field where
+        run does, and stamps its iterates at the end of its own interval."""
+        h_ext = HExt(kind="single_mode", amplitude=0.5, wavevector=(1, 0), component=0,
+                     omega=20.0)
+        params = PhysParams(nu=1.0, kappa=0.0, h_ext=h_ext)
+        init = replace(
+            generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5), t=0.5
+        )
+        cfg = IntegratorConfig(dt=1e-3, t_end=3e-3)
+        last = picard_iterate(init, params, 6, cfg, 2).states_at_T[-1]
+        mono = run(init, params, cfg)
+        assert mono.status == "completed"
+        assert last.t == mono.state.t == pytest.approx(0.503, abs=1e-15)
+        assert np.max(np.abs(last.M.values - mono.state.M.values)) <= 1e-11
 
     def test_steady_state_iterates_stay_put(self, grid2: TorusGrid) -> None:
         init = steady_circle_state(grid2)

@@ -131,6 +131,23 @@ class TestDiffusionSolves:
         out = grid2.ifft(_implicit_stage(grid2, grid2.fft(values), 0.0, 2.0, 0.1))
         assert np.max(np.abs(out - values)) <= 1e-13
 
+    def test_imex2_makes_only_the_predictors_a_tendency_reads(self, grid2: TorusGrid,
+                                                               monkeypatch) -> None:
+        """A tendency that reads no predictor: no forward transform, one inverse
+        transform per field, and the Crank-Nicolson step of the given sources."""
+        rng = np.random.default_rng(3)
+        fields = [rng.standard_normal((ncomp,) + grid2.shape) for ncomp in (2, 4, 3)]
+        hats = tuple(grid2.fft(x) for x in fields)
+        n1 = tuple(0.1 * h for h in hats)
+        n2 = tuple(0.2 * h for h in hats)
+        counter = TransformCounter(monkeypatch, grid2)
+        out = timestepper._imex2(grid2, hats, n1, 0.0, 0.1, lambda star, t: n2,
+                                 (1.0, 0.0, 2.0), (None, None, None))
+        assert counter.counts == {"fwd": 0, "inv": 9}
+        assert counter.calls == {"fwd": 0, "inv": 3}
+        for x, h, a, b, c in zip(out, hats, n1, n2, (1.0, 0.0, 2.0)):
+            assert np.array_equal(x, grid2.ifft(_cn_stage(grid2, h, a, b, c, 0.1)))
+
     def test_crank_nicolson_single_mode(self, grid2: TorusGrid) -> None:
         c, dt = 1.0, 0.2
         values = np.sin(grid2.x[0])
