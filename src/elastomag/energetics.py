@@ -27,9 +27,11 @@ recorded state, the record reads its hats, and the step reuses them.
 
 Every norm is one weighted mode sum over |fhat|^2 (_hat_norm_sq); _norms
 sums over named hats, forming each |fhat|^2 and each distinct norm once, on
-first use. _residuals makes the geometric residuals from a state's named
-hats and, for B, the hat of F = (I + grad psi)^{-1}: diagnostic_record names
-the hats of one dynamics.Rhs, constraint_bundle the state's (_StateHats).
+first use. A state's hats and jacobians come from one view, _StateHats,
+which makes each on first use, and for B the hat of F = (I + grad psi)^{-1}
+from the jacobian of psi; _residuals reads the same view.
+diagnostic_record seeds the view with the state hats of one dynamics.Rhs,
+constraint_bundle and basic_energy start it empty.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import cache
-from typing import Callable, Mapping
+from itertools import product
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from .fields import (
     det_values,
     identity_values,
     sphere_residual,
-    state_B_to_A,
 )
 from .spectral import (
     Field, MatrixField, ScalarField, TorusGrid, divergence_from_hat, jacobian_from_hat
@@ -63,17 +65,7 @@ from .spectral import (
 
 def multiindices(d: int, s: int) -> list[tuple[int, ...]]:
     """All m in N^d with |m| <= s, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> None:
-        if len(prefix) == d:
-            out.append(prefix)
-            return
-        for mi in range(remaining + 1):
-            rec(prefix + (mi,), remaining - mi)
-
-    rec((), s)
-    return sorted(out)
+    return [m for m in product(range(s + 1), repeat=d) if sum(m) <= s]
 
 
 def multiindex_count(d: int, s: int) -> int:
@@ -153,19 +145,30 @@ def _norms(grid: TorusGrid, hats: Mapping[str, np.ndarray]) -> Norm:
 
 
 class _StateHats(dict):
-    """The named hats of a state, each field transformed on first use; a B
-    state's "F" is the hat of F = (I + grad psi)^{-1}."""
+    """The named hats of a state: those given in layout order (a dynamics.Rhs's
+    state_hats) or by name, and any other field's, transformed on first use;
+    jac(name) makes a field's jacobian once, on first use. A B state's "F" is
+    the hat of F = (I + G)^{-1}, from the G = jac("psi") the residuals use."""
 
-    def __init__(self, state: StateA | StateB) -> None:
-        super().__init__()
+    def __init__(self, state: StateA | StateB, hats: Sequence[np.ndarray] = (),
+                 **named: np.ndarray) -> None:
+        super().__init__(zip(state.names, hats), **named)
         self.state = state
+        self.jacs: dict[str, np.ndarray] = {}
 
     def __missing__(self, name: str) -> np.ndarray:
         state = self.state
         if name == "F" and state.formulation == "B":
-            state = state_B_to_A(state)
-        hat = self[name] = state.grid.fft(getattr(state, name).values)
+            values = G_to_F(MatrixField(state.grid, self.jac("psi"))).values
+        else:
+            values = getattr(state, name).values
+        hat = self[name] = state.grid.fft(values)
         return hat
+
+    def jac(self, name: str) -> np.ndarray:
+        if name not in self.jacs:
+            self.jacs[name] = jacobian_from_hat(self.state.grid, self[name])
+        return self.jacs[name]
 
 
 def _basic(norm: Norm) -> float:
@@ -209,12 +212,10 @@ def _real_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _residuals(state: StateA | StateB, hats: dict[str, np.ndarray], s: int | None = None,
-               with_F: bool = False) -> dict[str, float]:
-    """constraint_bundle's residuals from a state's named hats, the
-    key_structure_ratio only when s is given. with_F puts the hat of
-    F = (I + G)^{-1} of a B state into hats, from the G = grad psi the
-    residuals use (an A state's F hat is its own)."""
+def _residuals(state: StateA | StateB, hats: _StateHats, s: int | None = None) -> dict[str, float]:
+    """constraint_bundle's residuals from a state's hats, the
+    key_structure_ratio only when s is given; a B state's G = grad psi is
+    hats.jac("psi")."""
     grid = state.grid
     out: dict[str, float] = {}
     out["sphere_res"] = sphere_residual(state.M)
@@ -225,7 +226,7 @@ def _residuals(state: StateA | StateB, hats: dict[str, np.ndarray], s: int | Non
         out["trG_vs_divpsi_res"] = 0.0
         return out
     psi_hat = hats["psi"]
-    G = jacobian_from_hat(grid, psi_hat)
+    G = hats.jac("psi")
     det_ig = det_values(grid, G + identity_values(grid))
     out["det_res"] = float(np.max(np.abs(1.0 / det_ig - 1.0)))
     out["curl_res"] = curl_residual(MatrixField(grid, G))
@@ -238,8 +239,6 @@ def _residuals(state: StateA | StateB, hats: dict[str, np.ndarray], s: int | Non
         tr_norm = math.sqrt(sobolev_norm_sq(ScalarField(grid, trace), s))
         gpsi_sq = _hat_norm_sq(grid, _hat_sq(psi_hat), s, 1)
         out["key_structure_ratio"] = tr_norm / gpsi_sq if gpsi_sq > 0 else 0.0
-    if with_F:
-        hats["F"] = grid.fft(G_to_F(MatrixField(grid, G)).values)
     return out
 
 
@@ -305,8 +304,8 @@ def diagnostic_record(
     and the tendency norms over its instantaneous tendency hats.
     """
     grid = state.grid
-    hats = dict(zip(state.names, rhs.state_hats), dv=_real_hat(grid, rhs.tendency_hats[0]))
-    bundle = _residuals(state, hats, with_F=True)
+    hats = _StateHats(state, rhs.state_hats, dv=_real_hat(grid, rhs.tendency_hats[0]))
+    bundle = _residuals(state, hats)
     norm = _norms(grid, hats)
     e_s, d_s = _local(norm, params.nu, s)
     e_glob, d_glob, dt_psi = 0.0, 0.0, 0.0

@@ -365,8 +365,9 @@ def _mollifier_study(config: SimulationConfig) -> tuple[list[Check], dict]:
         raise ConfigError(
             f"largest cutoff {cutoffs[-1]} exceeds the resolution bound n/3 = {config.n / 3:.6g}"
         )
+    initial = config.make_state()
     report = mollifier_convergence_study(
-        cutoffs, config.make_state().M, config.h_ext, config.s, config.make_integrator()
+        cutoffs, initial.M, config.h_ext, config.s, config.make_integrator(), initial.t
     )
     header = "cutoff,sup_e_eps,max_d_eps,e_eps_final,diff_to_next"
     csv_path = _write_table(config, header, _mollifier_rows(report))

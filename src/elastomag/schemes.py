@@ -12,7 +12,7 @@ checks assert.
 
 Both families advance in time with the IMEX2 rule of the timestepper,
 one timestepper._imex2 call per step. _integrate_llg marches M alone, from
-t = 0 (M0 carries no time), with diffusivity 1 and the magnetization
+a given t0 (M0 carries no time), with diffusivity 1 and the magnetization
 tendency of dynamics._llg_hat under the projection's mask; on_node(k, t, m,
 m_hat) fires at each node, the initial one included, with the values and
 the transform the next step starts from.
@@ -21,17 +21,17 @@ picard_iterate makes one sweep over the time steps from the initial
 state's time. At step k -> k+1, iterates n = 1, 2, ... in turn advance
 (v, F, M) by one _imex2 call, reading iterate n-1's nodes k and k+1: v and
 a frozen F take iterate n-1's sources (Crank-Nicolson), a transported F
-and M read their own predictors. Each node (_Node) is transformed once, and
-makes each jacobian at most once, for every stage that reads it; no
-trajectory is stored. In both families a non-finite value raises
-BlowUpError at its node's time; in the sweep, for the first (node,
-iterate, stage) in that order.
+and M read their own predictors. Each node is an energetics._StateHats view
+of its state, which transforms each field once and makes each jacobian at
+most once, for every stage and norm that reads it; no trajectory is stored.
+In both families a non-finite value raises BlowUpError at its node's time;
+in the sweep, for the first (node, iterate, stage) in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -44,7 +44,7 @@ from .dynamics import (
     _mask,
     _momentum_hat,
 )
-from .energetics import _hat_norm_sq, _hat_sq, _local, _norms, sobolev_norm_sq
+from .energetics import _StateHats, _hat_norm_sq, _hat_sq, _local, _norms, sobolev_norm_sq
 from .errors import BlowUpError
 from .fields import HExt, PhysParams, StateA, det_field, sphere_residual
 from .spectral import (
@@ -74,6 +74,7 @@ def _integrate_llg(
     m0: np.ndarray,
     h_ext: HExt | None,
     mask: np.ndarray | None,
+    t0: float,
     dt: float,
     n_steps: int,
     on_node: NodeHook,
@@ -81,10 +82,10 @@ def _integrate_llg(
     """Integrate the magnetization flow with one single-field IMEX2 call per step.
 
     Delta M is Crank-Nicolson, everything else trapezoidal-explicit, with
-    the nonlinear terms truncated to mask (None: no truncation).
-    on_node(k, t, m, m_hat) fires at every node including the initial one,
-    with the transform the next step starts from. Returns the final values;
-    a non-finite one raises BlowUpError.
+    the nonlinear terms truncated to mask (None: no truncation). Node k is
+    at t0 + k*dt. on_node(k, t, m, m_hat) fires at every node including the
+    initial one, with the transform the next step starts from. Returns the
+    final values; a non-finite one raises BlowUpError.
     """
 
     def llg_hat(m, m_hat, t):
@@ -97,12 +98,12 @@ def _integrate_llg(
 
     m = m0
     m_hat = grid.fft(m)
-    on_node(0, 0.0, m, m_hat)
+    on_node(0, t0, m, m_hat)
     for k in range(n_steps):
-        t0 = k * dt
-        (m,) = _imex2(grid, (m_hat,), (llg_hat(m, m_hat, t0),), t0, dt, tendency, (1.0,),
+        tk = t0 + k * dt
+        (m,) = _imex2(grid, (m_hat,), (llg_hat(m, m_hat, tk),), tk, dt, tendency, (1.0,),
                       (None,))
-        t1 = (k + 1) * dt
+        t1 = t0 + (k + 1) * dt
         if not np.all(np.isfinite(m)):
             raise BlowUpError(t1)
         m_hat = grid.fft(m)
@@ -140,8 +141,9 @@ def solve_llg_given_v(
     cutoff: float | None,
     s: int,
     cfg: IntegratorConfig,
+    t0: float = 0.0,
 ) -> MollifierRun:
-    """Integrate the magnetization flow with the velocity at rest, from t = 0.
+    """Integrate the magnetization flow with the velocity at rest, from t0.
 
     cutoff = K wraps each nonlinear term in the sharp ball projection
     |k| <= K and starts from the projected initial data; cutoff = None uses
@@ -174,7 +176,7 @@ def solve_llg_given_v(
         if cfg.snapshot_every > 0 and (k % cfg.snapshot_every == 0 or k == n_steps):
             trajectory.append((t, VectorField(grid, m.copy())))
 
-    m_final = _integrate_llg(grid, m0_trunc, h_ext, mask, cfg.dt, n_steps, on_node)
+    m_final = _integrate_llg(grid, m0_trunc, h_ext, mask, t0, cfg.dt, n_steps, on_node)
     return MollifierRun(
         cutoff=cutoff,
         s=s,
@@ -217,11 +219,12 @@ def mollifier_convergence_study(
     h_ext: HExt | None,
     s: int,
     cfg: IntegratorConfig,
+    t0: float = 0.0,
 ) -> MollifierReport:
-    """Run the mollified scheme across increasing cutoffs and compare limits."""
+    """Run the mollified scheme from t0 across increasing cutoffs and compare limits."""
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    runs = [solve_llg_given_v(M0, h_ext, k, s, cfg) for k in cutoffs]
+    runs = [solve_llg_given_v(M0, h_ext, k, s, cfg, t0) for k in cutoffs]
     grid = M0.grid
     diffs = [
         math.sqrt(
@@ -280,26 +283,11 @@ class PicardRun:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class _Node:
-    """One node of a Picard iterate: the values of (v, F, M), their hats, and
-    the jacobian of field i, jac(i), made once, on first use."""
-
-    grid: TorusGrid
-    values: tuple[np.ndarray, np.ndarray, np.ndarray]
-    hats: tuple[np.ndarray, np.ndarray, np.ndarray]
-    jacs: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def jac(self, i: int) -> np.ndarray:
-        if i not in self.jacs:
-            self.jacs[i] = jacobian_from_hat(self.grid, self.hats[i])
-        return self.jacs[i]
-
-    def norms(self, nu: float, s: int) -> tuple[float, float, float]:
-        """(E_s, D_s, max |div v|) at this node, from its hats."""
-        e_s, d_s = _local(_norms(self.grid, dict(zip(StateA.names, self.hats))), nu, s)
-        div = float(np.max(np.abs(divergence_from_hat(self.grid, self.hats[0]))))
-        return e_s, d_s, div
+def _node_norms(node: _StateHats, nu: float, s: int) -> tuple[float, float, float]:
+    """(E_s, D_s, max |div v|) at a Picard node, from its hats."""
+    grid = node.state.grid
+    e_s, d_s = _local(_norms(grid, node), nu, s)
+    return e_s, d_s, float(np.max(np.abs(divergence_from_hat(grid, node["v"]))))
 
 
 def picard_iterate(
@@ -335,9 +323,8 @@ def picard_iterate(
     if variant not in ("frozen", "transported"):
         raise ValueError(f"unknown deformation variant {variant!r}")
     grid = initial.grid
-    values0 = tuple(f.values for f in initial.fields)
-    node0 = _Node(grid, values0, tuple(grid.fft(x) for x in values0))
-    e0, d0, div0 = node0.norms(params.nu, s)
+    node0 = _StateHats(initial)
+    e0, d0, div0 = _node_norms(node0, params.nu, s)
     if div0 > DIV_TOL:
         raise ValueError("initial velocity must be divergence-free")
     if float(np.max(np.abs(det_field(initial.F).values - 1.0))) > DET_TOL:
@@ -349,20 +336,21 @@ def picard_iterate(
     mask = _mask(grid, dealias)
     frozen = variant == "frozen"
 
-    def velocity_hat(p: _Node, t: float) -> np.ndarray:
-        v, f, m = p.values
+    def velocity_hat(p: _StateHats, t: float) -> np.ndarray:
+        v, f, m = (x.values for x in p.state.fields)
         stress = np.einsum("ik...,jk...->ij...", f, f)
         h = _h_values(params.h_ext, grid, t)
-        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac(0), p.jac(2), stress, h, mask))
+        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac("v"), p.jac("M"), stress, h, mask))
 
-    def deformation_hat(p: _Node, f: np.ndarray, jac_f: np.ndarray) -> np.ndarray:
-        return _deformation_hat(grid, p.values[0], f, p.jac(0), jac_f, mask)
+    def deformation_hat(p: _StateHats, f: np.ndarray, jac_f: np.ndarray) -> np.ndarray:
+        return _deformation_hat(grid, p.state.v.values, f, p.jac("v"), jac_f, mask)
 
-    def llg_hat(p: _Node, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
+    def llg_hat(p: _StateHats, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
                 t: float) -> np.ndarray:
-        return _llg_hat(grid, p.values[0], m, jac_m, m_hat, _h_values(params.h_ext, grid, t), mask)
+        return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat,
+                        _h_values(params.h_ext, grid, t), mask)
 
-    def tendency(p1: _Node, v_src1: np.ndarray, f_src1: np.ndarray | None,
+    def tendency(p1: _StateHats, v_src1: np.ndarray, f_src1: np.ndarray | None,
                  star: Callable[[int], np.ndarray], t: float) -> tuple[np.ndarray, ...]:
         # v and a frozen F take iterate n-1's sources at node k+1; a transported
         # F and M read their predictors
@@ -378,7 +366,7 @@ def picard_iterate(
     start = initial.t
     nodes = [node0] * (n_max + 1)
     v_src = [velocity_hat(node0, start)] * n_max
-    f_src = [deformation_hat(node0, values0[1], node0.jac(1)) if frozen else None] * n_max
+    f_src = [deformation_hat(node0, initial.F.values, node0.jac("F")) if frozen else None] * n_max
     e_sup, div_res = [e0] * n_max, [div0] * n_max
     d_nodes = [[d0] for _ in range(n_max)]  # scalar D_s per node, for the trapezoid
 
@@ -389,21 +377,22 @@ def picard_iterate(
             # p0, p1: iterate n-1's nodes k and k+1; own: iterate n's node k
             i, p1, own = n - 1, nodes[n - 1], nodes[n]
             v_src1 = velocity_hat(p1, t1)
-            f_src1 = deformation_hat(p1, p1.values[1], p1.jac(1)) if frozen else None
-            f_src0 = f_src[i] if frozen else deformation_hat(p0, own.values[1], own.jac(1))
-            n1 = (v_src[i], f_src0, llg_hat(p0, own.values[2], own.hats[2], own.jac(2), t0))
-            values = _imex2(grid, own.hats, n1, t0, dt, partial(tendency, p1, v_src1, f_src1),
+            f_src1 = deformation_hat(p1, p1.state.F.values, p1.jac("F")) if frozen else None
+            f_src0 = f_src[i] if frozen else deformation_hat(p0, own.state.F.values, own.jac("F"))
+            n1 = (v_src[i], f_src0, llg_hat(p0, own.state.M.values, own["M"], own.jac("M"), t0))
+            hats = tuple(own[name] for name in StateA.names)
+            values = _imex2(grid, hats, n1, t0, dt, partial(tendency, p1, v_src1, f_src1),
                             (nu, kappa, 1.0), _POSTS["A"])
             v_src[i], f_src[i] = v_src1, f_src1
             for name, x in zip(("velocity", "deformation", "magnetization"), values):
                 if not np.all(np.isfinite(x)):
                     raise BlowUpError(t1, f"iterate {n} {name} stage: {BlowUpError(t1)}")
-            p0, nodes[n] = own, _Node(grid, values, tuple(grid.fft(x) for x in values))
-            e_s, d_s, div = nodes[n].norms(nu, s)
+            p0, nodes[n] = own, _StateHats(StateA.from_values(t1, grid, values))
+            e_s, d_s, div = _node_norms(nodes[n], nu, s)
             e_sup[i], div_res[i] = max(e_sup[i], e_s), max(div_res[i], div)
             d_nodes[i].append(d_s)
 
-    states_at_T = [StateA.from_values(start + cfg.t_end, grid, node.values) for node in nodes]
+    states_at_T = [replace(node.state, t=start + cfg.t_end) for node in nodes]
     return PicardRun(
         variant=variant,
         s=s,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .energetics import _norms, _real_hat, sobolev_norm_sq
+from .energetics import _StateHats, _norms, _real_hat, sobolev_norm_sq
 from .fields import PhysParams, StateB
 from .spectral import ScalarField, VectorField, divergence_from_hat
 
@@ -88,7 +88,8 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     stage-1 momentum hat is
     raw = -v.grad v + div g(grad psi) - div(grad M (.) grad M) + |k|^2 psihat,
     so f = raw - |k|^2 psihat - dt_v. The bracket's norms sum over the same
-    evaluation's state hats and the hat of the real field dt_v.
+    evaluation's state hats, seeded into energetics._StateHats, and the hat
+    of the real field dt_v.
     The recovered w equals nu v - psi to rounding when v and psi are
     zero-mean.
     """
@@ -104,7 +105,7 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     grad_w = math.sqrt(sobolev_norm_sq(sol.w, s, 1))
     grad_q = math.sqrt(sobolev_norm_sq(sol.q, s - 1, 1))
     # the state norms from the evaluation's hats, dt v from its real field's hat
-    hats = dict(zip(state.names, rhs.state_hats), dv=_real_hat(grid, dv_hat))
+    hats = _StateHats(state, rhs.state_hats, dv=_real_hat(grid, dv_hat))
     norm = _norms(grid, hats)
     low = math.sqrt(norm("v", s)) + math.sqrt(norm("psi", s, 1)) + math.sqrt(norm("M", s, 1))
     high = math.sqrt(norm("v", s, 1)) + math.sqrt(norm("psi", s, 1)) + math.sqrt(norm("M", s, 2))

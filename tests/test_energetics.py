@@ -402,3 +402,27 @@ class TestDiagnosticRecord:
         )
         rec_b = diagnostic_record(state_b, params, s=2, delta=0.1, rhs=rhs_B(state_b, params.nu))
         assert rec_b.e_basic == pytest.approx(0.5 * 2.0 * (2 * math.pi) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("dim, formulation, record, bundle", [
+        (2, "A", {"fwd": 6, "inv": 11}, {"fwd": 6, "inv": 9}),
+        (2, "B", {"fwd": 12, "inv": 18}, {"fwd": 9, "inv": 14}),
+        (3, "A", {"fwd": 12, "inv": 31}, {"fwd": 12, "inv": 28}),
+        (3, "B", {"fwd": 24, "inv": 44}, {"fwd": 16, "inv": 38}),
+    ])
+    def test_record_and_bundle_transforms(self, dim: int, formulation: str,
+                                          record: dict[str, int], bundle: dict[str, int],
+                                          monkeypatch) -> None:
+        """Scalar transforms of one record from a given evaluation, and of one
+        constraint bundle. The record reads the evaluation's state hats; a B
+        record makes F = (I + G)^{-1} from the G of its residuals, so it makes
+        no jacobian of psi but that one."""
+        grid = TorusGrid(dim=dim, n=16 if dim == 2 else 8)
+        state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+        params = PhysParams(nu=1.0)
+        rhs = rhs_A(state, 1.0, 0.0, params.h_ext) if formulation == "A" else rhs_B(state, 1.0)
+        counter = TransformCounter(monkeypatch, grid)
+        diagnostic_record(state, params, 2, 0.1, rhs)
+        assert counter.counts == record
+        counter.counts.update(fwd=0, inv=0)
+        constraint_bundle(state)
+        assert counter.counts == bundle

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,23 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="unit determinant"):
             scenarios.run_scenario("picard_study", config)
         assert calls == []
+
+    def test_mollifier_study_starts_at_the_snapshot_time(self, tmp_path: Path) -> None:
+        """A time-dependent field is sampled from the initial state's time, so
+        the same data stamped t = 0 and t = 0.5 give different tables."""
+        grid = TorusGrid(dim=2, n=48)
+        state = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=0)
+        h_ext = {"type": "single_mode", "amplitude": 0.5, "wavevector": [1, 0], "component": 0,
+                 "omega": 20.0}
+        tables = []
+        for t in (0.0, 0.5):
+            snap = tmp_path / f"t{t}.snap"
+            write_snapshot(replace(state, t=t), snap)
+            config = tiny_config(tmp_path / f"out{t}", n=48, t_end=0.01, h_ext=h_ext,
+                                 initial_data="from_snapshot", snapshot_path=str(snap))
+            scenarios.run_scenario("mollifier_study", config)
+            tables.append((tmp_path / f"out{t}" / config.csv_name).read_bytes())
+        assert tables[0] != tables[1]
 
     @pytest.mark.parametrize("case", list(SCENARIO_CASES))
     def test_exit_checks_and_files(self, case: str, tmp_path: Path, capsys) -> None:

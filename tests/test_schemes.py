@@ -19,6 +19,11 @@ from elastomag.fields import (
     renormalize_M,
 )
 from elastomag.harness import generate_initial_data
+from elastomag.harness.scenarios import (
+    MOLLIFIER_MIN_DROP,
+    PICARD_DISTANCE_TOL,
+    PICARD_RATIO_TOL,
+)
 from elastomag.schemes import (
     mollifier_convergence_study,
     picard_iterate,
@@ -141,6 +146,23 @@ class TestSolveLlgGivenV:
             solve_llg_given_v(m0, None, None, 2, cfg)
             totals.append(dict(counter.counts))
         assert {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]} == {"fwd": 12, "inv": 24}
+
+    def test_march_clocks_from_t0(self) -> None:
+        """A time-dependent field is sampled from t0: a whole period later gives
+        the t0 = 0 run to rounding, half a period later a different one."""
+        grid = TorusGrid(dim=2, n=32)
+        m0 = generate_initial_data(grid, "random_small", "A", seed=3).M
+        omega = 20.0
+        h_ext = HExt(kind="single_mode", amplitude=0.5, wavevector=(1, 0), component=0,
+                     omega=omega)
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+        base = solve_llg_given_v(m0, h_ext, 4.0, 2, cfg).M_final.values
+        period = solve_llg_given_v(m0, h_ext, 4.0, 2, cfg, t0=2.0 * np.pi / omega)
+        half = solve_llg_given_v(m0, h_ext, 4.0, 2, cfg, t0=np.pi / omega)
+        assert period.times[0] == 2.0 * np.pi / omega
+        assert half.times[0] == np.pi / omega
+        assert np.max(np.abs(period.M_final.values - base)) <= 1e-15
+        assert np.max(np.abs(half.M_final.values - base)) > 1e-3
 
 
 class TestMollifierStudy:
@@ -366,3 +388,43 @@ class TestConvergenceReport:
         assert mono.status == "completed"
         assert picard_metric(out.states_at_T[-1], mono.state, 2) <= 1e-5
         assert max(e + d for e, d in zip(out.e_sup, out.d_int)) <= 2.0 * out.e0
+
+
+GRID3 = TorusGrid(dim=3, n=12)
+PICARD_CFG3 = IntegratorConfig(dt=2e-3, t_end=0.1)
+
+
+@pytest.fixture(scope="module")
+def flow_map_3d() -> StateA:
+    """3D flow_map_F data, built once: its RK4 flow map is the slow part."""
+    return generate_initial_data(GRID3, "flow_map_F", "A", amplitude=0.05, seed=5)
+
+
+@pytest.fixture(scope="module")
+def monolithic_3d(flow_map_3d: StateA) -> StateA:
+    result = run(flow_map_3d, PARAMS, PICARD_CFG3)
+    assert result.status == "completed"
+    return result.state
+
+
+class TestSchemes3D:
+    """The constructive schemes in 3D, against the picard_study and
+    mollifier_study thresholds."""
+
+    @pytest.mark.parametrize("variant", ["frozen", "transported"])
+    def test_picard_contracts_to_the_monolithic_run(self, flow_map_3d: StateA,
+                                                    monolithic_3d: StateA,
+                                                    variant: str) -> None:
+        out = picard_iterate(flow_map_3d, PARAMS, 6, PICARD_CFG3, 2, variant)
+        assert max(out.ratios) <= PICARD_RATIO_TOL
+        assert picard_metric(out.states_at_T[-1], monolithic_3d, 2) <= PICARD_DISTANCE_TOL
+        assert max(e + d for e, d in zip(out.e_sup, out.d_int)) <= 2.0 * out.e0
+        assert max(out.div_v_res) <= 1e-11
+
+    def test_mollifier_differences_drop_as_cutoff_doubles(self) -> None:
+        grid = TorusGrid(dim=3, n=24)
+        m0 = generate_initial_data(grid, "random_small", "A", seed=3).M
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
+        report = mollifier_convergence_study([2.0, 4.0, 8.0], m0, None, 2, cfg)
+        assert min(report.drop_factors) >= MOLLIFIER_MIN_DROP
+        assert report.bound_ok

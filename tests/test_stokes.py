@@ -38,7 +38,7 @@ def residuals(
     grad_q = jacobian_values(grid, q.values)
     momentum = -lap_w + grad_q - f.values
     # remove the mean of f (the zero mode of w is gauged away)
-    momentum -= momentum.mean(axis=(-2, -1), keepdims=True)
+    momentum -= momentum.mean(axis=tuple(range(-grid.dim, 0)), keepdims=True)
     mass = divergence_values(grid, w.values) - g.values
     return float(np.max(np.abs(momentum))), float(np.max(np.abs(mass)))
 
@@ -93,14 +93,28 @@ class TestStokesSolver:
         assert mom_res <= 1e-10 * f_scale + 1e-12
         assert mass_res <= 1e-10 * g_scale + 1e-12
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_residuals_on_random_data_3d(self, seed: int) -> None:
+        grid = TorusGrid(dim=3, n=16)
+        rng = np.random.default_rng(seed)
+        f = VectorField(grid, random_band_limited(grid, rng, ncomp=3, band=4))
+        g_raw = random_band_limited(grid, rng, band=4)
+        g_raw -= g_raw.mean()
+        g = ScalarField(grid, g_raw)
+        sol = solve_generalized_stokes(f, g)
+        mom_res, mass_res = residuals(grid, f, g, sol.w, sol.q)
+        assert mom_res <= 1e-10 * float(np.max(np.abs(f.values))) + 1e-12
+        assert mass_res <= 1e-10 * float(np.max(np.abs(g.values))) + 1e-12
+        assert abs(float(np.mean(sol.q.values))) <= 1e-14
+
 
 class TestWDiagnostic:
     def _state(self, grid: TorusGrid, seed: int, amplitude: float = 1e-2) -> StateB:
         rng = np.random.default_rng(seed)
         v = div_free_vector(grid, rng)
         v = VectorField(grid, amplitude * v.values)
-        psi_raw = amplitude * random_band_limited(grid, rng, ncomp=2, band=2)
-        psi_raw -= psi_raw.mean(axis=(-2, -1), keepdims=True)
+        psi_raw = amplitude * random_band_limited(grid, rng, ncomp=grid.dim, band=2)
+        psi_raw -= psi_raw.mean(axis=tuple(range(1, grid.dim + 1)), keepdims=True)
         mvals = np.zeros((3,) + grid.shape)
         mvals[2] = 1.0
         mvals += amplitude * random_band_limited(grid, rng, ncomp=3, band=2)
@@ -134,6 +148,23 @@ class TestWDiagnostic:
         counter = TransformCounter(monkeypatch, grid2)
         w_diagnostic(state, PhysParams(nu=1.0), s=2)
         assert counter.counts == {"fwd": 26, "inv": 25}
+
+    def test_transforms_per_call_3d(self, grid3: TorusGrid, monkeypatch) -> None:
+        state = self._state(grid3, seed=7)
+        counter = TransformCounter(monkeypatch, grid3)
+        w_diagnostic(state, PhysParams(nu=1.0), s=2)
+        assert counter.counts == {"fwd": 38, "inv": 41}
+
+    @pytest.mark.parametrize("nu", [0.9, 1.0])
+    def test_grad_w_hs_matches_definition_3d(self, nu: float) -> None:
+        """In 3D too, the solved w is nu v - psi: its gradient norm is the
+        one of the definition, and the bracket stays finite and positive."""
+        grid = TorusGrid(dim=3, n=16)
+        state = self._state(grid, seed=11)
+        diag = w_diagnostic(state, PhysParams(nu=nu), 2)
+        w = VectorField(grid, nu * state.v.values - state.psi.values)
+        assert diag.grad_w_hs == pytest.approx(math.sqrt(sobolev_norm_sq(w, 2, 1)), rel=1e-10)
+        assert math.isfinite(diag.ratio) and diag.ratio > 0
 
     def test_ratio_stable_across_resolutions(self) -> None:
         values = []
