@@ -78,7 +78,7 @@ def _masked_fft(grid: TorusGrid, values: np.ndarray, mask: np.ndarray | None) ->
 
 def _div_rows_hat(grid: TorusGrid, mat_hat: np.ndarray) -> np.ndarray:
     """(div G)_i = d_j G^{ji} as the mode sum sum_j i k_j Ghat^{ji}."""
-    return np.einsum("j...,ji...->i...", 1j * grid.k, mat_hat)
+    return np.einsum("j...,ji...->i...", grid.ik, mat_hat)
 
 
 def _h_values(h_ext: HExt | None, grid: TorusGrid, t: float) -> np.ndarray | None:

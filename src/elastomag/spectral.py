@@ -92,6 +92,11 @@ class TorusGrid:
         return np.stack(np.meshgrid(*axes, indexing="ij"))
 
     @cached_property
+    def ik(self) -> np.ndarray:
+        """1j * k, the first-derivative multipliers."""
+        return 1j * self.k
+
+    @cached_property
     def k_sq(self) -> np.ndarray:
         """|k|^2 per half-spectrum mode."""
         return np.sum(self.k**2, axis=0)
@@ -200,7 +205,7 @@ def jacobian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 def jacobian_from_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
     """Jacobian from an already transformed field (shares one forward FFT)."""
-    return grid.ifft(np.expand_dims(hat, -grid.dim - 1) * (1j * grid.k))
+    return grid.ifft(np.expand_dims(hat, -grid.dim - 1) * grid.ik)
 
 
 def laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -214,7 +219,7 @@ def divergence_values(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:
 
 def divergence_from_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
     """Divergence values from an already transformed (dim,) + hat_shape stack."""
-    return grid.ifft(np.einsum("i...,i...->...", 1j * grid.k, hat))
+    return grid.ifft(np.einsum("i...,i...->...", grid.ik, hat))
 
 
 def leray_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ equal bit for bit; without a record, _step makes n1 with its kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -121,6 +121,14 @@ def _gauge_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
 _POSTS = {"A": (leray_hat, None, None), "B": (leray_hat, _gauge_hat, None)}
 
 
+@lru_cache(maxsize=64)
+def _stage_factors(grid: TorusGrid, c: float, dt: float) -> tuple[np.ndarray, ...]:
+    """Per-mode factors of diffusivity c at step dt, cached per (grid, c, dt):
+    1 + c dt k_sq for the implicit stage, 1 -/+ c dt k_sq / 2 for Crank-Nicolson."""
+    half = 0.5 * c * dt * grid.k_sq
+    return 1.0 + c * dt * grid.k_sq, 1.0 - half, 1.0 + half
+
+
 def _implicit_stage(
     grid: TorusGrid, hat: np.ndarray, n: np.ndarray, c: float, dt: float
 ) -> np.ndarray:
@@ -131,7 +139,7 @@ def _implicit_stage(
     """
     if c == 0.0:
         return hat + dt * n
-    return (hat + dt * n) / (1.0 + c * dt * grid.k_sq)
+    return (hat + dt * n) / _stage_factors(grid, c, dt)[0]
 
 
 def _cn_stage(
@@ -140,8 +148,8 @@ def _cn_stage(
     """(I - c dt/2 Delta)^{-1} [(I + c dt/2 Delta) hat + dt/2 (n1 + n2)] per mode."""
     if c == 0.0:
         return hat + 0.5 * dt * (n1 + n2)
-    half = 0.5 * c * dt * grid.k_sq
-    return (hat * (1.0 - half) + 0.5 * dt * (n1 + n2)) / (1.0 + half)
+    _, minus, plus = _stage_factors(grid, c, dt)
+    return (hat * minus + 0.5 * dt * (n1 + n2)) / plus
 
 
 def _imex2(
