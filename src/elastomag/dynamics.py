@@ -19,7 +19,8 @@ and _tendency_hats_B, which share one signature (grid, v, F|psi, M, h,
 mask, state_hats), share jacobians across terms and return tendencies in
 Fourier space. Both build the momentum with _momentum_hat from their
 elastic stress values. rhs_A and rhs_B pass their kernel to one
-evaluation, which transforms the state once, adds the stiff terms in
+evaluation, which takes the hats a stepped state holds (and transforms a
+state that holds none, such as initial data), adds the stiff terms in
 Fourier space and returns one Rhs of hats only: the state hats, the
 kernel's nonstiff hats and the full tendency hats. That one evaluation
 serves a diagnostic record, the next step's first stage (timestepper.run
@@ -104,7 +105,10 @@ def _llg_hat(
     gamma = np.einsum("ki...,ki...->...", jac_m, jac_m)
     if h is not None:
         gamma = gamma - np.einsum("k...,k...->...", m, h)
-    combo = -np.cross(m, heff, axis=0)
+    combo = np.empty_like(m)
+    for i in range(3):  # -(m x heff), with the bits of -np.cross(m, heff, axis=0)
+        j, k = (i + 1) % 3, (i + 2) % 3
+        combo[i] = m[k] * heff[j] - m[j] * heff[k]
     combo += gamma[np.newaxis] * m
     if v is not None:
         combo -= np.einsum("a...,ka...->k...", v, jac_m)
@@ -219,7 +223,7 @@ def _evaluate(kernel: Callable[..., Hats], state: StateA | StateB, nu: float, ka
     grid = state.grid
     h = _h_values(h_ext, grid, state.t)
     values = tuple(f.values for f in state.fields)
-    hats = tuple(grid.fft(x) for x in values)
+    hats = state.field_hats()
     stage1 = kernel(grid, *values, h, _mask(grid, dealias), hats)
     (v_hat, x_hat, m_hat), (dv, dx, dm) = hats, stage1
     dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)

@@ -28,10 +28,12 @@ recorded state, the record reads its hats, and the step reuses them.
 Every norm is one weighted mode sum over |fhat|^2 (_hat_norm_sq); _norms
 sums over named hats, forming each |fhat|^2 and each distinct norm once, on
 first use. A state's hats and jacobians come from one view, _StateHats,
-which makes each on first use, and for B the hat of F = (I + grad psi)^{-1}
-from the jacobian of psi; _residuals reads the same view.
-diagnostic_record seeds the view with the state hats of one dynamics.Rhs,
-constraint_bundle and basic_energy start it empty.
+which starts from the hats given to it or else the ones the state holds
+(fields._State.hats, set by every march), transforms any other field on
+first use, and makes B's hat of F = (I + grad psi)^{-1} from the jacobian
+of psi; _residuals reads the same view. diagnostic_record seeds the view
+with the state hats of one dynamics.Rhs; constraint_bundle, basic_energy
+and the Picard nodes take the state's own.
 """
 
 from __future__ import annotations
@@ -146,13 +148,14 @@ def _norms(grid: TorusGrid, hats: Mapping[str, np.ndarray]) -> Norm:
 
 class _StateHats(dict):
     """The named hats of a state: those given in layout order (a dynamics.Rhs's
-    state_hats) or by name, and any other field's, transformed on first use;
+    state_hats) or, failing those, the ones the state holds, those given by
+    name, and any other field's, transformed on first use;
     jac(name) makes a field's jacobian once, on first use. A B state's "F" is
     the hat of F = (I + G)^{-1}, from the G = jac("psi") the residuals use."""
 
     def __init__(self, state: StateA | StateB, hats: Sequence[np.ndarray] = (),
                  **named: np.ndarray) -> None:
-        super().__init__(zip(state.names, hats), **named)
+        super().__init__(zip(state.names, hats or state.hats or ()), **named)
         self.state = state
         self.jacs: dict[str, np.ndarray] = {}
 
@@ -199,12 +202,6 @@ def _global(norm: Norm, nu: float, s: int, delta: float) -> tuple[float, float]:
         + nu * norm("dv", s - 2, 1)
     )
     return e_glob, d_glob
-
-
-def _real_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
-    """fft(ifft(hat)): the hat of the real field a tendency hat stands for; the
-    real inverse transform symmetrizes Nyquist modes that dealias=False keeps."""
-    return grid.fft(grid.ifft(hat))
 
 
 # --------------------------------------------------------------------------
@@ -304,13 +301,13 @@ def diagnostic_record(
     and the tendency norms over its instantaneous tendency hats.
     """
     grid = state.grid
-    hats = _StateHats(state, rhs.state_hats, dv=_real_hat(grid, rhs.tendency_hats[0]))
+    hats = _StateHats(state, rhs.state_hats, dv=rhs.tendency_hats[0])
     bundle = _residuals(state, hats)
     norm = _norms(grid, hats)
     e_s, d_s = _local(norm, params.nu, s)
     e_glob, d_glob, dt_psi = 0.0, 0.0, 0.0
     if state.formulation == "B":
-        hats["dpsi"] = _real_hat(grid, rhs.tendency_hats[1])
+        hats["dpsi"] = rhs.tendency_hats[1]
         e_glob, d_glob = _global(norm, params.nu, s, delta)
         dt_psi = norm("dpsi", s - 2, 1)
     return DiagnosticRecord(

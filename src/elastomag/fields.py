@@ -13,7 +13,10 @@ The per-formulation layout is decided here and nowhere else: StateA and
 StateB share one base that names the formulation, its fields in the order
 (v, F|psi, M), their containers and component shapes, and builds a state
 from value arrays (STATES maps "A"/"B" to the class). The stepper, the
-snapshot format, the diagnostics and the CLI iterate over that layout.
+snapshot format, the diagnostics and the CLI iterate over that layout. A
+state made by a time step also holds the fields' hats it was transformed
+back from (hats), which every reader of its hats takes instead of
+transforming it again.
 
 Pressure is never stored: every momentum tendency is composed with the
 Leray projection and the pressure is recoverable on demand by a Poisson
@@ -50,6 +53,10 @@ class _State:
     kinds: ClassVar[tuple[type, type, type]]
 
     t: float
+    # the fields' transforms in layout order, when the state was made from them
+    # (None: none held); not part of snapshots, and kept by replace(), so a
+    # replace() that changes a field must pass hats=None
+    hats: tuple[np.ndarray, ...] | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self) -> None:
         grid = self.grid
@@ -76,10 +83,18 @@ class _State:
             for name, kind in zip(cls.names, cls.kinds)
         )
 
+    def field_hats(self) -> tuple[np.ndarray, ...]:
+        """The fields' hats in layout order: the held ones, else one transform each."""
+        if self.hats is not None:
+            return self.hats
+        return tuple(self.grid.fft(f.values) for f in self.fields)
+
     @classmethod
-    def from_values(cls, t: float, grid: TorusGrid, arrays) -> "_State":
-        """The state at time t with the given value arrays, in layout order."""
-        return cls(t, *(kind(grid, values) for kind, values in zip(cls.kinds, arrays)))
+    def from_values(cls, t: float, grid: TorusGrid, arrays, hats=None) -> "_State":
+        """The state at time t with the given value arrays, in layout order, and
+        the hats they were made from, if any."""
+        return cls(t, *(kind(grid, values) for kind, values in zip(cls.kinds, arrays)),
+                   hats=hats)
 
 
 @dataclass(frozen=True, eq=False)

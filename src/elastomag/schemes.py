@@ -11,19 +11,23 @@ with convergence-study drivers that report the quantities the acceptance
 checks assert.
 
 Both families advance in time with the IMEX2 rule of the timestepper,
-one timestepper._imex2 call per step. _integrate_llg marches M alone, from
-a given t0 (M0 carries no time), with diffusivity 1 and the magnetization
-tendency of dynamics._llg_hat under the projection's mask; on_node(k, t, m,
-m_hat) fires at each node, the initial one included, with the values and
-the transform the next step starts from.
+one timestepper._imex2 call per step, and start each step from the hats
+the last one returned: no node is transformed. _integrate_llg marches M
+alone, from a given t0 (M0 carries no time) and the truncated initial hat,
+with diffusivity 1 and the magnetization tendency of dynamics._llg_hat
+under the projection's mask; on_node(k, t, m, m_hat) fires at each node,
+the initial one included, with the values and the hat the next step starts
+from, over which the mollified energies sum.
 
 picard_iterate makes one sweep over the time steps from the initial
 state's time. At step k -> k+1, iterates n = 1, 2, ... in turn advance
 (v, F, M) by one _imex2 call, reading iterate n-1's nodes k and k+1: v and
 a frozen F take iterate n-1's sources (Crank-Nicolson), a transported F
 and M read their own predictors. Each node is an energetics._StateHats view
-of its state, which transforms each field once and makes each jacobian at
-most once, for every stage and norm that reads it; no trajectory is stored.
+of its state and the hats its step made, which makes each jacobian at most
+once, for every stage and norm that reads it; no trajectory is stored.
+Iterate 1 reads the constant iterate 0, so with no external field its
+sources are made once per sweep.
 In both families a non-finite value raises BlowUpError at its node's time;
 in the sweep, for the first (node, iterate, stage) in that order.
 """
@@ -72,6 +76,7 @@ DET_TOL = 1e-6
 def _integrate_llg(
     grid: TorusGrid,
     m0: np.ndarray,
+    m0_hat: np.ndarray,
     h_ext: HExt | None,
     mask: np.ndarray | None,
     t0: float,
@@ -82,10 +87,11 @@ def _integrate_llg(
     """Integrate the magnetization flow with one single-field IMEX2 call per step.
 
     Delta M is Crank-Nicolson, everything else trapezoidal-explicit, with
-    the nonlinear terms truncated to mask (None: no truncation). Node k is
-    at t0 + k*dt. on_node(k, t, m, m_hat) fires at every node including the
-    initial one, with the transform the next step starts from. Returns the
-    final values; a non-finite one raises BlowUpError.
+    the nonlinear terms truncated to mask (None: no truncation), from m0 and
+    its hat m0_hat. Node k is at t0 + k*dt. on_node(k, t, m, m_hat) fires at
+    every node including the initial one, with the hat the next step starts
+    from, which is the one the last step made. Returns the final values; a
+    non-finite one raises BlowUpError.
     """
 
     def llg_hat(m, m_hat, t):
@@ -96,17 +102,15 @@ def _integrate_llg(
         m_hat = star(0)
         return (llg_hat(grid.ifft(m_hat), m_hat, t),)
 
-    m = m0
-    m_hat = grid.fft(m)
+    m, m_hat = m0, m0_hat
     on_node(0, t0, m, m_hat)
     for k in range(n_steps):
         tk = t0 + k * dt
-        (m,) = _imex2(grid, (m_hat,), (llg_hat(m, m_hat, tk),), tk, dt, tendency, (1.0,),
-                      (None,))
+        (m,), (m_hat,) = _imex2(grid, (m_hat,), (llg_hat(m, m_hat, tk),), tk, dt, tendency,
+                                (1.0,), (None,))
         t1 = t0 + (k + 1) * dt
         if not np.all(np.isfinite(m)):
             raise BlowUpError(t1)
-        m_hat = grid.fft(m)
         on_node(k + 1, t1, m, m_hat)
     return m
 
@@ -158,7 +162,8 @@ def solve_llg_given_v(
         raise ValueError(f"cutoff {cutoff} exceeds the dealias bound n/3 = {grid.n / 3:g}")
 
     mask = grid.dealias_mask if cutoff is None else grid.k_sq <= cutoff * cutoff
-    m0_trunc = grid.ifft(grid.fft(M0.values) * mask)
+    m0_trunc_hat = grid.fft(M0.values) * mask
+    m0_trunc = grid.ifft(m0_trunc_hat)
     n_steps = _step_count(cfg.t_end, cfg.dt)
     times: list[float] = []
     e_eps: list[float] = []
@@ -170,13 +175,14 @@ def solve_llg_given_v(
             sq = _hat_sq(m_hat)
             times.append(t)
             e_eps.append(
-                _hat_norm_sq(grid, sq, s, 1) + sobolev_norm_sq(VectorField(grid, m - m0_trunc), 0)
+                _hat_norm_sq(grid, sq, s, 1) + _hat_norm_sq(grid, _hat_sq(m_hat - m0_trunc_hat), 0)
             )
             d_eps.append(_hat_norm_sq(grid, sq, s, 2))
         if cfg.snapshot_every > 0 and (k % cfg.snapshot_every == 0 or k == n_steps):
             trajectory.append((t, VectorField(grid, m.copy())))
 
-    m_final = _integrate_llg(grid, m0_trunc, h_ext, mask, t0, cfg.dt, n_steps, on_node)
+    m_final = _integrate_llg(grid, m0_trunc, m0_trunc_hat, h_ext, mask, t0, cfg.dt, n_steps,
+                             on_node)
     return MollifierRun(
         cutoff=cutoff,
         s=s,
@@ -315,8 +321,8 @@ def picard_iterate(
     k = 0, 1, ..., iterates n = 1..n_max in turn take the step k -> k+1 of
     their velocity, deformation and magnetization stages in one IMEX2 call,
     reading iterate n-1's nodes k and k+1 (iterate 0 is one constant node).
-    So only the current nodes are held, each node is transformed once, and
-    its jacobians serve every stage that reads them. E_s, D_s and max |div v|
+    So only the current nodes are held, each node keeps the hats its step
+    made, and its jacobians serve every stage that reads them. E_s, D_s and max |div v|
     per node come from the node's hats. A non-finite value raises
     BlowUpError for the first (node, iterate, stage) in this order.
     """
@@ -361,12 +367,18 @@ def picard_iterate(
         m_src1 = llg_hat(p1, grid.ifft(m_star), m_star, jacobian_from_hat(grid, m_star), t)
         return v_src1, f_src1, m_src1
 
-    # per iterate: its current node, and the CN sources at iterate n-1's node k
-    # (a transported F has none)
+    def sources(p: _StateHats, t: float) -> tuple[np.ndarray, np.ndarray | None]:
+        # the CN sources of v and a frozen F at node p (a transported F has none)
+        f_src = deformation_hat(p, p.state.F.values, p.jac("F")) if frozen else None
+        return velocity_hat(p, t), f_src
+
+    # per iterate: its current node, and the CN sources at iterate n-1's node k;
+    # iterate 1 reads the constant node 0, whose sources depend on t only
+    # through a field
     start = initial.t
     nodes = [node0] * (n_max + 1)
-    v_src = [velocity_hat(node0, start)] * n_max
-    f_src = [deformation_hat(node0, initial.F.values, node0.jac("F")) if frozen else None] * n_max
+    v_src, f_src = ([x] * n_max for x in sources(node0, start))
+    constant_sources = params.h_ext.is_zero
     e_sup, div_res = [e0] * n_max, [div0] * n_max
     d_nodes = [[d0] for _ in range(n_max)]  # scalar D_s per node, for the trapezoid
 
@@ -376,23 +388,26 @@ def picard_iterate(
         for n in range(1, n_max + 1):
             # p0, p1: iterate n-1's nodes k and k+1; own: iterate n's node k
             i, p1, own = n - 1, nodes[n - 1], nodes[n]
-            v_src1 = velocity_hat(p1, t1)
-            f_src1 = deformation_hat(p1, p1.state.F.values, p1.jac("F")) if frozen else None
+            if n == 1 and constant_sources:
+                v_src1, f_src1 = v_src[0], f_src[0]
+            else:
+                v_src1, f_src1 = sources(p1, t1)
             f_src0 = f_src[i] if frozen else deformation_hat(p0, own.state.F.values, own.jac("F"))
             n1 = (v_src[i], f_src0, llg_hat(p0, own.state.M.values, own["M"], own.jac("M"), t0))
             hats = tuple(own[name] for name in StateA.names)
-            values = _imex2(grid, hats, n1, t0, dt, partial(tendency, p1, v_src1, f_src1),
-                            (nu, kappa, 1.0), _POSTS["A"])
+            values, new_hats = _imex2(grid, hats, n1, t0, dt,
+                                      partial(tendency, p1, v_src1, f_src1), (nu, kappa, 1.0),
+                                      _POSTS["A"])
             v_src[i], f_src[i] = v_src1, f_src1
             for name, x in zip(("velocity", "deformation", "magnetization"), values):
                 if not np.all(np.isfinite(x)):
                     raise BlowUpError(t1, f"iterate {n} {name} stage: {BlowUpError(t1)}")
-            p0, nodes[n] = own, _StateHats(StateA.from_values(t1, grid, values))
+            p0, nodes[n] = own, _StateHats(StateA.from_values(t1, grid, values, new_hats))
             e_s, d_s, div = _node_norms(nodes[n], nu, s)
             e_sup[i], div_res[i] = max(e_sup[i], e_s), max(div_res[i], div)
             d_nodes[i].append(d_s)
 
-    states_at_T = [replace(node.state, t=start + cfg.t_end) for node in nodes]
+    states_at_T = [replace(node.state, t=start + cfg.t_end, hats=None) for node in nodes]
     return PicardRun(
         variant=variant,
         s=s,

@@ -13,6 +13,10 @@ and MatrixField are plain shape-checked containers with no operators.
 
 All fields are real, so transforms use the half spectrum: the last axis keeps
 only the n//2 + 1 nonnegative frequencies and the conjugate modes are implied.
+Every multiplier maps the hat of a real field to the hat of a real field, so
+a hat never needs a round trip through the grid to stay that of its values:
+odd derivatives and the Leray projection act with k_odd, which is 0 on the
+Nyquist modes |k_i| = n/2.
 The forward transform is the unnormalized DFT fhat(k) = sum_x f(x) exp(-i k.x)
 and backward(forward(f)) == f. The discrete Parseval identity used throughout
 is
@@ -93,8 +97,21 @@ class TorusGrid:
 
     @cached_property
     def ik(self) -> np.ndarray:
-        """1j * k, the first-derivative multipliers."""
-        return 1j * self.k
+        """1j * k_odd, the first-derivative multipliers."""
+        return 1j * np.where(np.abs(self.k) == self.n // 2, 0.0, self.k)
+
+    @property
+    def k_odd(self) -> np.ndarray:
+        """k with the Nyquist entries (|k_i| = n/2) set to 0: the multipliers of
+        odd derivatives, which have no real trigonometric interpolant there; a
+        view of ik, whose imaginary part it is exactly."""
+        return self.ik.imag
+
+    @cached_property
+    def inv_k_odd_sq(self) -> np.ndarray:
+        """1/|k_odd|^2, 0 where k_odd = 0."""
+        ksq = np.sum(self.k_odd**2, axis=0)
+        return np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -223,10 +240,15 @@ def divergence_from_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
 
 
 def leray_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
-    """Leray projection of a transformed (dim,) + hat_shape stack; input unchanged."""
-    dot = np.einsum("i...,i...->...", grid.k, hat)
-    dot *= grid.inv_k_sq
-    return hat - grid.k * dot
+    """Leray projection of a transformed (dim,) + hat_shape stack; input unchanged.
+
+    It projects onto the kernel of divergence_from_hat, so it uses the
+    derivative multipliers k_odd: on the Nyquist modes, k itself would map
+    the hat of a real field to one that is not.
+    """
+    dot = np.einsum("i...,i...->...", grid.k_odd, hat)
+    dot *= grid.inv_k_odd_sq
+    return hat - grid.k_odd * dot
 
 
 def l2_norm_sq_values(grid: TorusGrid, values: np.ndarray) -> float:

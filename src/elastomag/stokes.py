@@ -6,7 +6,8 @@ satisfies along reformulated-system trajectories, solves for (w, q), and
 reports the measured gradient norms against the a priori bracket that the
 theory bounds them by (with its non-constructive constant replaced by 1,
 so only the ratio is meaningful). Its tendencies come from one
-dynamics.rhs_B evaluation, the same one a diagnostic record reads.
+dynamics.rhs_B evaluation, the same one a diagnostic record reads, and it
+works on hats throughout: no field it holds a hat of is transformed.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .energetics import _StateHats, _norms, _real_hat, sobolev_norm_sq
+from .energetics import _StateHats, _hat_norm_sq, _hat_sq, _norms
 from .fields import PhysParams, StateB
-from .spectral import ScalarField, VectorField, divergence_from_hat
+from .spectral import ScalarField, TorusGrid, VectorField
 
 MEAN_G_TOL = 1e-12
 
@@ -50,8 +51,12 @@ def solve_generalized_stokes(f: VectorField, g: ScalarField) -> StokesSolution:
     if abs(g_mean) > MEAN_G_TOL:
         raise ValueError(f"divergence data must have zero mean, got {g_mean:g}")
 
-    fhat = grid.fft(f.values)
-    ghat = grid.fft(g.values)
+    what, qhat = _stokes_hats(grid, grid.fft(f.values), grid.fft(g.values))
+    return StokesSolution(w=VectorField(grid, grid.ifft(what)), q=ScalarField(grid, grid.ifft(qhat)))
+
+
+def _stokes_hats(grid: TorusGrid, fhat: np.ndarray, ghat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(what, qhat) of the per-mode solve in solve_generalized_stokes."""
     inv = grid.inv_k_sq
     kdotf = np.einsum("i...,i...->...", grid.k, fhat)
     qhat = -1j * kdotf * inv + ghat
@@ -59,7 +64,7 @@ def solve_generalized_stokes(f: VectorField, g: ScalarField) -> StokesSolution:
     what = np.empty_like(fhat)
     for i in range(grid.dim):
         what[i] = (fhat[i] - grid.k[i] * kdotf * inv) * inv - 1j * grid.k[i] * ghat * inv
-    return StokesSolution(w=VectorField(grid, grid.ifft(what)), q=ScalarField(grid, grid.ifft(qhat)))
+    return what, qhat
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,11 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     from its psi hat, dt_v as its dv tendency hat, and its unprojected
     stage-1 momentum hat is
     raw = -v.grad v + div g(grad psi) - div(grad M (.) grad M) + |k|^2 psihat,
-    so f = raw - |k|^2 psihat - dt_v. The bracket's norms sum over the same
-    evaluation's state hats, seeded into energetics._StateHats, and the hat
-    of the real field dt_v.
+    so f = raw - |k|^2 psihat - dt_v. The system is solved on these hats,
+    as solve_generalized_stokes does after its transforms, and the norms of w
+    and q sum over what and qhat. The bracket's norms sum over the same
+    evaluation's state hats, seeded into energetics._StateHats, and its dt_v
+    hat.
     The recovered w equals nu v - psi to rounding when v and psi are
     zero-mean.
     """
@@ -98,14 +105,12 @@ def w_diagnostic(state: StateB, params: PhysParams, s: int, dealias: bool = True
     grid = state.grid
     rhs = dynamics.rhs_B(state, params.nu, dealias)
     psi_hat, raw, dv_hat = rhs.state_hats[1], rhs.stage1_hats[0], rhs.tendency_hats[0]
-    f_vals = grid.ifft(raw - grid.k_sq * psi_hat - dv_hat)
-    g_vals = -divergence_from_hat(grid, psi_hat)
-    sol = solve_generalized_stokes(VectorField(grid, f_vals), ScalarField(grid, g_vals))
-
-    grad_w = math.sqrt(sobolev_norm_sq(sol.w, s, 1))
-    grad_q = math.sqrt(sobolev_norm_sq(sol.q, s - 1, 1))
-    # the state norms from the evaluation's hats, dt v from its real field's hat
-    hats = _StateHats(state, rhs.state_hats, dv=_real_hat(grid, dv_hat))
+    g_hat = -np.einsum("i...,i...->...", grid.ik, psi_hat)
+    what, qhat = _stokes_hats(grid, raw - grid.k_sq * psi_hat - dv_hat, g_hat)
+    grad_w = math.sqrt(_hat_norm_sq(grid, _hat_sq(what), s, 1))
+    grad_q = math.sqrt(_hat_norm_sq(grid, _hat_sq(qhat), s - 1, 1))
+    # the state norms and dt v's from the evaluation's hats
+    hats = _StateHats(state, rhs.state_hats, dv=dv_hat)
     norm = _norms(grid, hats)
     low = math.sqrt(norm("v", s)) + math.sqrt(norm("psi", s, 1)) + math.sqrt(norm("M", s, 1))
     high = math.sqrt(norm("v", s, 1)) + math.sqrt(norm("psi", s, 1)) + math.sqrt(norm("M", s, 2))

@@ -23,16 +23,21 @@ from the fields' hats and first-stage tendency hats n1, a tendency callable
 gives the hats at the predictor (field i's predictor hat is made when it
 asks star(i)), the implicit divides (_implicit_stage, _cn_stage) and the
 per-field post-operations (_POSTS) are diagonal there, and the step
-transforms back once per field. A diffusivity of 0 makes a field purely
-explicit. Every march makes one _imex2 call per step: _step, to which
-step_A and step_B hand their kernel (dynamics._tendency_hats_A/_B), and
-the marches of schemes._integrate_llg and schemes.picard_iterate.
+transforms back once per field. It returns those final hats beside the
+values, and every march hands them on with the new state (fields._State.hats),
+so no march transforms a state it just made: a field is transformed only
+where nobody holds its hat, as for initial data, a loaded snapshot and M
+after renormalize_m. A diffusivity of 0 makes a field purely explicit. Every
+march makes one _imex2 call per step: _step, to which step_A and step_B
+hand their kernel (dynamics._tendency_hats_A/_B), and the marches of
+schemes._integrate_llg and schemes.picard_iterate.
 
 run picks the stepper and the evaluation (dynamics.rhs_A/rhs_B) in one
 formulation choice, and shares one evaluation between a diagnostic record
 and the next step: the record reads its state and tendency hats, and the
 step takes its state hats and nonstiff stage-1 hats as n1, which they
-equal bit for bit; without a record, _step makes n1 with its kernel.
+equal bit for bit; without a record, _step makes n1 with its kernel from
+the state's hats.
 """
 
 from __future__ import annotations
@@ -161,8 +166,9 @@ def _imex2(
     tendency: Callable[[Callable[[int], np.ndarray], float], tuple[np.ndarray, ...]],
     diffusivities: tuple[float, ...],
     posts: tuple[Callable[[TorusGrid, np.ndarray], np.ndarray] | None, ...],
-) -> tuple[np.ndarray, ...]:
-    """One IMEX2 step of a set of fields from their hats at t0; returns the new values.
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One IMEX2 step of a set of fields from their hats at t0; returns the new
+    values and the hats they were transformed back from.
 
     n1 holds the nonstiff tendency hats of every field at (hats, t0), and
     tendency(star, t0 + dt) gives them at the predictor, where star(i) is
@@ -182,10 +188,11 @@ def _imex2(
         return stars[i]
 
     n2 = tendency(star, t0 + dt)
-    return tuple(
-        grid.ifft(post(_cn_stage(grid, h, a, b, c, dt), op))
+    new_hats = tuple(
+        post(_cn_stage(grid, h, a, b, c, dt), op)
         for h, a, b, c, op in zip(hats, n1, n2, diffusivities, posts)
     )
+    return tuple(grid.ifft(h) for h in new_hats), new_hats
 
 
 def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool,
@@ -207,19 +214,19 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
         return nonstiff(tuple(grid.ifft(h) for h in stars), stars, t)
 
     if rhs is None:
-        values = tuple(f.values for f in state.fields)
-        hats = tuple(grid.fft(x) for x in values)
-        n1 = nonstiff(values, hats, state.t)
+        hats = state.field_hats()
+        n1 = nonstiff(tuple(f.values for f in state.fields), hats, state.t)
     else:
         hats, n1 = rhs.state_hats, rhs.stage1_hats
-    v_new, second_new, m_new = _imex2(
+    values, new_hats = _imex2(
         grid, hats, n1, state.t, cfg.dt, tendency, (params.nu, params.kappa, 1.0),
         _POSTS[state.formulation]
     )
     if cfg.renormalize_m:
-        m_new = renormalize_M(VectorField(grid, m_new)).values
+        m_new = renormalize_M(VectorField(grid, values[2])).values
+        values, new_hats = values[:2] + (m_new,), new_hats[:2] + (grid.fft(m_new),)
     t1 = state.t + cfg.dt
-    new = type(state).from_values(t1, grid, (v_new, second_new, m_new))
+    new = type(state).from_values(t1, grid, values, new_hats)
     _check_finite(new, t1)
     return new
 
@@ -256,7 +263,8 @@ def run(
     string instead of raising, so callers can report blow-up cleanly. A
     failed step leaves the last good state; a failed record, the state it
     was recording. A recorded state's right-hand side serves its record and
-    the next step's first stage.
+    the next step's first stage. The result's state holds no hats, so a
+    caller that keeps results keeps values only.
     Parameters the state cannot honour raise ValueError before any work.
     """
     check_params(state.formulation, state.grid.dim, params)
@@ -295,5 +303,5 @@ def run(
             status = "cfl_violation"
         else:
             status = "numerical_guard"
-        return RunResult(state, state.t, status, steps, str(err))
-    return RunResult(state, state.t, "completed", n_steps)
+        return RunResult(replace(state, hats=None), state.t, status, steps, str(err))
+    return RunResult(replace(state, hats=None), state.t, "completed", n_steps)

@@ -15,6 +15,7 @@ from elastomag.spectral import (
     divergence_values,
     l2_norm_sq_values,
     laplacian_values,
+    leray_hat,
 )
 
 from conftest import (
@@ -148,6 +149,17 @@ class TestLeray:
         proj = leray(grid, np.stack([gx, gy]))
         scale = max(1.0, float(np.max(np.abs(np.stack([gx, gy])))))
         assert np.max(np.abs(proj)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_keeps_real_fields_real_with_the_derivatives(self, dim: int) -> None:
+        """The projection and the derivative multipliers map the hat of a real
+        field to the hat of a real field, Nyquist modes included, so a round
+        trip through the grid changes their output by rounding only."""
+        grid = TorusGrid(dim=dim, n=8)
+        hat = grid.fft(np.random.default_rng(1).standard_normal((dim,) + grid.shape))
+        for out in (leray_hat(grid, hat), *(hat * ik for ik in grid.ik)):
+            back = grid.fft(grid.ifft(out))
+            assert np.max(np.abs(back - out)) <= 1e-13 * np.max(np.abs(out))
 
 
 class TestTruncation:

@@ -142,18 +142,19 @@ class TestWDiagnostic:
         assert math.isnan(diag.ratio)
 
     def test_transforms_per_call(self, grid2: TorusGrid, monkeypatch) -> None:
-        """g and the bracket's norms read the hats of the diagnostic's rhs_B
-        evaluation: no state field is transformed again for them."""
+        """f, g and the bracket's norms read the hats of the diagnostic's rhs_B
+        evaluation, and the norms of w and q their solved hats: only that
+        evaluation transforms."""
         state = self._state(grid2, seed=7)
         counter = TransformCounter(monkeypatch, grid2)
         w_diagnostic(state, PhysParams(nu=1.0), s=2)
-        assert counter.counts == {"fwd": 26, "inv": 25}
+        assert counter.counts == {"fwd": 18, "inv": 17}
 
     def test_transforms_per_call_3d(self, grid3: TorusGrid, monkeypatch) -> None:
         state = self._state(grid3, seed=7)
         counter = TransformCounter(monkeypatch, grid3)
         w_diagnostic(state, PhysParams(nu=1.0), s=2)
-        assert counter.counts == {"fwd": 38, "inv": 41}
+        assert counter.counts == {"fwd": 27, "inv": 30}
 
     @pytest.mark.parametrize("nu", [0.9, 1.0])
     def test_grad_w_hs_matches_definition_3d(self, nu: float) -> None:

@@ -134,19 +134,21 @@ class TestDiffusionSolves:
     def test_imex2_makes_only_the_predictors_a_tendency_reads(self, grid2: TorusGrid,
                                                                monkeypatch) -> None:
         """A tendency that reads no predictor: no forward transform, one inverse
-        transform per field, and the Crank-Nicolson step of the given sources."""
+        transform per field, and the Crank-Nicolson step of the given sources,
+        as values and as the hats they were transformed back from."""
         rng = np.random.default_rng(3)
         fields = [rng.standard_normal((ncomp,) + grid2.shape) for ncomp in (2, 4, 3)]
         hats = tuple(grid2.fft(x) for x in fields)
         n1 = tuple(0.1 * h for h in hats)
         n2 = tuple(0.2 * h for h in hats)
         counter = TransformCounter(monkeypatch, grid2)
-        out = timestepper._imex2(grid2, hats, n1, 0.0, 0.1, lambda star, t: n2,
-                                 (1.0, 0.0, 2.0), (None, None, None))
+        out, out_hats = timestepper._imex2(grid2, hats, n1, 0.0, 0.1, lambda star, t: n2,
+                                           (1.0, 0.0, 2.0), (None, None, None))
         assert counter.counts == {"fwd": 0, "inv": 9}
         assert counter.calls == {"fwd": 0, "inv": 3}
-        for x, h, a, b, c in zip(out, hats, n1, n2, (1.0, 0.0, 2.0)):
-            assert np.array_equal(x, grid2.ifft(_cn_stage(grid2, h, a, b, c, 0.1)))
+        for x, x_hat, h, a, b, c in zip(out, out_hats, hats, n1, n2, (1.0, 0.0, 2.0)):
+            assert np.array_equal(x_hat, _cn_stage(grid2, h, a, b, c, 0.1))
+            assert np.array_equal(x, grid2.ifft(x_hat))
 
     def test_crank_nicolson_single_mode(self, grid2: TorusGrid) -> None:
         c, dt = 1.0, 0.2
@@ -540,3 +542,37 @@ def test_scalar_transforms_per_step(monkeypatch, dim: int, formulation: str) -> 
     rhs = count("rhs", lambda: evaluate_rhs(state, PARAMS, True))
     count("step_given_rhs", lambda: stepper(state, PARAMS, cfg, True, rhs))
     assert seen == STEP_TRANSFORMS[dim, formulation]
+
+
+@pytest.mark.parametrize("dim, formulation", sorted(STEP_TRANSFORMS))
+def test_run_transforms_only_its_initial_state(monkeypatch, dim: int, formulation: str) -> None:
+    """Each step hands its state the hats it made: k steps without a record
+    cost one bare step and k - 1 steps from carried hats, which are the bare
+    step less one forward transform per state component."""
+    grid = TorusGrid(dim=dim, n=16 if dim == 2 else 8)
+    state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+    counts = TransformCounter(monkeypatch, grid).counts
+    k = 4
+    assert run(state, PARAMS, IntegratorConfig(dt=1e-3, t_end=k * 1e-3)).status == "completed"
+    fwd, inv = STEP_TRANSFORMS[dim, formulation]["step"]
+    components = sum(int(np.prod(shape)) for shape in type(state).component_shapes(dim))
+    assert counts == {"fwd": fwd + (k - 1) * (fwd - components), "inv": k * inv}
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
+@pytest.mark.parametrize("formulation", ["A", "B"])
+@pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=32), TorusGrid(dim=3, n=16)],
+                         ids=lambda g: f"{g.dim}d_n{g.n}")
+def test_carried_hats_are_the_transforms_of_the_values(grid: TorusGrid, formulation: str,
+                                                       dealias: bool) -> None:
+    """After 20 steps a state's carried hats are the transforms of its values
+    to rounding: every multiplier keeps a real field's hat real (Nyquist modes
+    included), so the inverse transform that made the values dropped nothing."""
+    state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+    stepper = step_A if formulation == "A" else step_B
+    cfg = IntegratorConfig(dt=1e-3, t_end=1e-3)
+    for _ in range(20):
+        state = stepper(state, PARAMS, cfg, dealias)
+    for hat, f in zip(state.hats, state.fields, strict=True):
+        expected = grid.fft(f.values)
+        assert np.max(np.abs(hat - expected)) <= 1e-13 * np.max(np.abs(expected))
