@@ -322,9 +322,9 @@ def picard_iterate(
     their velocity, deformation and magnetization stages in one IMEX2 call,
     reading iterate n-1's nodes k and k+1 (iterate 0 is one constant node).
     So only the current nodes are held, each node keeps the hats its step
-    made, and its jacobians serve every stage that reads them. E_s, D_s and max |div v|
-    per node come from the node's hats. A non-finite value raises
-    BlowUpError for the first (node, iterate, stage) in this order.
+    made, and its jacobians serve every stage that reads them. E_s, D_s and
+    max |div v| per node come from the node's hats. A non-finite value
+    raises BlowUpError for the first (node, iterate, stage) in this order.
     """
     if variant not in ("frozen", "transported"):
         raise ValueError(f"unknown deformation variant {variant!r}")
