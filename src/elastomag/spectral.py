@@ -34,7 +34,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import fft as _fft
@@ -95,10 +95,10 @@ class TorusGrid:
         axes = [full] * (self.dim - 1) + [half]
         return np.stack(np.meshgrid(*axes, indexing="ij"))
 
-    @cached_property
+    @property
     def ik(self) -> np.ndarray:
         """1j * k_odd, the first-derivative multipliers."""
-        return 1j * np.where(np.abs(self.k) == self.n // 2, 0.0, self.k)
+        return _odd_multipliers(self.dim, self.n)[0]
 
     @property
     def k_odd(self) -> np.ndarray:
@@ -107,11 +107,10 @@ class TorusGrid:
         view of ik, whose imaginary part it is exactly."""
         return self.ik.imag
 
-    @cached_property
+    @property
     def inv_k_odd_sq(self) -> np.ndarray:
         """1/|k_odd|^2, 0 where k_odd = 0."""
-        ksq = np.sum(self.k_odd**2, axis=0)
-        return np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+        return _odd_multipliers(self.dim, self.n)[1]
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -150,6 +149,16 @@ class TorusGrid:
     def ifft(self, hat: np.ndarray) -> np.ndarray:
         """Backward real transform over the trailing dim axes."""
         return _fft.irfftn(hat, s=self.shape, axes=self.spatial_axes())
+
+
+@cache
+def _odd_multipliers(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ik, inv_k_odd_sq) of the (dim, n) grid, made once and shared by every
+    equal grid: runs, records and snapshot loads each make their own grid."""
+    k = TorusGrid(dim, n).k
+    ik = 1j * np.where(np.abs(k) == n // 2, 0.0, k)
+    ksq = np.sum(ik.imag**2, axis=0)
+    return ik, np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
 
 # --------------------------------------------------------------------------
