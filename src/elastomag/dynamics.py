@@ -9,10 +9,14 @@ Index conventions:
 
 All nonlinear products are formed pointwise in physical space and then
 dealiased (2/3 rule) when dealiasing is enabled; derivatives are always
-spectral. g(G) is computed by exact pointwise inversion, not a truncated
-series, which keeps the two formulations algebraically equivalent up to
-rounding. The simplified coefficient choice (elastic energy (1/2)|F|^2,
-unit exchange/gyromagnetic/damping constants) is hard-coded.
+spectral. _deformation_hat forms (grad v) F - v.grad F in the
+divergence-corrected flux form -d_k (v_k F_ij - v_i F_kj) - v_i d_k F_kj, the
+same by the product rule when div v = 0, as every Leray-projected velocity
+is; so no kernel makes F's jacobian. g(G) is computed by exact pointwise
+inversion, not a truncated series, which keeps the two formulations
+algebraically equivalent up to rounding. The simplified coefficient choice
+(elastic energy (1/2)|F|^2, unit exchange/gyromagnetic/damping constants) is
+hard-coded.
 
 There is one tendency implementation: the fused kernels _tendency_hats_A
 and _tendency_hats_B, which share one signature (grid, v, F|psi, M, h,
@@ -130,29 +134,37 @@ def _momentum_hat(
 ) -> np.ndarray:
     """Unprojected hat of -v.grad v + div(stress) - div(grad M (.) grad M) + (grad H)^T M,
     stress being the elastic stress values (F F^T in A, g(grad psi) in B),
-    which are overwritten."""
+    which are overwritten; the symmetric total stress is transformed on i <= j only."""
     vec = -np.einsum("j...,ij...->i...", v, jac_v)
     if h is not None:
         jac_h = jacobian_values(grid, h)
         vec += np.einsum("ki...,k...->i...", jac_h, m)
     stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
-    return _masked_fft(grid, vec, mask) + _div_rows_hat(
-        grid, _masked_fft(grid, stress, mask)
-    )
+    upper = np.triu_indices(grid.dim)
+    stress_hat = np.empty((grid.dim,) * 2 + grid.hat_shape, dtype=complex)
+    stress_hat[upper] = stress_hat[upper[::-1]] = _masked_fft(grid, stress[upper], mask)
+    return _masked_fft(grid, vec, mask) + _div_rows_hat(grid, stress_hat)
 
 
 def _deformation_hat(
     grid: TorusGrid,
     v: np.ndarray,
     f: np.ndarray,
-    jac_v: np.ndarray,
-    jac_f: np.ndarray,
+    f_hat: np.ndarray,
     mask: np.ndarray | None,
 ) -> np.ndarray:
-    """Hat of the nonstiff deformation tendency -v.grad F + (grad v) F."""
-    combo = np.einsum("ik...,kj...->ij...", jac_v, f)
-    combo -= np.einsum("a...,ija...->ij...", v, jac_f)
-    return _masked_fft(grid, combo, mask)
+    """Hat of the nonstiff deformation tendency (grad v) F - v.grad F in the flux
+    form -d_k P_kij - v_i d_k F_kj, exact for div v = 0 and any F. P_kij =
+    v_k F_ij - v_i F_kj is antisymmetric in (k, i), so only its entries k < i are
+    transformed, and d_k F_kj costs d inverse transforms, F's jacobian d^3."""
+    rows, cols = np.triu_indices(grid.dim, 1)
+    flux_hat = _masked_fft(grid, v[rows, None] * f[cols] - v[cols, None] * f[rows], mask)
+    col_div = grid.ifft(np.einsum("k...,kj...->j...", grid.ik, f_hat))
+    out = -_masked_fft(grid, v[:, None] * col_div, mask)
+    for p, (k, i) in enumerate(zip(rows, cols)):  # P_kij = -P_ikj feeds rows i and k
+        out[i] -= grid.ik[k] * flux_hat[p]
+        out[k] += grid.ik[i] * flux_hat[p]
+    return out
 
 
 def _g_values(grid: TorusGrid, g_vals: np.ndarray) -> np.ndarray:
@@ -184,9 +196,9 @@ def _tendency_hats_A(
     dM_hat); dv_hat is not Leray-projected and no stiff diffusion term is
     included.
     """
-    jac_v, jac_f, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in state_hats)
+    jac_v, jac_m = (jacobian_from_hat(grid, state_hats[i]) for i in (0, 2))
     dv = _momentum_hat(grid, v, m, jac_v, jac_m, np.einsum("ik...,jk...->ij...", f, f), h, mask)
-    df = _deformation_hat(grid, v, f, jac_v, jac_f, mask)
+    df = _deformation_hat(grid, v, f, state_hats[1], mask)
     dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, mask)
     return dv, df, dm
 

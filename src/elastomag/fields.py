@@ -217,9 +217,11 @@ def det_values(grid: TorusGrid, mat: np.ndarray) -> np.ndarray:
     )
 
 
-def inverse_values(grid: TorusGrid, mat: np.ndarray, context: str) -> np.ndarray:
-    """Pointwise closed-form inverse; raises if |det| < DET_GUARD anywhere."""
-    det = det_values(grid, mat)
+def inverse_values(grid: TorusGrid, mat: np.ndarray, context: str,
+                   det: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise closed-form inverse; raises if |det| < DET_GUARD anywhere.
+    det, if given, is det_values(grid, mat), made by a caller that needs it too."""
+    det = det_values(grid, mat) if det is None else det
     min_det = float(np.min(np.abs(det)))
     if min_det < DET_GUARD:
         raise NearSingularError(
@@ -260,10 +262,10 @@ def identity_matrix_field(grid: TorusGrid) -> MatrixField:
 # --------------------------------------------------------------------------
 
 
-def F_to_G(F: MatrixField) -> MatrixField:
-    """G = F^{-1} - I by pointwise closed-form inversion."""
+def F_to_G(F: MatrixField, det: np.ndarray | None = None) -> MatrixField:
+    """G = F^{-1} - I by pointwise closed-form inversion; det as in inverse_values."""
     grid = F.grid
-    G = inverse_values(grid, F.values, "F_to_G") - identity_values(grid)
+    G = inverse_values(grid, F.values, "F_to_G", det) - identity_values(grid)
     return MatrixField(grid, G)
 
 

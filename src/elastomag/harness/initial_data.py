@@ -33,7 +33,8 @@ from ..errors import ConfigError
 from ..fields import (
     STATES, G_to_F, StateA, StateB, grad_potential, identity_matrix_field, identity_values
 )
-from ..spectral import MatrixField, TorusGrid, VectorField, jacobian_values
+from ..schemes import DIV_TOL
+from ..spectral import MatrixField, TorusGrid, VectorField, divergence_values, jacobian_values
 from .snapshot import load_snapshot
 
 STATE_BAND = 3
@@ -200,6 +201,7 @@ def _zero_velocity(grid: TorusGrid) -> VectorField:
 def _from_snapshot(
     grid: TorusGrid, formulation: str, snapshot_path: str | Path | None
 ) -> StateA | StateB:
+    """The snapshot's state, refused unless it fits the config and its v is divergence free."""
     if snapshot_path is None:
         raise ConfigError("from_snapshot initial data needs snapshot_path")
     state = load_snapshot(snapshot_path)
@@ -212,6 +214,9 @@ def _from_snapshot(
             f"snapshot grid (dim={state.grid.dim}, n={state.grid.n}) does not match "
             f"config grid (dim={grid.dim}, n={grid.n})"
         )
+    div_v = float(np.max(np.abs(divergence_values(grid, state.v.values))))
+    if div_v > DIV_TOL:
+        raise ConfigError(f"snapshot velocity has max |div v| = {div_v:.3g} > {DIV_TOL:g}")
     return state
 
 

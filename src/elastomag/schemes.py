@@ -23,9 +23,11 @@ picard_iterate makes one sweep over the time steps from the initial
 state's time. At step k -> k+1, iterates n = 1, 2, ... in turn advance
 (v, F, M) by one _imex2 call, reading iterate n-1's nodes k and k+1: v and
 a frozen F take iterate n-1's sources (Crank-Nicolson), a transported F
-and M read their own predictors. Each node is an energetics._StateHats view
-of its state and the hats its step made, which makes each jacobian at most
-once, for every stage and norm that reads it; no trajectory is stored.
+and M read their own predictors. F's tendency, dynamics._deformation_hat,
+reads F's hat, not its jacobian, and assumes the div v = 0 that iterate
+n-1's velocity meets. Each node is an energetics._StateHats view of its
+state and the hats its step made, which makes each jacobian at most once,
+for every stage and norm that reads it; no trajectory is stored.
 Iterate 1 reads the constant iterate 0, so with no external field its
 sources are made once per sweep.
 In both families a non-finite value raises BlowUpError at its node's time;
@@ -348,8 +350,8 @@ def picard_iterate(
         h = _h_values(params.h_ext, grid, t)
         return leray_hat(grid, _momentum_hat(grid, v, m, p.jac("v"), p.jac("M"), stress, h, mask))
 
-    def deformation_hat(p: _StateHats, f: np.ndarray, jac_f: np.ndarray) -> np.ndarray:
-        return _deformation_hat(grid, p.state.v.values, f, p.jac("v"), jac_f, mask)
+    def deformation_hat(p: _StateHats, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
+        return _deformation_hat(grid, p.state.v.values, f, f_hat, mask)
 
     def llg_hat(p: _StateHats, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
                 t: float) -> np.ndarray:
@@ -362,14 +364,14 @@ def picard_iterate(
         # F and M read their predictors
         if f_src1 is None:
             f_star = star(1)
-            f_src1 = deformation_hat(p1, grid.ifft(f_star), jacobian_from_hat(grid, f_star))
+            f_src1 = deformation_hat(p1, grid.ifft(f_star), f_star)
         m_star = star(2)
         m_src1 = llg_hat(p1, grid.ifft(m_star), m_star, jacobian_from_hat(grid, m_star), t)
         return v_src1, f_src1, m_src1
 
     def sources(p: _StateHats, t: float) -> tuple[np.ndarray, np.ndarray | None]:
         # the CN sources of v and a frozen F at node p (a transported F has none)
-        f_src = deformation_hat(p, p.state.F.values, p.jac("F")) if frozen else None
+        f_src = deformation_hat(p, p.state.F.values, p["F"]) if frozen else None
         return velocity_hat(p, t), f_src
 
     # per iterate: its current node, and the CN sources at iterate n-1's node k;
@@ -392,7 +394,7 @@ def picard_iterate(
                 v_src1, f_src1 = v_src[0], f_src[0]
             else:
                 v_src1, f_src1 = sources(p1, t1)
-            f_src0 = f_src[i] if frozen else deformation_hat(p0, own.state.F.values, own.jac("F"))
+            f_src0 = f_src[i] if frozen else deformation_hat(p0, own.state.F.values, own["F"])
             n1 = (v_src[i], f_src0, llg_hat(p0, own.state.M.values, own["M"], own.jac("M"), t0))
             hats = tuple(own[name] for name in StateA.names)
             values, new_hats = _imex2(grid, hats, n1, t0, dt,

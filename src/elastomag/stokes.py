@@ -56,15 +56,13 @@ def solve_generalized_stokes(f: VectorField, g: ScalarField) -> StokesSolution:
 
 
 def _stokes_hats(grid: TorusGrid, fhat: np.ndarray, ghat: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(what, qhat) of the per-mode solve in solve_generalized_stokes."""
-    inv = grid.inv_k_sq
-    kdotf = np.einsum("i...,i...->...", grid.k, fhat)
-    qhat = -1j * kdotf * inv + ghat
+    """(what, qhat) of the per-mode solve in solve_generalized_stokes; its odd
+    multipliers xi are k_odd, as in spectral.leray_hat, so real data give real w, q."""
+    k = grid.k_odd
+    kdotf = np.einsum("i...,i...->...", k, fhat) * grid.inv_k_odd_sq
+    qhat = -1j * kdotf + ghat
     qhat.flat[0] = 0.0
-    what = np.empty_like(fhat)
-    for i in range(grid.dim):
-        what[i] = (fhat[i] - grid.k[i] * kdotf * inv) * inv - 1j * grid.k[i] * ghat * inv
-    return what, qhat
+    return (fhat - k * kdotf - 1j * k * ghat) * grid.inv_k_sq, qhat
 
 
 @dataclass(frozen=True)

@@ -405,6 +405,62 @@ class TestFusedTendencies:
                 assert np.max(np.abs(grid2.ifft(hat) - expected.values)) <= 1e-12
 
 
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
+    def test_primitive_bundle_matches_term_by_term_3d(self, dealias: bool) -> None:
+        """In 3D too; at n = 12 every product of the band-2 v and F is resolved,
+        so the flux form of dF and the advective oracle agree to rounding."""
+        grid = TorusGrid(dim=3, n=12)
+        rng = np.random.default_rng(23)
+        v = div_free_vector(grid, rng)
+        fvals = identity_matrix_field(grid).values + 0.1 * random_band_limited(
+            grid, rng, ncomp=9, band=2
+        ).reshape((3, 3) + grid.shape)
+        state = StateA(t=0.0, v=v, F=MatrixField(grid, fvals), M=smooth_unit_m(grid, 3))
+        oracle = (momentum_rhs_A(v, state.F, state.M, nu=0.9, dealias=dealias),
+                  deformation_rhs(v, state.F, kappa=0.05, dealias=dealias),
+                  llg_rhs(v, state.M, dealias=dealias))
+        rhs = rhs_A(state, 0.9, 0.05, dealias=dealias)
+        for hat, expected in zip(rhs.tendency_hats, oracle, strict=True):
+            assert np.max(np.abs(grid.ifft(hat) - expected.values)) <= 1e-12
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
+    def test_deformation_matches_where_columns_diverge(self, dealias: bool) -> None:
+        """random_small's F = (I + grad psi)^{-1} has |d_k F_kj| above 1e-2, so
+        the flux form meets the advective oracle only with its correction
+        -v_i d_k F_kj, which is about 8e-5 here."""
+        grid = TorusGrid(dim=2, n=32)
+        state = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5)
+        col_div = divergence_values(grid, np.swapaxes(state.F.values, 0, 1))
+        assert np.max(np.abs(col_div)) > 1e-2
+        out = grid.ifft(rhs_A(state, 1.0, dealias=dealias).tendency_hats[1])
+        expected = deformation_rhs(state.v, state.F, dealias=dealias).values
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
+                         ids=lambda g: f"{g.dim}d_n{g.n}")
+def test_mirrored_stress_hats_are_the_full_transform_in_A(grid: TorusGrid,
+                                                          monkeypatch) -> None:
+    """A's stress F F^T - grad M (.) grad M is symmetric bit for bit, so the
+    stress hats _momentum_hat mirrors from its entries i <= j are those of the
+    full d^2 transform."""
+    state = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5)
+    seen = []
+    div_rows = dynamics._div_rows_hat
+
+    def spy(grid_, stress_hat):
+        seen.append(stress_hat)
+        return div_rows(grid_, stress_hat)
+
+    monkeypatch.setattr(dynamics, "_div_rows_hat", spy)
+    rhs_A(state, nu=1.0)
+    f = state.F.values
+    jac_m = jacobian_values(grid, state.M.values)
+    stress = np.einsum("ik...,jk...->ij...", f, f) - np.einsum("ki...,kj...->ij...", jac_m, jac_m)
+    (stress_hat,) = seen
+    assert np.array_equal(stress_hat, grid.fft(stress) * grid.dealias_mask)
+
+
 @pytest.mark.parametrize("formulation", ["A", "B"])
 @pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
                          ids=lambda g: f"{g.dim}d_n{g.n}")

@@ -25,7 +25,7 @@ from elastomag.harness import (
 from elastomag.harness import initial_data, scenarios
 from elastomag.harness.cli import main
 from elastomag.harness.scenarios import _write_csv
-from elastomag.spectral import TorusGrid, divergence_values
+from elastomag.spectral import TorusGrid, VectorField, divergence_values
 
 from conftest import TransformCounter
 from oracles import momentum_rhs_A, trig_sum
@@ -415,6 +415,20 @@ class TestCli:
         config = write_config(tmp_path, formulation="B", kappa=0.5, out_dir=str(out_dir))
         assert main(["run", str(config)]) == 2
         assert "kappa" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_snapshot_with_divergent_velocity_is_usage_error(self, grid2, tmp_path: Path,
+                                                             capsys) -> None:
+        state = generate_initial_data(grid2, "random_small", "A")
+        v = state.v.values.copy()
+        v[0] += 1e-3 * np.sin(grid2.x[0])
+        snap = tmp_path / "divergent.snap"
+        write_snapshot(replace(state, v=VectorField(grid2, v), hats=None), snap)
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, n=grid2.n, initial_data="from_snapshot",
+                              snapshot_path=str(snap), out_dir=str(out_dir))
+        assert main(["run", str(config)]) == 2
+        assert "div v" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_unknown_scenario_is_usage_error(self, tmp_path: Path, capsys) -> None:

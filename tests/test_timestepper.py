@@ -516,10 +516,10 @@ class TestSharedEvaluation:
 # makes at a recorded state, and the step given that evaluation. The
 # evaluation is the step's first stage, so the last two add up to the first.
 STEP_TRANSFORMS = {
-    (2, "A"): {"step": (35, 60), "rhs": (22, 21), "step_given_rhs": (13, 39)},
-    (2, "B"): {"step": (29, 48), "rhs": (18, 17), "step_given_rhs": (11, 31)},
-    (3, "A"): {"step": (63, 126), "rhs": (39, 48), "step_given_rhs": (24, 78)},
-    (3, "B"): {"step": (45, 78), "rhs": (27, 30), "step_given_rhs": (18, 48)},
+    (2, "A"): {"step": (37, 48), "rhs": (23, 15), "step_given_rhs": (14, 33)},
+    (2, "B"): {"step": (27, 48), "rhs": (17, 17), "step_given_rhs": (10, 31)},
+    (3, "A"): {"step": (75, 78), "rhs": (45, 24), "step_given_rhs": (30, 54)},
+    (3, "B"): {"step": (39, 78), "rhs": (24, 30), "step_given_rhs": (15, 48)},
 }
 
 

@@ -1,26 +1,32 @@
-"""The golden-hash tool still names configs and scenarios the package accepts."""
+"""The golden-hash tool still names configs and scenarios the package accepts,
+and its compare mode reads every kind of output file."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from elastomag.harness import SimulationConfig
+from elastomag.harness import SimulationConfig, generate_initial_data, write_snapshot
 from elastomag.harness.scenarios import SCENARIOS
+from elastomag.spectral import TorusGrid, VectorField
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tools" / "golden_hashes.py"
 
 
-def load_runs() -> dict:
+def load_tool():
     spec = importlib.util.spec_from_file_location("golden_hashes", GOLDEN)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.RUNS
+    return module
 
 
-RUNS = load_runs()
+TOOL = load_tool()
+RUNS = TOOL.RUNS
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -33,3 +39,32 @@ def test_every_golden_run_parses(name: str) -> None:
     assert args[0] in ("run", "scenario")
     if args[0] == "scenario":
         assert args[1] in SCENARIOS
+
+
+def test_compare_reports_each_files_largest_relative_change(tmp_path: Path, capsys) -> None:
+    """Two kept trees that differ by a factor 1 + 1e-6 in one entry of each
+    file: the compare mode reads 1e-6 from the snapshot field, the CSV column
+    and the JSON leaf, reports a rounding-sized residual by its absolute
+    change, and a file with the same bytes as identical."""
+    grid = TorusGrid(dim=2, n=8)
+    state = generate_initial_data(grid, "random_small", "A", seed=1)
+    for side, scale, residual in (("old", 1.0, 1e-17), ("new", 1.0 + 1e-6, 3e-17)):
+        root = tmp_path / side / "run"
+        root.mkdir(parents=True)
+        v = VectorField(grid, scale * state.v.values)
+        write_snapshot(replace(state, v=v, hats=None), root / "final.snap")
+        row = f"0,{2 * scale!r},{residual!r}"
+        (root / "diagnostics.csv").write_text(f"t,e_basic,div_v_res\n{row}\n")
+        verdict = {"pass": True, "checks": [{"value": scale}]}
+        (root / "verdict.json").write_text(json.dumps(verdict))
+        (root / "same.csv").write_text("t\n0\n")
+    TOOL.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")])
+    lines = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines.pop("run/same.csv") == "identical"
+    assert lines["run/diagnostics.csv"].endswith("max_abs 2e-17 (div_v_res)")
+    for name, entry in (("final.snap", "v"), ("diagnostics.csv", "e_basic"),
+                        ("verdict.json", "checks[0].value")):
+        match = re.match(r"max_rel (\S+) \(([^)]+)\)", lines.pop(f"run/{name}"))
+        assert match[2] == entry
+        assert float(match[1]) == pytest.approx(1e-6, rel=1e-3)
+    assert lines == {}
