@@ -59,10 +59,10 @@ def _stokes_hats(grid: TorusGrid, fhat: np.ndarray, ghat: np.ndarray) -> tuple[n
     """(what, qhat) of the per-mode solve in solve_generalized_stokes; its odd
     multipliers xi are k_odd, as in spectral.leray_hat, so real data give real w, q."""
     k = grid.k_odd
-    kdotf = np.einsum("i...,i...->...", k, fhat) * grid.inv_k_odd_sq
-    qhat = -1j * kdotf + ghat
+    kf_over_ksq = np.einsum("i...,i...->...", k, fhat) * grid.inv_k_odd_sq
+    qhat = -1j * kf_over_ksq + ghat
     qhat.flat[0] = 0.0
-    return (fhat - k * kdotf - 1j * k * ghat) * grid.inv_k_sq, qhat
+    return (fhat - k * kf_over_ksq - 1j * k * ghat) * grid.inv_k_sq, qhat
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,10 @@ def _entries(path: Path) -> dict[str, np.ndarray | str]:
 
 
 def _change(old: np.ndarray | str, new: np.ndarray | str) -> tuple[float, float] | None:
-    """(change, scale) of one entry over its non-NaN values; None when a text
-    entry, the shape or the place of a NaN differs."""
+    """(change, scale) of one entry over its non-NaN values, (0, 0) for equal
+    text; None when a text entry, the shape or the place of a NaN differs."""
     if isinstance(old, str) or isinstance(new, str):
-        return (0.0, 1.0) if old == new else None
+        return (0.0, 0.0) if old == new else None
     if old.shape != new.shape or not np.array_equal(np.isnan(old), np.isnan(new)):
         return None
     kept = ~np.isnan(old)
