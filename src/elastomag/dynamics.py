@@ -9,14 +9,16 @@ Index conventions:
 
 All nonlinear products are formed pointwise in physical space and then
 dealiased (2/3 rule) when dealiasing is enabled; derivatives are always
-spectral. _deformation_hat forms (grad v) F - v.grad F in the
-divergence-corrected flux form -d_k (v_k F_ij - v_i F_kj) - v_i d_k F_kj, the
-same by the product rule when div v = 0, as every Leray-projected velocity
-is; so no kernel makes F's jacobian. g(G) is computed by exact pointwise
-inversion, not a truncated series, which keeps the two formulations
-algebraically equivalent up to rounding. The simplified coefficient choice
-(elastic energy (1/2)|F|^2, unit exchange/gyromagnetic/damping constants) is
-hard-coded.
+spectral. Both transport terms are taken in divergence form, the same by
+the product rule when div v = 0, which every stage's Leray projection keeps
+and initial_data checks of a snapshot; rhs_A, rhs_B and every step assume
+it, and no kernel makes a jacobian of v or F. _momentum_hat forms -v.grad v
+as -d_j (v_i v_j), and _deformation_hat forms (grad v) F - v.grad F in the
+divergence-corrected flux form -d_k (v_k F_ij - v_i F_kj) - v_i d_k F_kj.
+g(G) is computed by exact pointwise inversion, not a truncated series, which
+keeps the two formulations algebraically equivalent up to rounding. The
+simplified coefficient choice (elastic energy (1/2)|F|^2, unit
+exchange/gyromagnetic/damping constants) is hard-coded.
 
 There is one tendency implementation: the fused kernels _tendency_hats_A
 and _tendency_hats_B, which share one signature (grid, v, F|psi, M, h,
@@ -126,24 +128,24 @@ def _momentum_hat(
     grid: TorusGrid,
     v: np.ndarray,
     m: np.ndarray,
-    jac_v: np.ndarray,
     jac_m: np.ndarray,
     stress: np.ndarray,
     h: np.ndarray | None,
     mask: np.ndarray | None,
 ) -> np.ndarray:
-    """Unprojected hat of -v.grad v + div(stress) - div(grad M (.) grad M) + (grad H)^T M,
-    stress being the elastic stress values (F F^T in A, g(grad psi) in B),
-    which are overwritten; the symmetric total stress is transformed on i <= j only."""
-    vec = -np.einsum("j...,ij...->i...", v, jac_v)
+    """Unprojected hat of div(stress - grad M (.) grad M - v (x) v) + (grad H)^T M, stress
+    being the elastic stress values (F F^T in A, g(grad psi) in B), which are overwritten;
+    -div(v (x) v) is -v.grad v for div v = 0. The total stress is transformed on i <= j only."""
+    stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
+    rows, cols = np.triu_indices(grid.dim)
+    upper = stress[rows, cols] - v[rows] * v[cols]
+    stress_hat = np.empty((grid.dim,) * 2 + grid.hat_shape, dtype=complex)
+    stress_hat[rows, cols] = stress_hat[cols, rows] = _masked_fft(grid, upper, mask)
+    out = _div_rows_hat(grid, stress_hat)
     if h is not None:
         jac_h = jacobian_values(grid, h)
-        vec += np.einsum("ki...,k...->i...", jac_h, m)
-    stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
-    upper = np.triu_indices(grid.dim)
-    stress_hat = np.empty((grid.dim,) * 2 + grid.hat_shape, dtype=complex)
-    stress_hat[upper] = stress_hat[upper[::-1]] = _masked_fft(grid, stress[upper], mask)
-    return _masked_fft(grid, vec, mask) + _div_rows_hat(grid, stress_hat)
+        out += _masked_fft(grid, np.einsum("ki...,k...->i...", jac_h, m), mask)
+    return out
 
 
 def _deformation_hat(
@@ -196,8 +198,8 @@ def _tendency_hats_A(
     dM_hat); dv_hat is not Leray-projected and no stiff diffusion term is
     included.
     """
-    jac_v, jac_m = (jacobian_from_hat(grid, state_hats[i]) for i in (0, 2))
-    dv = _momentum_hat(grid, v, m, jac_v, jac_m, np.einsum("ik...,jk...->ij...", f, f), h, mask)
+    jac_m = jacobian_from_hat(grid, state_hats[2])
+    dv = _momentum_hat(grid, v, m, jac_m, np.einsum("ik...,jk...->ij...", f, f), h, mask)
     df = _deformation_hat(grid, v, f, state_hats[1], mask)
     dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, mask)
     return dv, df, dm
@@ -219,8 +221,8 @@ def _tendency_hats_B(
     includes the explicit -Delta psi coupling.
     """
     v_hat, psi_hat, m_hat = state_hats
-    jac_v, jac_psi, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in state_hats)
-    dv = _momentum_hat(grid, v, m, jac_v, jac_m, _g_values(grid, jac_psi), h, mask)
+    jac_psi, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in (psi_hat, m_hat))
+    dv = _momentum_hat(grid, v, m, jac_m, _g_values(grid, jac_psi), h, mask)
     dv += grid.k_sq * psi_hat
     adv_psi = np.einsum("a...,ka...->k...", v, jac_psi)
     dpsi = -v_hat - _masked_fft(grid, adv_psi, mask)
@@ -247,10 +249,10 @@ def _evaluate(kernel: Callable[..., Hats], state: StateA | StateB, nu: float, ka
 
 def rhs_A(state: StateA, nu: float, kappa: float = 0.0,
           h_ext: HExt | None = None, dealias: bool = True) -> Rhs:
-    """All evaluated tendencies of formulation A at the state's time."""
+    """All evaluated tendencies of formulation A at the state's time, for div v = 0."""
     return _evaluate(_tendency_hats_A, state, nu, kappa, h_ext, dealias)
 
 
 def rhs_B(state: StateB, nu: float, dealias: bool = True) -> Rhs:
-    """All evaluated tendencies of formulation B (external field zero)."""
+    """All evaluated tendencies of formulation B (H = 0) at the state's time, for div v = 0."""
     return _evaluate(_tendency_hats_B, state, nu, 0.0, None, dealias)

@@ -23,9 +23,9 @@ picard_iterate makes one sweep over the time steps from the initial
 state's time. At step k -> k+1, iterates n = 1, 2, ... in turn advance
 (v, F, M) by one _imex2 call, reading iterate n-1's nodes k and k+1: v and
 a frozen F take iterate n-1's sources (Crank-Nicolson), a transported F
-and M read their own predictors. F's tendency, dynamics._deformation_hat,
-reads F's hat, not its jacobian, and assumes the div v = 0 that iterate
-n-1's velocity meets. Each node is an energetics._StateHats view of its
+and M read their own predictors. The v and F tendencies (dynamics._momentum_hat
+and _deformation_hat) make no jacobian of v or F and assume the div v = 0
+that iterate n-1's velocity meets. Each node is an energetics._StateHats view of its
 state and the hats its step made, which makes each jacobian at most once,
 for every stage and norm that reads it; no trajectory is stored.
 Iterate 1 reads the constant iterate 0, so with no external field its
@@ -348,7 +348,7 @@ def picard_iterate(
         v, f, m = (x.values for x in p.state.fields)
         stress = np.einsum("ik...,jk...->ij...", f, f)
         h = _h_values(params.h_ext, grid, t)
-        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac("v"), p.jac("M"), stress, h, mask))
+        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac("M"), stress, h, mask))
 
     def deformation_hat(p: _StateHats, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
         return _deformation_hat(grid, p.state.v.values, f, f_hat, mask)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastomag import dynamics
+from elastomag import dynamics, energetics, schemes, spectral
 from elastomag.dynamics import rhs_A, rhs_B
 from elastomag.fields import (
     G_to_F,
     HExt,
+    PhysParams,
     StateA,
     StateB,
     grad_potential,
@@ -19,6 +20,7 @@ from elastomag.fields import (
     renormalize_M,
 )
 from elastomag.harness import generate_initial_data
+from elastomag.schemes import picard_iterate
 from elastomag.spectral import (
     MatrixField,
     TorusGrid,
@@ -27,6 +29,7 @@ from elastomag.spectral import (
     jacobian_values,
     laplacian_values,
 )
+from elastomag.timestepper import IntegratorConfig, step_A, step_B
 
 from conftest import TransformCounter, div_free_vector, matrix, random_band_limited, vector
 from oracles import (
@@ -424,6 +427,22 @@ class TestFusedTendencies:
             assert np.max(np.abs(grid.ifft(hat) - expected.values)) <= 1e-12
 
     @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
+    def test_potential_bundle_matches_term_by_term_3d(self, dealias: bool) -> None:
+        """B in 3D; at n = 12 every product of the band-2 v is resolved, so the
+        divergence form of the advection and the convective oracle agree to
+        rounding."""
+        grid = TorusGrid(dim=3, n=12)
+        rng = np.random.default_rng(24)
+        v = div_free_vector(grid, rng)
+        psi = VectorField(grid, 0.05 * random_band_limited(grid, rng, ncomp=3, band=2))
+        state = StateB(t=0.0, v=v, psi=psi, M=smooth_unit_m(grid, 5))
+        oracle = (momentum_rhs_B(v, psi, state.M, nu=1.1, dealias=dealias),
+                  psi_rhs(v, psi, dealias=dealias), llg_rhs(v, state.M, dealias=dealias))
+        rhs = rhs_B(state, 1.1, dealias=dealias)
+        for hat, expected in zip(rhs.tendency_hats, oracle, strict=True):
+            assert np.max(np.abs(grid.ifft(hat) - expected.values)) <= 1e-12
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
     def test_deformation_matches_where_columns_diverge(self, dealias: bool) -> None:
         """random_small's F = (I + grad psi)^{-1} has |d_k F_kj| above 1e-2, so
         the flux form meets the advective oracle only with its correction
@@ -439,26 +458,61 @@ class TestFusedTendencies:
 
 @pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
                          ids=lambda g: f"{g.dim}d_n{g.n}")
-def test_mirrored_stress_hats_are_the_full_transform_in_A(grid: TorusGrid,
-                                                          monkeypatch) -> None:
-    """A's stress F F^T - grad M (.) grad M is symmetric bit for bit, so the
-    stress hats _momentum_hat mirrors from its entries i <= j are those of the
-    full d^2 transform."""
+def test_mirrored_stress_hats_are_the_full_transform_in_A(grid: TorusGrid) -> None:
+    """A's total stress F F^T - grad M (.) grad M - v (x) v, the advection taken
+    in divergence form, is symmetric bit for bit, so the momentum hat made from
+    its entries i <= j is, bit for bit, (div S)_i = sum_j i k_j Shat^{ji} of the
+    full d^2 transform Shat = fft(S) * mask."""
     state = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5)
-    seen = []
-    div_rows = dynamics._div_rows_hat
-
-    def spy(grid_, stress_hat):
-        seen.append(stress_hat)
-        return div_rows(grid_, stress_hat)
-
-    monkeypatch.setattr(dynamics, "_div_rows_hat", spy)
-    rhs_A(state, nu=1.0)
-    f = state.F.values
-    jac_m = jacobian_values(grid, state.M.values)
+    v, f, m = (x.values for x in state.fields)
+    jac_m = jacobian_values(grid, m)
     stress = np.einsum("ik...,jk...->ij...", f, f) - np.einsum("ki...,kj...->ij...", jac_m, jac_m)
-    (stress_hat,) = seen
-    assert np.array_equal(stress_hat, grid.fft(stress) * grid.dealias_mask)
+    stress -= np.einsum("i...,j...->ij...", v, v)
+    stress_hat = grid.fft(stress) * grid.dealias_mask
+    expected = np.einsum("j...,ji...->i...", grid.ik, stress_hat)
+    assert np.array_equal(rhs_A(state, nu=1.0).stage1_hats[0], expected)
+
+
+@pytest.mark.parametrize("call", ["rhs_A", "rhs_B", "step_A", "step_B", "picard"])
+@pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
+                         ids=lambda g: f"{g.dim}d_n{g.n}")
+def test_no_kernel_makes_a_jacobian_of_v(grid: TorusGrid, call: str, monkeypatch) -> None:
+    """-v.grad v is taken as -div(v (x) v), so no evaluation, step or Picard
+    node hands a velocity's hat to jacobian_from_hat. Every velocity hat is
+    divergence-free (Leray-projected), and no other vector hat of this data
+    is, so that is how a velocity's hat is told apart."""
+    formulation = "B" if call.endswith("B") else "A"
+    variant = "flow_map_F" if call == "picard" else "random_small"
+    state = generate_initial_data(grid, variant, formulation, amplitude=1e-2, seed=5)
+    params, cfg = PhysParams(nu=1.0), IntegratorConfig(dt=1e-3, t_end=2e-3)
+
+    def is_velocity(hat: np.ndarray) -> bool:
+        if hat.shape != (grid.dim,) + grid.hat_shape:
+            return False
+        div = np.einsum("i...,i...->...", grid.ik, hat)
+        return bool(np.max(np.abs(div)) <= 1e-10 * np.max(np.abs(hat)))
+
+    assert is_velocity(grid.fft(state.v.values))
+    assert not is_velocity(grid.fft(state.fields[2].values))
+    hats = []
+    jacobian = spectral.jacobian_from_hat
+
+    def spy(grid_: TorusGrid, hat: np.ndarray) -> np.ndarray:
+        hats.append(hat)
+        return jacobian(grid_, hat)
+
+    for module in (spectral, dynamics, energetics, schemes):
+        monkeypatch.setattr(module, "jacobian_from_hat", spy)
+    calls = {
+        "rhs_A": lambda: rhs_A(state, params.nu),
+        "rhs_B": lambda: rhs_B(state, params.nu),
+        "step_A": lambda: step_A(state, params, cfg),
+        "step_B": lambda: step_B(state, params, cfg),
+        "picard": lambda: picard_iterate(state, params, 2, cfg, 2),
+    }
+    calls[call]()
+    assert hats
+    assert not any(is_velocity(hat) for hat in hats)
 
 
 @pytest.mark.parametrize("formulation", ["A", "B"])

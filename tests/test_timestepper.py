@@ -516,10 +516,10 @@ class TestSharedEvaluation:
 # makes at a recorded state, and the step given that evaluation. The
 # evaluation is the step's first stage, so the last two add up to the first.
 STEP_TRANSFORMS = {
-    (2, "A"): {"step": (37, 48), "rhs": (23, 15), "step_given_rhs": (14, 33)},
-    (2, "B"): {"step": (27, 48), "rhs": (17, 17), "step_given_rhs": (10, 31)},
-    (3, "A"): {"step": (75, 78), "rhs": (45, 24), "step_given_rhs": (30, 54)},
-    (3, "B"): {"step": (39, 78), "rhs": (24, 30), "step_given_rhs": (15, 48)},
+    (2, "A"): {"step": (33, 40), "rhs": (21, 11), "step_given_rhs": (12, 29)},
+    (2, "B"): {"step": (23, 40), "rhs": (15, 13), "step_given_rhs": (8, 27)},
+    (3, "A"): {"step": (69, 60), "rhs": (42, 15), "step_given_rhs": (27, 45)},
+    (3, "B"): {"step": (33, 60), "rhs": (21, 21), "step_given_rhs": (12, 39)},
 }
 
 
