@@ -83,11 +83,6 @@ def _masked_fft(grid: TorusGrid, values: np.ndarray, mask: np.ndarray | None) ->
     return hat
 
 
-def _div_rows_hat(grid: TorusGrid, mat_hat: np.ndarray) -> np.ndarray:
-    """(div G)_i = d_j G^{ji} as the mode sum sum_j i k_j Ghat^{ji}."""
-    return np.einsum("j...,ji...->i...", grid.ik, mat_hat)
-
-
 def _h_values(h_ext: HExt | None, grid: TorusGrid, t: float) -> np.ndarray | None:
     """Sample the external field as a (3,)+shape array, or None if it is zero."""
     if h_ext is None:
@@ -135,13 +130,16 @@ def _momentum_hat(
 ) -> np.ndarray:
     """Unprojected hat of div(stress - grad M (.) grad M - v (x) v) + (grad H)^T M, stress
     being the elastic stress values (F F^T in A, g(grad psi) in B), which are overwritten;
-    -div(v (x) v) is -v.grad v for div v = 0. The total stress is transformed on i <= j only."""
+    -div(v (x) v) is -v.grad v for div v = 0. The total stress S is transformed on i <= j
+    only, and (div S)_i = sum_j i k_j Shat^{ji} is summed from those hats."""
     stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
     rows, cols = np.triu_indices(grid.dim)
-    upper = stress[rows, cols] - v[rows] * v[cols]
-    stress_hat = np.empty((grid.dim,) * 2 + grid.hat_shape, dtype=complex)
-    stress_hat[rows, cols] = stress_hat[cols, rows] = _masked_fft(grid, upper, mask)
-    out = _div_rows_hat(grid, stress_hat)
+    upper_hat = _masked_fft(grid, stress[rows, cols] - v[rows] * v[cols], mask)
+    out = np.zeros((grid.dim,) + grid.hat_shape, dtype=complex)
+    for p, (i, j) in enumerate(zip(rows, cols)):  # S_ij = S_ji feeds rows j and i
+        out[j] += grid.ik[i] * upper_hat[p]
+        if i != j:
+            out[i] += grid.ik[j] * upper_hat[p]
     if h is not None:
         jac_h = jacobian_values(grid, h)
         out += _masked_fft(grid, np.einsum("ki...,k...->i...", jac_h, m), mask)
