@@ -11,7 +11,7 @@ All nonlinear products are formed pointwise in physical space and then
 dealiased (2/3 rule) when dealiasing is enabled; derivatives are always
 spectral. Both transport terms are taken in divergence form, the same by
 the product rule when div v = 0, which every stage's Leray projection keeps
-and initial_data checks of a snapshot; rhs_A, rhs_B and every step assume
+and initial_data checks in a snapshot; rhs_A, rhs_B and every step assume
 it, and no kernel makes a jacobian of v or F. _momentum_hat forms -v.grad v
 as -d_j (v_i v_j), and _deformation_hat forms (grad v) F - v.grad F in the
 divergence-corrected flux form -d_k (v_k F_ij - v_i F_kj) - v_i d_k F_kj.

@@ -19,15 +19,15 @@ under the projection's mask; on_node(k, t, m, m_hat) fires at each node,
 the initial one included, with the values and the hat the next step starts
 from, over which the mollified energies sum.
 
-picard_iterate makes one sweep over the time steps from the initial
-state's time. At step k -> k+1, iterates n = 1, 2, ... in turn advance
-(v, F, M) by one _imex2 call, reading iterate n-1's nodes k and k+1: v and
-a frozen F take iterate n-1's sources (Crank-Nicolson), a transported F
-and M read their own predictors. The v and F tendencies (dynamics._momentum_hat
-and _deformation_hat) make no jacobian of v or F and assume the div v = 0
-that iterate n-1's velocity meets. Each node is an energetics._StateHats view of its
-state and the hats its step made, which makes each jacobian at most once,
-for every stage and norm that reads it; no trajectory is stored.
+picard_iterate makes one sweep over the time steps from the initial state's
+time. At step k -> k+1, iterates n = 1, 2, ... in turn advance (v, F, M) by
+one _imex2 call, reading iterate n-1's nodes k and k+1: v and a frozen F
+take iterate n-1's sources (Crank-Nicolson), a transported F and M read
+their own predictors. The v and F tendencies (dynamics._momentum_hat and
+_deformation_hat) make no jacobian of v or F and assume the div v = 0 that
+iterate n-1's velocity meets. Each node is an energetics._StateHats view of
+its state and the hats its step made, which makes each jacobian at most
+once, for every stage and norm that reads it; no trajectory is stored.
 Iterate 1 reads the constant iterate 0, so with no external field its
 sources are made once per sweep.
 In both families a non-finite value raises BlowUpError at its node's time;
