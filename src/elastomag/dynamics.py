@@ -22,14 +22,16 @@ exchange/gyromagnetic/damping constants) is hard-coded.
 
 There is one tendency implementation: the fused kernels _tendency_hats_A
 and _tendency_hats_B, which share one signature (grid, v, F|psi, M, h,
-mask, state_hats), share jacobians across terms and return tendencies in
-Fourier space. Both build the momentum with _momentum_hat from their
-elastic stress values. rhs_A and rhs_B pass their kernel to one
-evaluation, which takes the hats a stepped state holds (and transforms a
-state that holds none, such as initial data), adds the stiff terms in
-Fourier space and returns one Rhs of hats only: the state hats, the
-kernel's nonstiff hats and the full tendency hats. That one evaluation
-serves a diagnostic record, the next step's first stage (timestepper.run
+mask, state_hats), share jacobians and a field's hat across terms and
+return tendencies in Fourier space, with the geometry B makes on the way
+(G = grad psi, (I + G)^{-1}, det(I + G); None in A). Both build the
+momentum with _momentum_hat from their elastic stress values. rhs_A and
+rhs_B pass their kernel to one evaluation, which takes the hats a stepped
+state holds (and transforms a state that holds none, such as initial
+data), adds the stiff terms in Fourier space and returns one Rhs: the state
+hats, the kernel's nonstiff hats, the full tendency hats and its geometry.
+That one evaluation serves a diagnostic record, which takes the geometry
+instead of making it again, the next step's first stage (timestepper.run
 hands it over) and stokes.w_diagnostic. The steppers and the schemes call
 the kernels or their pieces (_momentum_hat, _deformation_hat, _llg_hat)
 directly. tests/oracles.py rebuilds every term from the PDE with the
@@ -44,16 +46,13 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import HExt, StateA, StateB, inverse_values
-from .spectral import (
-    TorusGrid,
-    jacobian_from_hat,
-    jacobian_values,
-    leray_hat,
-)
+from .fields import HExt, StateA, StateB, identity_plus, inverse_values
+from .spectral import TorusGrid, jacobian_from_hat, leray_hat
 
 
 Hats = tuple[np.ndarray, np.ndarray, np.ndarray]
+Geometry = tuple[np.ndarray, np.ndarray, np.ndarray]
+Kernel = Callable[..., tuple[Hats, Geometry | None]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +62,14 @@ class Rhs:
     state_hats are the transforms of the state; stage1_hats are the nonstiff
     kernel hats, the first IMEX2 stage of a step from this state (_imex2's
     n1); tendency_hats are the full tendencies, with the stiff terms added
-    and dv Leray-projected.
+    and dv Leray-projected. geometry is the kernel's: in B, the G = grad psi,
+    F = (I + G)^{-1} and det(I + G) a diagnostic record reads; None in A.
     """
 
     state_hats: Hats
     stage1_hats: Hats
     tendency_hats: Hats
+    geometry: Geometry | None = None
 
 
 def _mask(grid: TorusGrid, enabled: bool) -> np.ndarray | None:
@@ -99,8 +100,10 @@ def _llg_hat(
     m_hat: np.ndarray,
     h: np.ndarray | None,
     mask: np.ndarray | None,
+    h_hat: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Hat of every magnetization tendency term except the stiff Delta M."""
+    """Hat of every magnetization tendency term except the stiff Delta M. h_hat,
+    if given, is grid.fft(h), made by a caller that needs it too."""
     lap_m = grid.ifft(m_hat * (-grid.k_sq))
     heff = lap_m if h is None else lap_m + h
     gamma = np.einsum("ki...,ki...->...", jac_m, jac_m)
@@ -115,7 +118,7 @@ def _llg_hat(
         combo -= np.einsum("a...,ka...->k...", v, jac_m)
     out = _masked_fft(grid, combo, mask)
     if h is not None:
-        out += grid.fft(h)
+        out += grid.fft(h) if h_hat is None else h_hat
     return out
 
 
@@ -127,11 +130,13 @@ def _momentum_hat(
     stress: np.ndarray,
     h: np.ndarray | None,
     mask: np.ndarray | None,
+    h_hat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unprojected hat of div(stress - grad M (.) grad M - v (x) v) + (grad H)^T M, stress
     being the elastic stress values (F F^T in A, g(grad psi) in B), which are overwritten;
     -div(v (x) v) is -v.grad v for div v = 0. The total stress S is transformed on i <= j
-    only, and (div S)_i = sum_j i k_j Shat^{ji} is summed from those hats."""
+    only, and (div S)_i = sum_j i k_j Shat^{ji} is summed from those hats. h_hat as
+    in _llg_hat."""
     stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
     rows, cols = np.triu_indices(grid.dim)
     upper_hat = _masked_fft(grid, stress[rows, cols] - v[rows] * v[cols], mask)
@@ -141,7 +146,7 @@ def _momentum_hat(
         if i != j:
             out[i] += grid.ik[j] * upper_hat[p]
     if h is not None:
-        jac_h = jacobian_values(grid, h)
+        jac_h = jacobian_from_hat(grid, grid.fft(h) if h_hat is None else h_hat)
         out += _masked_fft(grid, np.einsum("ki...,k...->i...", jac_h, m), mask)
     return out
 
@@ -167,18 +172,17 @@ def _deformation_hat(
     return out
 
 
-def _g_values(grid: TorusGrid, g_vals: np.ndarray) -> np.ndarray:
-    """g(G) = (I+G)^{-1} (I+G)^{-T} - I + G + G^T on raw (d, d) + shape values."""
-    a = g_vals.copy()
-    for i in range(grid.dim):
-        a[i, i] += 1.0
-    b = inverse_values(grid, a, "g_of_G")
+def _g_values(grid: TorusGrid, g_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g(G) = (I+G)^{-1} (I+G)^{-T} - I + G + G^T on raw (d, d) + shape values,
+    with the (I+G)^{-1} and det(I+G) it is made from."""
+    a, det = identity_plus(grid, g_vals)
+    b = inverse_values(grid, a, "g_of_G", det)
     out = np.einsum("ik...,jk...->ij...", b, b)
     for i in range(grid.dim):
         out[i, i] -= 1.0
     out += g_vals
     out += np.swapaxes(g_vals, 0, 1)
-    return out
+    return out, b, det
 
 
 def _tendency_hats_A(
@@ -189,18 +193,20 @@ def _tendency_hats_A(
     h: np.ndarray | None,
     mask: np.ndarray | None,
     state_hats: Hats,
-) -> Hats:
+) -> tuple[Hats, Geometry | None]:
     """All nonstiff tendency hats of formulation A with shared transforms.
 
-    state_hats are the transforms of (v, f, m). Returns (dv_hat, dF_hat,
-    dM_hat); dv_hat is not Leray-projected and no stiff diffusion term is
+    state_hats are the transforms of (v, f, m); a field h is transformed once,
+    for the momentum and the magnetization. Returns (dv_hat, dF_hat, dM_hat)
+    and None; dv_hat is not Leray-projected and no stiff diffusion term is
     included.
     """
     jac_m = jacobian_from_hat(grid, state_hats[2])
-    dv = _momentum_hat(grid, v, m, jac_m, np.einsum("ik...,jk...->ij...", f, f), h, mask)
+    h_hat = None if h is None else grid.fft(h)
+    dv = _momentum_hat(grid, v, m, jac_m, np.einsum("ik...,jk...->ij...", f, f), h, mask, h_hat)
     df = _deformation_hat(grid, v, f, state_hats[1], mask)
-    dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, mask)
-    return dv, df, dm
+    dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, mask, h_hat)
+    return (dv, df, dm), None
 
 
 def _tendency_hats_B(
@@ -211,38 +217,41 @@ def _tendency_hats_B(
     h: np.ndarray | None,
     mask: np.ndarray | None,
     state_hats: Hats,
-) -> Hats:
+) -> tuple[Hats, Geometry]:
     """All nonstiff tendency hats of formulation B with shared transforms.
 
-    Same signature and return as _tendency_hats_A, with psi in place of F;
-    h is always None, as fields.check_params refuses a field in B. dv_hat
-    includes the explicit -Delta psi coupling.
+    Same signature as _tendency_hats_A, with psi in place of F; h is always
+    None, as fields.check_params refuses a field in B. Returns (dv_hat,
+    dpsi_hat, dM_hat), dv_hat including the explicit -Delta psi coupling, and
+    the geometry (G, (I + G)^{-1}, det(I + G)) of G = grad psi.
     """
     v_hat, psi_hat, m_hat = state_hats
     jac_psi, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in (psi_hat, m_hat))
-    dv = _momentum_hat(grid, v, m, jac_m, _g_values(grid, jac_psi), h, mask)
+    stress, f, det = _g_values(grid, jac_psi)
+    dv = _momentum_hat(grid, v, m, jac_m, stress, h, mask)
     dv += grid.k_sq * psi_hat
     adv_psi = np.einsum("a...,ka...->k...", v, jac_psi)
     dpsi = -v_hat - _masked_fft(grid, adv_psi, mask)
     dm = _llg_hat(grid, v, m, jac_m, m_hat, h, mask)
-    return dv, dpsi, dm
+    return (dv, dpsi, dm), (jac_psi, f, det)
 
 
-def _evaluate(kernel: Callable[..., Hats], state: StateA | StateB, nu: float, kappa: float,
+def _evaluate(kernel: Kernel, state: StateA | StateB, nu: float, kappa: float,
               h_ext: HExt | None, dealias: bool) -> Rhs:
     """One evaluation with a formulation's kernel: transform the state once,
-    add the stiff diffusion to the kernel's stage-1 hats and Leray-project dv."""
+    add the stiff diffusion to the kernel's stage-1 hats, Leray-project dv
+    and hand on the kernel's geometry."""
     grid = state.grid
     h = _h_values(h_ext, grid, state.t)
     values = tuple(f.values for f in state.fields)
     hats = state.field_hats()
-    stage1 = kernel(grid, *values, h, _mask(grid, dealias), hats)
+    stage1, geometry = kernel(grid, *values, h, _mask(grid, dealias), hats)
     (v_hat, x_hat, m_hat), (dv, dx, dm) = hats, stage1
     dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)
     if kappa != 0.0:
         dx = dx + kappa * (-grid.k_sq) * x_hat
     dm = dm + (-grid.k_sq) * m_hat
-    return Rhs(hats, stage1, (dv, dx, dm))
+    return Rhs(hats, stage1, (dv, dx, dm), geometry)
 
 
 def rhs_A(state: StateA, nu: float, kappa: float = 0.0,

@@ -32,8 +32,11 @@ which starts from the hats given to it or else the ones the state holds
 (fields._State.hats, set by every march), transforms any other field on
 first use, and makes B's hat of F = (I + grad psi)^{-1} from the jacobian
 of psi; _residuals reads the same view. diagnostic_record seeds the view
-with the state hats of one dynamics.Rhs; constraint_bundle, basic_energy
-and the Picard nodes take the state's own.
+with the state hats of one dynamics.Rhs and, in B, with its geometry: the
+jacobian of psi, F's values and det(I + grad psi) that the B kernel made,
+so a B record makes no jacobian and no inverse of its own. constraint_bundle,
+basic_energy and the Picard nodes take the state's own hats and make the
+rest. The curl residual transforms back only the derivatives it compares.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import Rhs
+from .dynamics import Geometry, Rhs
 from .fields import (
     F_to_G,
     PhysParams,
@@ -54,7 +57,7 @@ from .fields import (
     StateB,
     curl_residual,
     det_values,
-    identity_values,
+    identity_plus,
     inverse_values,
     sphere_residual,
 )
@@ -150,19 +153,23 @@ class _StateHats(dict):
     state_hats) or, failing those, the ones the state holds, those given by
     name, and any other field's, transformed on first use;
     jac(name) makes a field's jacobian once, on first use. A B state's "F" is
-    the hat of F = (I + G)^{-1}, from the G = jac("psi") the residuals use."""
+    the hat of F = (I + G)^{-1}, G = jac("psi"), which the residuals use too.
+    geometry, a B dynamics.Rhs's, supplies G, F's values and det(I + G) as its
+    kernel made them; without it they are made here on first use, the det
+    without inverting I + G."""
 
     def __init__(self, state: StateA | StateB, hats: Sequence[np.ndarray] = (),
-                 **named: np.ndarray) -> None:
+                 geometry: Geometry | None = None, **named: np.ndarray) -> None:
         super().__init__(zip(state.names, hats or state.hats or ()), **named)
         self.state = state
         self.jacs: dict[str, np.ndarray] = {}
+        if geometry is not None:
+            self.jacs["psi"], self.f_values, self.det = geometry
 
     def __missing__(self, name: str) -> np.ndarray:
         state = self.state
         if name == "F" and state.formulation == "B":
-            mat, det = self.i_plus_g
-            values = inverse_values(state.grid, mat, "G_to_F", det)
+            values = self.f_values
         else:
             values = getattr(state, name).values
         hat = self[name] = state.grid.fft(values)
@@ -175,9 +182,19 @@ class _StateHats(dict):
 
     @cached_property
     def i_plus_g(self) -> tuple[np.ndarray, np.ndarray]:
-        """A B state's I + G, G = jac("psi"), and its determinant, made once."""
-        mat = self.jac("psi") + identity_values(self.state.grid)
-        return mat, det_values(self.state.grid, mat)
+        """A B state's I + G and its determinant, made once."""
+        return identity_plus(self.state.grid, self.jac("psi"))
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        """A B state's det(I + G)."""
+        return self.i_plus_g[1]
+
+    @cached_property
+    def f_values(self) -> np.ndarray:
+        """A B state's F = (I + G)^{-1}."""
+        mat, det = self.i_plus_g
+        return inverse_values(self.state.grid, mat, "G_to_F", det)
 
 
 def _basic(norm: Norm) -> float:
@@ -231,7 +248,7 @@ def _residuals(state: StateA | StateB, hats: _StateHats, s: int | None = None) -
         return out
     psi_hat = hats["psi"]
     G = hats.jac("psi")
-    out["det_res"] = float(np.max(np.abs(1.0 / hats.i_plus_g[1] - 1.0)))
+    out["det_res"] = float(np.max(np.abs(1.0 / hats.det - 1.0)))
     out["curl_res"] = curl_residual(MatrixField(grid, G))
     trace = np.zeros(grid.shape)
     for j in range(grid.dim):
@@ -304,10 +321,11 @@ def diagnostic_record(
     """Assemble the full diagnostic row for one state.
 
     rhs is rhs_A/rhs_B of this state: every norm sums over its state hats,
-    and the tendency norms over its instantaneous tendency hats.
+    and the tendency norms over its instantaneous tendency hats; a B record's
+    G, F and det(I + G) are its geometry.
     """
     grid = state.grid
-    hats = _StateHats(state, rhs.state_hats, dv=rhs.tendency_hats[0])
+    hats = _StateHats(state, rhs.state_hats, rhs.geometry, dv=rhs.tendency_hats[0])
     bundle = _residuals(state, hats)
     norm = _norms(grid, hats)
     e_s, d_s = _local(norm, params.nu, s)

@@ -196,7 +196,7 @@ def _imex2(
 
 
 def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool,
-          rhs: dynamics.Rhs | None, kernel: Callable[..., dynamics.Hats]) -> StateA | StateB:
+          rhs: dynamics.Rhs | None, kernel: dynamics.Kernel) -> StateA | StateB:
     """One IMEX2 step of either formulation with its tendency kernel; parameters
     the state cannot honour raise ValueError. rhs, if given, is rhs_A/rhs_B of
     this state with the same params and dealias, and supplies the first stage."""
@@ -207,7 +207,7 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
 
     def nonstiff(values, hats, t):
         h = dynamics._h_values(params.h_ext, grid, t)
-        return kernel(grid, *values, h, mask, hats)
+        return kernel(grid, *values, h, mask, hats)[0]
 
     def tendency(star, t):
         stars = tuple(star(i) for i in range(3))

@@ -8,7 +8,7 @@ elastomag.dynamics: these functions are the independent reference that the
 kernels are tested against. Index conventions follow elastomag.dynamics:
 (grad v)_{ij} = d_j v^i and (div G)_i = d_j G^{ji}. The module also holds
 the spectral operators that only tests use: the multi-index derivative
-and the zero-mean inverse Laplacian.
+and the zero-mean inverse Laplacian, and the full-jacobian curl residual.
 """
 
 from __future__ import annotations
@@ -122,6 +122,20 @@ def g_of_G(G: MatrixField) -> MatrixField:
     eye = np.eye(G.grid.dim).reshape(g.shape[:2] + (1,) * G.grid.dim)
     b = np.moveaxis(np.linalg.inv(np.moveaxis(eye + g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
     return MatrixField(G.grid, np.einsum("ik...,jk...->ij...", b, b) - eye + g + np.swapaxes(g, 0, 1))
+
+
+def curl_residual(G: MatrixField) -> float:
+    """max over the grid and all (i, j, k) of |d_i G^{jk} - d_k G^{ji}|, from
+    the full jacobian of G: all d^3 derivatives d_i G^{jk}, diagonal ones too."""
+    grid = G.grid
+    jac = jacobian_values(grid, G.values)  # jac[j, k, i] = d_i G^{jk}
+    res = 0.0
+    for j in range(grid.dim):
+        for k in range(grid.dim):
+            for i in range(k):
+                diff = jac[j, k, i] - jac[j, i, k]
+                res = max(res, float(np.max(np.abs(diff))))
+    return res
 
 
 def momentum_rhs_B(v: VectorField, psi: VectorField, M: VectorField, nu: float = 1.0,

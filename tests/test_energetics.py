@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields as dataclass_fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastomag import energetics, fields, spectral
 from elastomag.dynamics import Rhs, rhs_A, rhs_B
 from elastomag.energetics import (
     CSV_HEADER,
@@ -404,10 +406,10 @@ class TestDiagnosticRecord:
         assert rec_b.e_basic == pytest.approx(0.5 * 2.0 * (2 * math.pi) ** 2, rel=1e-13)
 
     @pytest.mark.parametrize("dim, formulation, record, bundle", [
-        (2, "A", {"fwd": 4, "inv": 9}, {"fwd": 6, "inv": 9}),
-        (2, "B", {"fwd": 8, "inv": 14}, {"fwd": 9, "inv": 14}),
-        (3, "A", {"fwd": 9, "inv": 28}, {"fwd": 12, "inv": 28}),
-        (3, "B", {"fwd": 18, "inv": 38}, {"fwd": 16, "inv": 38}),
+        (2, "A", {"fwd": 4, "inv": 5}, {"fwd": 6, "inv": 5}),
+        (2, "B", {"fwd": 8, "inv": 6}, {"fwd": 9, "inv": 10}),
+        (3, "A", {"fwd": 9, "inv": 19}, {"fwd": 12, "inv": 19}),
+        (3, "B", {"fwd": 18, "inv": 20}, {"fwd": 16, "inv": 29}),
     ])
     def test_record_and_bundle_transforms(self, dim: int, formulation: str,
                                           record: dict[str, int], bundle: dict[str, int],
@@ -415,8 +417,10 @@ class TestDiagnosticRecord:
         """Scalar transforms of one record from a given evaluation, and of one
         constraint bundle. The record reads the evaluation's state and
         tendency hats, which are those of real fields, as they are; a B
-        record makes F = (I + G)^{-1} from the G of its residuals, so it makes
-        no jacobian of psi but that one."""
+        record takes G = grad psi, F = (I + G)^{-1} and det(I + G) from the
+        evaluation's geometry, so it makes no jacobian of psi at all and
+        transforms F only forward. The curl residual transforms back only the
+        d^2 (d - 1) derivatives it compares."""
         grid = TorusGrid(dim=dim, n=16 if dim == 2 else 8)
         state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
         params = PhysParams(nu=1.0)
@@ -427,3 +431,51 @@ class TestDiagnosticRecord:
         counter.counts.update(fwd=0, inv=0)
         constraint_bundle(state)
         assert counter.counts == bundle
+
+    @pytest.mark.parametrize("formulation", ["A", "B"])
+    @pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
+                             ids=lambda g: f"{g.dim}d_n{g.n}")
+    def test_record_from_an_evaluation_equals_a_self_made_one(self, grid: TorusGrid,
+                                                              formulation: str) -> None:
+        """A record that reads an evaluation's state hats and, in B, its
+        geometry equals, field by field and bit for bit, the record whose view
+        transforms the state and makes G, F and det(I + G) itself."""
+        state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+        params = PhysParams(nu=0.9)
+        rhs = rhs_A(state, params.nu) if formulation == "A" else rhs_B(state, params.nu)
+        assert (rhs.geometry is None) == (formulation == "A")
+        own = replace(rhs, state_hats=(), geometry=None)
+        given, made = (diagnostic_record(replace(state, hats=None), params, 2, 0.1, r)
+                       for r in (rhs, own))
+        names = [f.name for f in dataclass_fields(DiagnosticRecord)]
+        assert [getattr(given, n).hex() for n in names] == [getattr(made, n).hex() for n in names]
+
+    @pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
+                             ids=lambda g: f"{g.dim}d_n{g.n}")
+    def test_b_record_makes_no_jacobian_and_no_inverse(self, grid: TorusGrid,
+                                                       monkeypatch) -> None:
+        """A B record takes G = grad psi and F = (I + G)^{-1} from its
+        evaluation: it calls neither jacobian_from_hat nor inverse_values,
+        which the same record without the evaluation's geometry calls."""
+        state = generate_initial_data(grid, "random_small", "B", amplitude=1e-2, seed=5)
+        params = PhysParams(nu=1.0)
+        rhs = rhs_B(state, params.nu)
+        calls: list[str] = []
+
+        def spy(module, name: str) -> None:
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module in (spectral, fields, energetics):
+            for name in ("jacobian_from_hat", "inverse_values"):
+                if hasattr(module, name):
+                    spy(module, name)
+        diagnostic_record(state, params, 2, 0.1, rhs)
+        assert calls == []
+        diagnostic_record(state, params, 2, 0.1, replace(rhs, geometry=None))
+        assert sorted(set(calls)) == ["inverse_values", "jacobian_from_hat"]

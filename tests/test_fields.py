@@ -26,6 +26,7 @@ from elastomag.fields import (
 from elastomag.spectral import MatrixField, TorusGrid, VectorField
 
 from conftest import matrix, random_band_limited, vector
+from oracles import curl_residual as full_jacobian_curl_residual
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -145,6 +146,26 @@ class TestCurlResidual:
         rng = np.random.default_rng(2)
         psi = VectorField(grid2, random_band_limited(grid2, rng, ncomp=2, band=3))
         assert curl_residual(grad_potential(psi)) <= 1e-12
+
+    @pytest.mark.parametrize("gradient", [True, False], ids=["gradient", "non_gradient"])
+    @pytest.mark.parametrize("grid", [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)],
+                             ids=lambda g: f"{g.dim}d_n{g.n}")
+    def test_matches_the_full_jacobian_bit_for_bit(self, grid: TorusGrid,
+                                                   gradient: bool) -> None:
+        """Transforming back only the derivatives d_i G^{jk} with i != k gives
+        the float of the full d^3 jacobian, on G = grad psi and on a G with
+        no gradient rows."""
+        rng = np.random.default_rng(7)
+        d = grid.dim
+        if gradient:
+            psi = VectorField(grid, random_band_limited(grid, rng, ncomp=d, band=3))
+            G = grad_potential(psi)
+        else:
+            values = random_band_limited(grid, rng, ncomp=d * d, band=3)
+            G = MatrixField(grid, values.reshape((d, d) + grid.shape))
+        residual = curl_residual(G)
+        assert residual.hex() == full_jacobian_curl_residual(G).hex()
+        assert (residual <= 1e-12) == gradient
 
 
 class TestSphereResidual:

@@ -544,6 +544,24 @@ def test_scalar_transforms_per_step(monkeypatch, dim: int, formulation: str) -> 
     assert seen == STEP_TRANSFORMS[dim, formulation]
 
 
+@pytest.mark.parametrize("h_ext, counts", [
+    (HExt(), {"fwd": 33, "inv": 40}),
+    (HExt(kind="uniform", vector=(0.0, 0.0, 0.5)), {"fwd": 43, "inv": 52}),
+    (HExt(kind="single_mode", amplitude=0.1), {"fwd": 43, "inv": 52}),
+], ids=["zero", "uniform", "single_mode"])
+def test_a_field_is_transformed_once_per_kernel_call(monkeypatch, h_ext: HExt,
+                                                     counts: dict[str, int]) -> None:
+    """A bare 2D A step with a field transforms it once per kernel call, for
+    the momentum's jacobian of h and the magnetization's + h hat alike: 3
+    forward transforms per call for h's components and 6 inverse ones for its
+    jacobian, in both of the step's calls."""
+    grid = TorusGrid(dim=2, n=16)
+    state = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5)
+    counter = TransformCounter(monkeypatch, grid)
+    step_A(state, PhysParams(nu=1.0, h_ext=h_ext), IntegratorConfig(dt=1e-3, t_end=1e-3))
+    assert counter.counts == counts
+
+
 @pytest.mark.parametrize("dim, formulation", sorted(STEP_TRANSFORMS))
 def test_run_transforms_only_its_initial_state(monkeypatch, dim: int, formulation: str) -> None:
     """Each step hands its state the hats it made: k steps without a record
