@@ -263,8 +263,9 @@ def run(
     string instead of raising, so callers can report blow-up cleanly. A
     failed step leaves the last good state; a failed record, the state it
     was recording. A recorded state's right-hand side serves its record and
-    the next step's first stage. The result's state holds no hats, so a
-    caller that keeps results keeps values only.
+    the next step's first stage, which gets it without the geometry that only
+    the record reads. The result's state holds no hats, so a caller that
+    keeps results keeps values only.
     Parameters the state cannot honour raise ValueError before any work.
     """
     check_params(state.formulation, state.grid.dim, params)
@@ -280,7 +281,7 @@ def run(
             return None
         rhs = evaluate(st, nu=params.nu, dealias=dealias)
         diag_sink(diagnostic_record(st, params, s, delta, rhs))
-        return rhs
+        return replace(rhs, geometry=None)
 
     steps = 0
     try:

@@ -544,6 +544,25 @@ def test_scalar_transforms_per_step(monkeypatch, dim: int, formulation: str) -> 
     assert seen == STEP_TRANSFORMS[dim, formulation]
 
 
+def test_run_hands_the_step_an_evaluation_without_geometry(monkeypatch) -> None:
+    """A recorded B state's evaluation reaches the next step without the
+    kernel's geometry, which only the record reads, so no step holds it."""
+    grid = TorusGrid(dim=2, n=16)
+    state = generate_initial_data(grid, "random_small", "B", amplitude=1e-2, seed=5)
+    handed = []
+    original = timestepper.step_B
+
+    def spy(state, params, cfg, dealias=True, _rhs=None):
+        handed.append(_rhs)
+        return original(state, params, cfg, dealias, _rhs)
+
+    monkeypatch.setattr(timestepper, "step_B", spy)
+    records = []
+    result = run(state, PARAMS, IntegratorConfig(dt=1e-3, t_end=2e-3), diag_sink=records.append)
+    assert result.status == "completed" and len(records) == 3
+    assert len(handed) == 2 and all(rhs.geometry is None for rhs in handed)
+
+
 @pytest.mark.parametrize("h_ext, counts", [
     (HExt(), {"fwd": 33, "inv": 40}),
     (HExt(kind="uniform", vector=(0.0, 0.0, 0.5)), {"fwd": 43, "inv": 52}),
