@@ -35,8 +35,7 @@ of psi; _residuals reads the same view. diagnostic_record seeds the view
 with the state hats of one dynamics.Rhs and, in B, with its geometry: the
 jacobian of psi, F's values and det(I + grad psi) that the B kernel made,
 so a B record makes no jacobian and no inverse of its own. constraint_bundle,
-basic_energy and the Picard nodes take the state's own hats and make the
-rest. The curl residual transforms back only the derivatives it compares.
+basic_energy and the Picard nodes take the state's own hats and make the rest.
 """
 
 from __future__ import annotations
