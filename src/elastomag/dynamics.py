@@ -99,11 +99,11 @@ def _llg_hat(
     jac_m: np.ndarray,
     m_hat: np.ndarray,
     h: np.ndarray | None,
+    h_hat: np.ndarray | None,
     mask: np.ndarray | None,
-    h_hat: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Hat of every magnetization tendency term except the stiff Delta M. h_hat,
-    if given, is grid.fft(h), made by a caller that needs it too."""
+    """Hat of every magnetization tendency term except the stiff Delta M, for
+    a field h with hat h_hat (both None for no field)."""
     lap_m = grid.ifft(m_hat * (-grid.k_sq))
     heff = lap_m if h is None else lap_m + h
     gamma = np.einsum("ki...,ki...->...", jac_m, jac_m)
@@ -118,7 +118,7 @@ def _llg_hat(
         combo -= np.einsum("a...,ka...->k...", v, jac_m)
     out = _masked_fft(grid, combo, mask)
     if h is not None:
-        out += grid.fft(h) if h_hat is None else h_hat
+        out += h_hat
     return out
 
 
@@ -128,15 +128,14 @@ def _momentum_hat(
     m: np.ndarray,
     jac_m: np.ndarray,
     stress: np.ndarray,
-    h: np.ndarray | None,
+    h_hat: np.ndarray | None,
     mask: np.ndarray | None,
-    h_hat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unprojected hat of div(stress - grad M (.) grad M - v (x) v) + (grad H)^T M, stress
     being the elastic stress values (F F^T in A, g(grad psi) in B), which are overwritten;
     -div(v (x) v) is -v.grad v for div v = 0. The total stress S is transformed on i <= j
-    only, and (div S)_i = sum_j i k_j Shat^{ji} is summed from those hats. h_hat as
-    in _llg_hat."""
+    only, and (div S)_i = sum_j i k_j Shat^{ji} is summed from those hats. h_hat is
+    the field's hat, or None for no field."""
     stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
     rows, cols = np.triu_indices(grid.dim)
     upper_hat = _masked_fft(grid, stress[rows, cols] - v[rows] * v[cols], mask)
@@ -145,8 +144,8 @@ def _momentum_hat(
         out[j] += grid.ik[i] * upper_hat[p]
         if i != j:
             out[i] += grid.ik[j] * upper_hat[p]
-    if h is not None:
-        jac_h = jacobian_from_hat(grid, grid.fft(h) if h_hat is None else h_hat)
+    if h_hat is not None:
+        jac_h = jacobian_from_hat(grid, h_hat)
         out += _masked_fft(grid, np.einsum("ki...,k...->i...", jac_h, m), mask)
     return out
 
@@ -203,9 +202,9 @@ def _tendency_hats_A(
     """
     jac_m = jacobian_from_hat(grid, state_hats[2])
     h_hat = None if h is None else grid.fft(h)
-    dv = _momentum_hat(grid, v, m, jac_m, np.einsum("ik...,jk...->ij...", f, f), h, mask, h_hat)
+    dv = _momentum_hat(grid, v, m, jac_m, np.einsum("ik...,jk...->ij...", f, f), h_hat, mask)
     df = _deformation_hat(grid, v, f, state_hats[1], mask)
-    dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, mask, h_hat)
+    dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, h_hat, mask)
     return (dv, df, dm), None
 
 
@@ -228,11 +227,11 @@ def _tendency_hats_B(
     v_hat, psi_hat, m_hat = state_hats
     jac_psi, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in (psi_hat, m_hat))
     stress, f, det = _g_values(grid, jac_psi)
-    dv = _momentum_hat(grid, v, m, jac_m, stress, h, mask)
+    dv = _momentum_hat(grid, v, m, jac_m, stress, None, mask)
     dv += grid.k_sq * psi_hat
     adv_psi = np.einsum("a...,ka...->k...", v, jac_psi)
     dpsi = -v_hat - _masked_fft(grid, adv_psi, mask)
-    dm = _llg_hat(grid, v, m, jac_m, m_hat, h, mask)
+    dm = _llg_hat(grid, v, m, jac_m, m_hat, None, None, mask)
     return (dv, dpsi, dm), (jac_psi, f, det)
 
 

@@ -280,8 +280,8 @@ def F_to_G(F: MatrixField, det: np.ndarray | None = None) -> MatrixField:
 def G_to_F(G: MatrixField) -> MatrixField:
     """F = (I + G)^{-1}, the algebraic inverse of F_to_G."""
     grid = G.grid
-    F = inverse_values(grid, G.values + identity_values(grid), "G_to_F")
-    return MatrixField(grid, F)
+    mat, det = identity_plus(grid, G.values)
+    return MatrixField(grid, inverse_values(grid, mat, "G_to_F", det))
 
 
 def det_field(F: MatrixField) -> ScalarField:

@@ -29,7 +29,8 @@ iterate n-1's velocity meets. Each node is an energetics._StateHats view of
 its state and the hats its step made, which makes each jacobian at most
 once, for every stage and norm that reads it; no trajectory is stored.
 Iterate 1 reads the constant iterate 0, so with no external field its
-sources are made once per sweep.
+sources are made once per sweep; a field's values and hat are made once per
+time, for every iterate and term that reads them.
 In both families a non-finite value raises BlowUpError at its node's time;
 in the sweep, for the first (node, iterate, stage) in that order.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -75,6 +76,13 @@ DET_TOL = 1e-6
 # --------------------------------------------------------------------------
 
 
+def _field_at(h_ext: HExt | None, grid: TorusGrid, t: float
+              ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The external field's values at t and their hat, both None for no field."""
+    h = _h_values(h_ext, grid, t)
+    return h, None if h is None else grid.fft(h)
+
+
 def _integrate_llg(
     grid: TorusGrid,
     m0: np.ndarray,
@@ -98,7 +106,7 @@ def _integrate_llg(
 
     def llg_hat(m, m_hat, t):
         jac = jacobian_from_hat(grid, m_hat)
-        return _llg_hat(grid, None, m, jac, m_hat, _h_values(h_ext, grid, t), mask)
+        return _llg_hat(grid, None, m, jac, m_hat, *_field_at(h_ext, grid, t), mask)
 
     def tendency(star, t):
         m_hat = star(0)
@@ -343,20 +351,21 @@ def picard_iterate(
     dt, nu, kappa = cfg.dt, params.nu, params.kappa
     mask = _mask(grid, dealias)
     frozen = variant == "frozen"
+    # a step reads the field at t0, t1 and its predictor's t0 + dt, for every
+    # iterate and term: each time's values and hat are made once
+    field = lru_cache(maxsize=3)(partial(_field_at, params.h_ext, grid))
 
     def velocity_hat(p: _StateHats, t: float) -> np.ndarray:
         v, f, m = (x.values for x in p.state.fields)
         stress = np.einsum("ik...,jk...->ij...", f, f)
-        h = _h_values(params.h_ext, grid, t)
-        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac("M"), stress, h, mask))
+        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac("M"), stress, field(t)[1], mask))
 
     def deformation_hat(p: _StateHats, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
         return _deformation_hat(grid, p.state.v.values, f, f_hat, mask)
 
     def llg_hat(p: _StateHats, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
                 t: float) -> np.ndarray:
-        return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat,
-                        _h_values(params.h_ext, grid, t), mask)
+        return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat, *field(t), mask)
 
     def tendency(p1: _StateHats, v_src1: np.ndarray, f_src1: np.ndarray | None,
                  star: Callable[[int], np.ndarray], t: float) -> tuple[np.ndarray, ...]:

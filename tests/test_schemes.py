@@ -278,6 +278,22 @@ class TestPicardIteration:
         extra = {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]}
         assert extra == {k: 2 * count for k, count in per_node.items()}
 
+    @pytest.mark.parametrize(("variant", "counts"), [
+        ("frozen", {"fwd": 115, "inv": 165}),
+        ("transported", {"fwd": 133, "inv": 187}),
+    ], ids=["frozen", "transported"])
+    def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid, variant: str,
+                                                  counts: dict[str, int], monkeypatch) -> None:
+        """With a field, every iterate and term at one time share its values
+        and hat: 2 iterates of 2 steps transform h at t = 0, dt and 2 dt
+        only, not once per iterate, velocity source and magnetization term
+        (145/165 and 163/187 that way)."""
+        init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
+        params = PhysParams(nu=1.0, h_ext=HExt(kind="single_mode", amplitude=0.1, omega=20.0))
+        counter = TransformCounter(monkeypatch, grid2)
+        picard_iterate(init, params, 2, IntegratorConfig(dt=1e-3, t_end=2e-3), 2, variant)
+        assert counter.counts == counts
+
     @pytest.mark.parametrize("variant", ["frozen", "transported"])
     def test_later_iterates_leave_earlier_ones_unchanged(self, grid2: TorusGrid,
                                                          variant: str) -> None:
