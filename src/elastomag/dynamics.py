@@ -24,24 +24,26 @@ There is one tendency implementation: the fused kernels _tendency_hats_A
 and _tendency_hats_B, which share one signature (grid, v, F|psi, M, h,
 mask, state_hats), share jacobians and a field's hat across terms and
 return tendencies in Fourier space, with the geometry B makes on the way
-(G = grad psi, (I + G)^{-1}, det(I + G); None in A). Both build the
-momentum with _momentum_hat from their elastic stress values. rhs_A and
-rhs_B pass their kernel to one evaluation, which takes the hats a stepped
-state holds (and transforms a state that holds none, such as initial
-data), adds the stiff terms in Fourier space and returns one Rhs: the state
-hats, the kernel's nonstiff hats, the full tendency hats and its geometry.
-That one evaluation serves a diagnostic record, which takes the geometry
-instead of making it again, the next step's first stage (timestepper.run
-hands it over) and stokes.w_diagnostic. The steppers and the schemes call
-the kernels or their pieces (_momentum_hat, _deformation_hat, _llg_hat)
-directly. tests/oracles.py rebuilds every term from the PDE with the
-public spectral operators, as the independent reference the kernels are
-tested against.
+(G = grad psi, (I + G)^{-1}, det(I + G); None in A). B reads psi only
+through its hat, so a step's predictor hands it no values of psi. Both
+build the momentum with _momentum_hat from their elastic stress values.
+rhs_A and rhs_B pass their kernel to one evaluation, which takes the hats
+a stepped state holds (and transforms a state that holds none, such as
+generated initial data), adds the stiff terms in Fourier space and returns
+one Rhs: the state hats, the kernel's nonstiff hats, the full tendency
+hats and its geometry. That one evaluation serves a diagnostic record,
+which takes the geometry instead of making it again, the next step's first
+stage (timestepper.run hands it over) and stokes.w_diagnostic. The
+steppers and the schemes call the kernels or their pieces (_momentum_hat,
+_deformation_hat, _llg_hat) directly. tests/oracles.py rebuilds every term
+from the PDE with the public spectral operators, as the independent
+reference the kernels are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -82,6 +84,12 @@ def _masked_fft(grid: TorusGrid, values: np.ndarray, mask: np.ndarray | None) ->
     if mask is not None:
         hat *= mask
     return hat
+
+
+@cache
+def _upper(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(dim, offset), made once per (dim, offset)."""
+    return np.triu_indices(dim, offset)
 
 
 def _h_values(h_ext: HExt | None, grid: TorusGrid, t: float) -> np.ndarray | None:
@@ -137,7 +145,7 @@ def _momentum_hat(
     only, and (div S)_i = sum_j i k_j Shat^{ji} is summed from those hats. h_hat is
     the field's hat, or None for no field."""
     stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
-    rows, cols = np.triu_indices(grid.dim)
+    rows, cols = _upper(grid.dim, 0)
     upper_hat = _masked_fft(grid, stress[rows, cols] - v[rows] * v[cols], mask)
     out = np.zeros((grid.dim,) + grid.hat_shape, dtype=complex)
     for p, (i, j) in enumerate(zip(rows, cols)):  # S_ij = S_ji feeds rows j and i
@@ -161,10 +169,15 @@ def _deformation_hat(
     form -d_k P_kij - v_i d_k F_kj, exact for div v = 0 and any F. P_kij =
     v_k F_ij - v_i F_kj is antisymmetric in (k, i), so only its entries k < i are
     transformed, and d_k F_kj costs d inverse transforms, F's jacobian d^3."""
-    rows, cols = np.triu_indices(grid.dim, 1)
-    flux_hat = _masked_fft(grid, v[rows, None] * f[cols] - v[cols, None] * f[rows], mask)
+    rows, cols = _upper(grid.dim, 1)
+    flux = np.empty((len(rows),) + f.shape[1:])
+    for p, (k, i) in enumerate(zip(rows, cols)):
+        np.multiply(v[k], f[i], out=flux[p])
+        flux[p] -= v[i] * f[k]
+    flux_hat = _masked_fft(grid, flux, mask)
     col_div = grid.ifft(np.einsum("k...,kj...->j...", grid.ik, f_hat))
-    out = -_masked_fft(grid, v[:, None] * col_div, mask)
+    out = _masked_fft(grid, v[:, None] * col_div, mask)
+    np.negative(out, out=out)
     for p, (k, i) in enumerate(zip(rows, cols)):  # P_kij = -P_ikj feeds rows i and k
         out[i] -= grid.ik[k] * flux_hat[p]
         out[k] += grid.ik[i] * flux_hat[p]
@@ -211,7 +224,7 @@ def _tendency_hats_A(
 def _tendency_hats_B(
     grid: TorusGrid,
     v: np.ndarray,
-    psi: np.ndarray,
+    psi: np.ndarray | None,
     m: np.ndarray,
     h: np.ndarray | None,
     mask: np.ndarray | None,
@@ -219,10 +232,11 @@ def _tendency_hats_B(
 ) -> tuple[Hats, Geometry]:
     """All nonstiff tendency hats of formulation B with shared transforms.
 
-    Same signature as _tendency_hats_A, with psi in place of F; h is always
-    None, as fields.check_params refuses a field in B. Returns (dv_hat,
-    dpsi_hat, dM_hat), dv_hat including the explicit -Delta psi coupling, and
-    the geometry (G, (I + G)^{-1}, det(I + G)) of G = grad psi.
+    Same signature as _tendency_hats_A, with psi in place of F; psi's values
+    are not read (the step passes None), only its hat. h is always None, as
+    fields.check_params refuses a field in B. Returns (dv_hat, dpsi_hat,
+    dM_hat), dv_hat including the explicit -Delta psi coupling, and the
+    geometry (G, (I + G)^{-1}, det(I + G)) of G = grad psi.
     """
     v_hat, psi_hat, m_hat = state_hats
     jac_psi, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in (psi_hat, m_hat))

@@ -15,7 +15,8 @@ StateB share one base that names the formulation, its fields in the order
 from value arrays (STATES maps "A"/"B" to the class). The stepper, the
 snapshot format, the diagnostics and the CLI iterate over that layout. A
 state made by a time step also holds the fields' hats it was transformed
-back from (hats), which every reader of its hats takes instead of
+back from (hats), and a state read as initial data from a snapshot the
+hats its check made; every reader of its hats takes them instead of
 transforming it again.
 
 Pressure is never stored: every momentum tendency is composed with the

@@ -24,6 +24,7 @@ divergence-free u, which preserves det F exactly in the continuum).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from ..fields import (
     STATES, G_to_F, StateA, StateB, grad_potential, identity_matrix_field, identity_values
 )
 from ..schemes import DIV_TOL
-from ..spectral import MatrixField, TorusGrid, VectorField, divergence_values, jacobian_values
+from ..spectral import MatrixField, TorusGrid, VectorField, divergence_from_hat, jacobian_values
 from .snapshot import load_snapshot
 
 STATE_BAND = 3
@@ -201,7 +202,8 @@ def _zero_velocity(grid: TorusGrid) -> VectorField:
 def _from_snapshot(
     grid: TorusGrid, formulation: str, snapshot_path: str | Path | None
 ) -> StateA | StateB:
-    """The snapshot's state, refused unless it fits the config and its v is divergence free."""
+    """The snapshot's state, refused unless it fits the config and its v is divergence
+    free; it holds the hats made for that check, so a run transforms it no more."""
     if snapshot_path is None:
         raise ConfigError("from_snapshot initial data needs snapshot_path")
     state = load_snapshot(snapshot_path)
@@ -214,10 +216,11 @@ def _from_snapshot(
             f"snapshot grid (dim={state.grid.dim}, n={state.grid.n}) does not match "
             f"config grid (dim={grid.dim}, n={grid.n})"
         )
-    div_v = float(np.max(np.abs(divergence_values(grid, state.v.values))))
+    hats = state.field_hats()
+    div_v = float(np.max(np.abs(divergence_from_hat(grid, hats[0]))))
     if div_v > DIV_TOL:
         raise ConfigError(f"snapshot velocity has max |div v| = {div_v:.3g} > {DIV_TOL:g}")
-    return state
+    return replace(state, hats=hats)
 
 
 def generate_initial_data(

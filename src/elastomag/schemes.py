@@ -172,7 +172,8 @@ def solve_llg_given_v(
         raise ValueError(f"cutoff {cutoff} exceeds the dealias bound n/3 = {grid.n / 3:g}")
 
     mask = grid.dealias_mask if cutoff is None else grid.k_sq <= cutoff * cutoff
-    m0_trunc_hat = grid.fft(M0.values) * mask
+    m0_hat = grid.fft(M0.values)
+    m0_trunc_hat = m0_hat * mask
     m0_trunc = grid.ifft(m0_trunc_hat)
     n_steps = _step_count(cfg.t_end, cfg.dt)
     times: list[float] = []
@@ -201,7 +202,7 @@ def solve_llg_given_v(
         d_eps=d_eps,
         M0_truncated=VectorField(grid, m0_trunc),
         M_final=VectorField(grid, m_final),
-        e0=sobolev_norm_sq(M0, s, 1),
+        e0=_hat_norm_sq(grid, _hat_sq(m0_hat), s, 1),
         trajectory=trajectory,
     )
 

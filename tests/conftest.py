@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -100,3 +102,23 @@ class TransformCounter:
             return fn(x, *args, **kwargs)
 
         return counted
+
+
+def repeated_forward_inputs(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """Spy on scipy.fft.rfftn: the returned list collects the sha256 of each scalar
+    slice (over the transformed trailing axes) passed to it a second time."""
+    seen: set[str] = set()
+    repeats: list[str] = []
+    original = scipy.fft.rfftn
+
+    def spied(x, *args, axes, **kwargs):
+        arr = np.asarray(x)
+        for piece in arr.reshape((-1,) + arr.shape[arr.ndim - len(axes):]):
+            digest = hashlib.sha256(np.ascontiguousarray(piece).tobytes()).hexdigest()
+            if digest in seen:
+                repeats.append(digest)
+            seen.add(digest)
+        return original(x, *args, axes=axes, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", spied)
+    return repeats

@@ -25,9 +25,11 @@ from elastomag.harness import (
 from elastomag.harness import initial_data, scenarios
 from elastomag.harness.cli import main
 from elastomag.harness.scenarios import _write_csv
+from elastomag.schemes import solve_llg_given_v
 from elastomag.spectral import TorusGrid, VectorField, divergence_values
+from elastomag.timestepper import IntegratorConfig
 
-from conftest import TransformCounter
+from conftest import TransformCounter, repeated_forward_inputs
 from oracles import momentum_rhs_A, trig_sum
 
 
@@ -575,3 +577,38 @@ class TestScenarios:
         assert [(c["name"], c["pass"]) for c in verdict["checks"]] == checks
         assert verdict["pass"] is (code == 0)
         assert {key: verdict[key] for key in entries} == entries
+
+
+class TestNoForwardTransformRepeats:
+    """No data is transformed forward twice: the hats a snapshot load, a record,
+    a step, the mollified march and a Stokes trial make are handed on. Only
+    forward transforms are gated, because the snapshot's div v check and the
+    first record's div_v_res still make the same inverse transform of v's hat."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)], ids=["2d_n16", "3d_n8"])
+    @pytest.mark.parametrize("formulation", ["A", "B"])
+    def test_run_from_a_snapshot_with_a_record_every_step(
+        self, dim: int, n: int, formulation: str, tmp_path: Path, monkeypatch
+    ) -> None:
+        grid = TorusGrid(dim=dim, n=n)
+        state = generate_initial_data(grid, "random_small", formulation, amplitude=1e-2, seed=5)
+        snap = tmp_path / "start.snap"
+        write_snapshot(state, snap)
+        config = tiny_config(tmp_path / "out", dim=dim, n=n, formulation=formulation,
+                             initial_data="from_snapshot", snapshot_path=str(snap), diag_every=1)
+        repeats = repeated_forward_inputs(monkeypatch)
+        artifacts = run_simulation(config)
+        assert artifacts.result.status == "completed" and len(artifacts.records) == 4
+        assert repeats == []
+
+    def test_mollified_march(self, monkeypatch) -> None:
+        grid = TorusGrid(dim=2, n=16)
+        m0 = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5).M
+        repeats = repeated_forward_inputs(monkeypatch)
+        solve_llg_given_v(m0, None, 4.0, 2, IntegratorConfig(dt=1e-3, t_end=3e-3))
+        assert repeats == []
+
+    def test_stokes_trials(self, monkeypatch) -> None:
+        repeats = repeated_forward_inputs(monkeypatch)
+        assert scenarios._stokes_trials(TorusGrid(dim=2, n=16), 0, 3)[0] == 3
+        assert repeats == []

@@ -517,9 +517,9 @@ class TestSharedEvaluation:
 # evaluation is the step's first stage, so the last two add up to the first.
 STEP_TRANSFORMS = {
     (2, "A"): {"step": (33, 40), "rhs": (21, 11), "step_given_rhs": (12, 29)},
-    (2, "B"): {"step": (23, 40), "rhs": (15, 13), "step_given_rhs": (8, 27)},
+    (2, "B"): {"step": (23, 38), "rhs": (15, 13), "step_given_rhs": (8, 25)},
     (3, "A"): {"step": (69, 60), "rhs": (42, 15), "step_given_rhs": (27, 45)},
-    (3, "B"): {"step": (33, 60), "rhs": (21, 21), "step_given_rhs": (12, 39)},
+    (3, "B"): {"step": (33, 57), "rhs": (21, 21), "step_given_rhs": (12, 36)},
 }
 
 
