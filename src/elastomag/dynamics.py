@@ -175,6 +175,7 @@ def _deformation_hat(
         np.multiply(v[k], f[i], out=flux[p])
         flux[p] -= v[i] * f[k]
     flux_hat = _masked_fft(grid, flux, mask)
+    del flux  # not held through the correction's temporaries, the kernel's peak
     col_div = grid.ifft(np.einsum("k...,kj...->j...", grid.ik, f_hat))
     out = _masked_fft(grid, v[:, None] * col_div, mask)
     np.negative(out, out=out)
