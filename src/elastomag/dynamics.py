@@ -66,11 +66,12 @@ class Rhs:
     n1); tendency_hats are the full tendencies, with the stiff terms added
     and dv Leray-projected. geometry is the kernel's: in B, the G = grad psi,
     F = (I + G)^{-1} and det(I + G) a diagnostic record reads; None in A.
+    timestepper.run hands a step the evaluation with neither (both None).
     """
 
     state_hats: Hats
     stage1_hats: Hats
-    tendency_hats: Hats
+    tendency_hats: Hats | None
     geometry: Geometry | None = None
 
 
@@ -212,13 +213,17 @@ def _tendency_hats_A(
     state_hats are the transforms of (v, f, m); a field h is transformed once,
     for the momentum and the magnetization. Returns (dv_hat, dF_hat, dM_hat)
     and None; dv_hat is not Leray-projected and no stiff diffusion term is
-    included.
+    included. The terms are made in the order momentum, magnetization,
+    deformation: the two that read M's jacobian come first, so it is freed
+    before the deformation's flux and correction temporaries, the kernel's
+    peak.
     """
     jac_m = jacobian_from_hat(grid, state_hats[2])
     h_hat = None if h is None else grid.fft(h)
     dv = _momentum_hat(grid, v, m, jac_m, np.einsum("ik...,jk...->ij...", f, f), h_hat, mask)
-    df = _deformation_hat(grid, v, f, state_hats[1], mask)
     dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, h_hat, mask)
+    del jac_m
+    df = _deformation_hat(grid, v, f, state_hats[1], mask)
     return (dv, df, dm), None
 
 

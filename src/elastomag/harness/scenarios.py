@@ -120,33 +120,30 @@ def _write_table(config: SimulationConfig, header: str, rows: list[str]) -> Path
     return csv_path
 
 
-def _integrate(config: SimulationConfig, state: Any, **sinks: Any) -> RunResult:
-    """Run state under the config's physics, integrator and diagnostic settings."""
-    return run(
-        state,
+def run_simulation(config: SimulationConfig) -> RunArtifacts:
+    """Generate initial data, integrate, and write CSV plus final snapshot.
+
+    Invalid initial data raises ConfigError before out_dir is created. The
+    initial state is made in the run call, with no ** argument tuple and no
+    local to hold it, so it is freed when the first step returns.
+    """
+    out_dir = Path(config.out_dir)
+    records: list[DiagnosticRecord] = []
+
+    def snap_sink(state: Any, k: int) -> None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_snapshot(state, out_dir / f"step_{k:08d}.snap")
+
+    result = run(
+        config.make_state(),
         config.make_params(),
         config.make_integrator(),
         s=config.s,
         delta=config.resolved_delta(),
         dealias=config.dealias,
-        **sinks,
+        diag_sink=records.append,
+        snap_sink=snap_sink,
     )
-
-
-def run_simulation(config: SimulationConfig) -> RunArtifacts:
-    """Generate initial data, integrate, and write CSV plus final snapshot.
-
-    Invalid initial data raises ConfigError before out_dir is created.
-    """
-    state0 = config.make_state()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records: list[DiagnosticRecord] = []
-
-    def snap_sink(state: Any, k: int) -> None:
-        write_snapshot(state, out_dir / f"step_{k:08d}.snap")
-
-    result = _integrate(config, state0, diag_sink=records.append, snap_sink=snap_sink)
     csv_path = _write_table(config, CSV_HEADER, [r.to_csv_row() for r in records])
     final_snapshot = out_dir / "final.snap"
     write_snapshot(result.state, final_snapshot)
@@ -309,7 +306,11 @@ def _picard_study(config: SimulationConfig) -> tuple[list[Check], dict]:
             )
         except ValueError as err:
             raise ConfigError(f"picard_study initial data unsuitable: {err}") from None
-    reference = _completed(_integrate(config, initial), "picard_study[reference]").state
+    reference = _completed(
+        run(initial, params, integ, s=config.s, delta=config.resolved_delta(),
+            dealias=config.dealias),
+        "picard_study[reference]",
+    ).state
 
     rows: list[str] = []
     distances: dict[str, list[float]] = {}

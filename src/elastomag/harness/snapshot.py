@@ -33,11 +33,14 @@ def _layout(dim: int, formulation: str) -> list[tuple[str, tuple[int, ...]]]:
     return list(zip(cls.names, cls.component_shapes(dim)))
 
 
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    """Write beside path, then rename over it: a failed write leaves no partial file."""
+def _write_atomic(path: str | Path, *parts: bytes | np.ndarray) -> None:
+    """Write the parts (bytes, or C-contiguous arrays as their buffers) one after
+    another beside path, then rename over it: a failed write leaves no partial file."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as out:
+            for part in parts:
+                out.write(part)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -57,9 +60,10 @@ def write_snapshot(state: StateA | StateB, path: str | Path) -> None:
             for (name, shape), arr in zip(_layout(grid.dim, state.formulation), arrays)
         ],
     }
-    parts = [json.dumps(header, separators=(",", ":")).encode("ascii"), b"\n"]
-    parts.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in arrays)
-    _write_atomic(path, b"".join(parts))
+    # the values are written from their own buffers (ascontiguousarray copies
+    # only an array that is not little-endian f64 in C order), not joined
+    _write_atomic(path, json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n",
+                  *(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays))
 
 
 def _expect_int(header: dict, key: str) -> int:

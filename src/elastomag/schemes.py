@@ -29,8 +29,9 @@ iterate n-1's velocity meets. Each node is an energetics._StateHats view of
 its state and the hats its step made, which makes each jacobian at most
 once, for every stage and norm that reads it; no trajectory is stored.
 Iterate 1 reads the constant iterate 0, so with no external field its
-sources are made once per sweep; a field's values and hat are made once per
-time, for every iterate and term that reads them.
+sources are made once per sweep, and at step 0, where every iterate's node
+is node 0, all iterates share one first stage; a field's values and hat are
+made once per time, for every iterate and term that reads them.
 In both families a non-finite value raises BlowUpError at its node's time;
 in the sweep, for the first (node, iterate, stage) in that order.
 """
@@ -163,6 +164,20 @@ def solve_llg_given_v(
     |k| <= K and starts from the projected initial data; cutoff = None uses
     the native 2/3-rule projection (full resolution). K must not exceed n/3.
     """
+    return _solve_llg(M0, M0.grid.fft(M0.values), h_ext, cutoff, s, cfg, t0)
+
+
+def _solve_llg(
+    M0: VectorField,
+    m0_hat: np.ndarray,
+    h_ext: HExt | None,
+    cutoff: float | None,
+    s: int,
+    cfg: IntegratorConfig,
+    t0: float,
+) -> MollifierRun:
+    """solve_llg_given_v from M0 and its hat m0_hat, which a study makes once
+    for all its cutoffs."""
     grid = M0.grid
     if sphere_residual(M0) > SPHERE_TOL:
         raise ValueError("initial magnetization must be unit length before truncation")
@@ -172,7 +187,6 @@ def solve_llg_given_v(
         raise ValueError(f"cutoff {cutoff} exceeds the dealias bound n/3 = {grid.n / 3:g}")
 
     mask = grid.dealias_mask if cutoff is None else grid.k_sq <= cutoff * cutoff
-    m0_hat = grid.fft(M0.values)
     m0_trunc_hat = m0_hat * mask
     m0_trunc = grid.ifft(m0_trunc_hat)
     n_steps = _step_count(cfg.t_end, cfg.dt)
@@ -238,11 +252,13 @@ def mollifier_convergence_study(
     cfg: IntegratorConfig,
     t0: float = 0.0,
 ) -> MollifierReport:
-    """Run the mollified scheme from t0 across increasing cutoffs and compare limits."""
+    """Run the mollified scheme from t0 across increasing cutoffs and compare limits;
+    M0 is transformed once for all cutoffs."""
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    runs = [solve_llg_given_v(M0, h_ext, k, s, cfg, t0) for k in cutoffs]
     grid = M0.grid
+    m0_hat = grid.fft(M0.values)
+    runs = [_solve_llg(M0, m0_hat, h_ext, k, s, cfg, t0) for k in cutoffs]
     diffs = [
         math.sqrt(
             sobolev_norm_sq(VectorField(grid, a.M_final.values - b.M_final.values), 0)
@@ -384,6 +400,13 @@ def picard_iterate(
         f_src = deformation_hat(p, p.state.F.values, p["F"]) if frozen else None
         return velocity_hat(p, t), f_src
 
+    def first_stage(p0: _StateHats, own: _StateHats, t: float
+                    ) -> tuple[np.ndarray | None, np.ndarray]:
+        # the first-stage hats of a transported F (None when frozen) and of M at
+        # iterate n's node, read with iterate n-1's node p0
+        f = None if frozen else deformation_hat(p0, own.state.F.values, own["F"])
+        return f, llg_hat(p0, own.state.M.values, own["M"], own.jac("M"), t)
+
     # per iterate: its current node, and the CN sources at iterate n-1's node k;
     # iterate 1 reads the constant node 0, whose sources depend on t only
     # through a field
@@ -397,6 +420,9 @@ def picard_iterate(
     for k in range(_step_count(cfg.t_end, dt)):
         t0, t1 = start + k * dt, start + (k + 1) * dt
         p0 = node0
+        # at step 0 every iterate's own node and its predecessor's are node 0,
+        # so their first stage is made once, and not held past the step
+        stage0 = first_stage(node0, node0, t0) if k == 0 else None
         for n in range(1, n_max + 1):
             # p0, p1: iterate n-1's nodes k and k+1; own: iterate n's node k
             i, p1, own = n - 1, nodes[n - 1], nodes[n]
@@ -404,8 +430,8 @@ def picard_iterate(
                 v_src1, f_src1 = v_src[0], f_src[0]
             else:
                 v_src1, f_src1 = sources(p1, t1)
-            f_src0 = f_src[i] if frozen else deformation_hat(p0, own.state.F.values, own["F"])
-            n1 = (v_src[i], f_src0, llg_hat(p0, own.state.M.values, own["M"], own.jac("M"), t0))
+            f_stage, m_stage = stage0 or first_stage(p0, own, t0)
+            n1 = (v_src[i], f_src[i] if frozen else f_stage, m_stage)
             hats = tuple(own[name] for name in StateA.names)
             values, new_hats = _imex2(grid, hats, n1, t0, dt,
                                       partial(tendency, p1, v_src1, f_src1), (nu, kappa, 1.0),

@@ -39,7 +39,12 @@ formulation choice, and shares one evaluation between a diagnostic record
 and the next step: the record reads its state and tendency hats, and the
 step takes its state hats and nonstiff stage-1 hats as n1, which they
 equal bit for bit; without a record, _step makes n1 with its kernel from
-the state's hats.
+the state's hats. A run holds only what its next stage reads: the step
+after a record gets the evaluation without its tendency hats and geometry,
+and run drops its reference to the initial state when step 1 returns, so a
+caller that hands run a state made in the call frees it there; a caller
+that needs the initial state later keeps it (as scenarios._picard_study
+does for its sweeps and the reference run).
 """
 
 from __future__ import annotations
@@ -268,9 +273,10 @@ def run(
     string instead of raising, so callers can report blow-up cleanly. A
     failed step leaves the last good state; a failed record, the state it
     was recording. A recorded state's right-hand side serves its record and
-    the next step's first stage, which gets it without the geometry that only
-    the record reads. The result's state holds no hats, so a caller that
-    keeps results keeps values only.
+    the next step's first stage, which gets only its state and stage-1 hats.
+    run holds the given state until step 1 returns; a caller's local, or the
+    argument tuple of a ** call, holds it through the whole run. The result's
+    state holds no hats, so a caller that keeps results keeps values only.
     Parameters the state cannot honour raise ValueError before any work.
     """
     check_params(state.formulation, state.grid.dim, params)
@@ -286,7 +292,7 @@ def run(
             return None
         rhs = evaluate(st, nu=params.nu, dealias=dealias)
         diag_sink(diagnostic_record(st, params, s, delta, rhs))
-        return replace(rhs, geometry=None)
+        return replace(rhs, tendency_hats=None, geometry=None)
 
     steps = 0
     try:

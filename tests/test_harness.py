@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import struct
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 
 from elastomag.energetics import CSV_HEADER, delta_default, multiindex_count
 from elastomag.errors import ConfigError, SnapshotError
-from elastomag.fields import HExt, StateA, StateB, det_values, sphere_residual
+from elastomag.fields import HExt, PhysParams, StateA, StateB, det_values, sphere_residual
 from elastomag.harness import (
     SimulationConfig,
     generate_initial_data,
@@ -27,7 +29,7 @@ from elastomag.harness.cli import main
 from elastomag.harness.scenarios import _write_csv
 from elastomag.schemes import solve_llg_given_v
 from elastomag.spectral import TorusGrid, VectorField, divergence_values
-from elastomag.timestepper import IntegratorConfig
+from elastomag.timestepper import IntegratorConfig, run
 
 from conftest import TransformCounter, repeated_forward_inputs
 from oracles import momentum_rhs_A, trig_sum
@@ -275,6 +277,23 @@ class TestSnapshot:
         assert isinstance(loaded, StateB)
         assert np.array_equal(loaded.psi.values, state.psi.values)
 
+    def test_values_are_written_without_a_joined_copy(self, tmp_path: Path) -> None:
+        """The header and each field's values go to the file one after another,
+        from the values' own buffers: writing allocates far less than the
+        payload, which a joined bytes object would take twice over."""
+        state = generate_initial_data(TorusGrid(dim=3, n=16), "random_small", "A", seed=4)
+        payload = sum(f.values.nbytes for f in state.fields)
+        path = tmp_path / "state.snap"
+        write_snapshot(state, path)  # untraced: first-call allocations
+        tracemalloc.start()
+        try:
+            write_snapshot(state, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload // 8
+        assert np.array_equal(load_snapshot(path).F.values, state.F.values)
+
     def _write_valid(self, grid2, tmp_path: Path) -> Path:
         state = generate_initial_data(grid2, "zero_steady", "A")
         path = tmp_path / "state.snap"
@@ -376,6 +395,90 @@ class TestRunSimulation:
         loaded = load_snapshot(artifacts.final_snapshot)
         assert np.array_equal(loaded.v.values, artifacts.result.state.v.values)
         assert loaded.t == artifacts.result.state.t
+
+
+def state_bytes_with_hats(state: StateA | StateB) -> int:
+    """Bytes of one state's values and of its fields' hats."""
+    return sum(f.values.nbytes for f in state.fields) + sum(h.nbytes for h in state.field_hats())
+
+
+class TestRunHoldsOnlyWhatItReads:
+    """A run holds no array its next stage does not read: the initial state
+    dies when step 1 returns, and the step after a record gets the record's
+    evaluation without its tendency hats and geometry."""
+
+    @staticmethod
+    def _watch(state: StateA | StateB, refs: list) -> StateA | StateB:
+        """The state, after taking weak references to its values and held hats."""
+        refs.extend(weakref.ref(a) for a in (*(f.values for f in state.fields), *state.hats))
+        return state
+
+    def test_initial_state_given_to_run_dies_with_step_1(self) -> None:
+        grid = TorusGrid(dim=2, n=16)
+        refs: list = []
+        alive: dict[int, int] = {}
+
+        def make() -> StateA:
+            state = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=5)
+            return self._watch(replace(state, hats=state.field_hats()), refs)
+
+        def snap_sink(state, k: int) -> None:
+            alive[k] = sum(r() is not None for r in refs)
+
+        cfg = IntegratorConfig(dt=1e-3, t_end=2e-3, snapshot_every=1)
+        result = run(make(), PhysParams(nu=1.0), cfg, diag_sink=lambda rec: None,
+                     snap_sink=snap_sink)
+        assert result.status == "completed"
+        assert alive == {0: 6, 1: 0, 2: 0}
+
+    @pytest.mark.parametrize("formulation", ["A", "B"])
+    def test_initial_state_read_from_a_snapshot_dies_with_step_1(
+        self, formulation: str, tmp_path: Path, monkeypatch
+    ) -> None:
+        grid = TorusGrid(dim=2, n=16)
+        snap = tmp_path / "start.snap"
+        write_snapshot(generate_initial_data(grid, "random_small", formulation, amplitude=1e-2,
+                                             seed=5), snap)
+        config = tiny_config(tmp_path / "out", n=16, formulation=formulation,
+                             initial_data="from_snapshot", snapshot_path=str(snap),
+                             snapshot_every=1)
+        refs: list = []
+        alive: dict[str, int] = {}
+        make_state, write = SimulationConfig.make_state, scenarios.write_snapshot
+        monkeypatch.setattr(SimulationConfig, "make_state",
+                            lambda cfg: self._watch(make_state(cfg), refs))
+
+        def spy(state, path) -> None:
+            alive[Path(path).name] = sum(r() is not None for r in refs)
+            write(state, path)
+
+        monkeypatch.setattr(scenarios, "write_snapshot", spy)
+        assert run_simulation(config).result.status == "completed"
+        assert len(refs) == 6
+        assert {name: alive[name] for name in ("step_00000000.snap", "step_00000001.snap")} == {
+            "step_00000000.snap": 6, "step_00000001.snap": 0}
+
+    def test_peak_in_units_of_one_state(self, tmp_path: Path) -> None:
+        """A 3D A run from a snapshot, with records at both ends, peaks at no
+        more than 4.5 states' values and hats (5.13 when the initial state and
+        the record's tendency hats lived through the run)."""
+        grid = TorusGrid(dim=3, n=16)
+        state = generate_initial_data(grid, "random_small", "A", amplitude=1e-2, seed=3)
+        unit = state_bytes_with_hats(state)
+        snap = tmp_path / "start.snap"
+        write_snapshot(state, snap)
+        del state
+        config = tiny_config(tmp_path / "out", dim=3, n=16, initial_data="from_snapshot",
+                             snapshot_path=str(snap), t_end=3e-3, diag_every=3)
+        run_simulation(config)  # untraced: first-call allocations and caches
+        tracemalloc.start()
+        try:
+            artifacts = run_simulation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert artifacts.result.status == "completed" and len(artifacts.records) == 2
+        assert peak <= 4.5 * unit
 
 
 class TestCli:

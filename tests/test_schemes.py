@@ -196,6 +196,22 @@ class TestMollifierStudy:
         for one_run in report.runs:
             assert one_run.sup_e_eps <= 2.2 * one_run.e0
 
+    def test_initial_data_is_transformed_once_per_study(self, grid2: TorusGrid,
+                                                         monkeypatch) -> None:
+        """The study makes M0's hat once for all its cutoffs: three cutoffs cost
+        their three solves and the two final differences' norms (3 forward
+        transforms each), less two forward transforms of M0's 3 components."""
+        m0 = perturbed_m(grid2, 0.05, 2, seed=3)
+        cutoffs = [2.0, 3.0, 4.0]
+        cfg = IntegratorConfig(dt=1e-3, t_end=2e-3)
+        counts = TransformCounter(monkeypatch, grid2).counts
+        mollifier_convergence_study(cutoffs, m0, None, 2, cfg)
+        study = dict(counts)
+        for cutoff in cutoffs:
+            solve_llg_given_v(m0, None, cutoff, 2, cfg)
+        solves = {k: counts[k] - study[k] for k in study}
+        assert study == {"fwd": solves["fwd"] + 2 * 3 - 2 * 3, "inv": solves["inv"]}
+
 
 class TestPicardGuards:
     def test_rejects_non_div_free_velocity(self, grid2: TorusGrid) -> None:
@@ -278,16 +294,40 @@ class TestPicardIteration:
         extra = {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]}
         assert extra == {k: 2 * count for k, count in per_node.items()}
 
+    @pytest.mark.parametrize(("variant", "per_iterate"), [
+        ("frozen", {"fwd": 21, "inv": 30}),
+        ("transported", {"fwd": 21, "inv": 34}),
+    ], ids=["frozen", "transported"])
+    def test_step_zero_makes_the_first_stage_once(self, grid2: TorusGrid, variant: str,
+                                                  per_iterate: dict[str, int],
+                                                  monkeypatch) -> None:
+        """At step 0 every iterate's own node and its predecessor's are node 0,
+        so the first-stage hats of M and of a transported F are the same for
+        all iterates and made once per sweep: each iterate past the first adds
+        to a one-step sweep only its sources at node 1, its predictor tendency,
+        its new node and its norms. Made per iterate, they cost 3/3 (M) and
+        6/2 (a transported F) more: 24/33 and 30/39."""
+        init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
+        counts = TransformCounter(monkeypatch, grid2).counts
+        totals = []
+        for n_max in (1, 3):
+            before = dict(counts)
+            picard_iterate(init, PARAMS, n_max, IntegratorConfig(dt=1e-3, t_end=1e-3), 2, variant)
+            totals.append({k: counts[k] - before[k] for k in before})
+        assert {k: totals[1][k] - totals[0][k] for k in totals[0]} == {
+            k: 2 * count for k, count in per_iterate.items()
+        }
+
     @pytest.mark.parametrize(("variant", "counts"), [
-        ("frozen", {"fwd": 115, "inv": 165}),
-        ("transported", {"fwd": 133, "inv": 187}),
+        ("frozen", {"fwd": 112, "inv": 162}),
+        ("transported", {"fwd": 124, "inv": 182}),
     ], ids=["frozen", "transported"])
     def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid, variant: str,
                                                   counts: dict[str, int], monkeypatch) -> None:
         """With a field, every iterate and term at one time share its values
         and hat: 2 iterates of 2 steps transform h at t = 0, dt and 2 dt
         only, not once per iterate, velocity source and magnetization term
-        (145/165 and 163/187 that way)."""
+        (142/162 and 154/182 that way)."""
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         params = PhysParams(nu=1.0, h_ext=HExt(kind="single_mode", amplitude=0.1, omega=20.0))
         counter = TransformCounter(monkeypatch, grid2)

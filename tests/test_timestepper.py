@@ -546,7 +546,8 @@ def test_scalar_transforms_per_step(monkeypatch, dim: int, formulation: str) -> 
 
 def test_run_hands_the_step_an_evaluation_without_geometry(monkeypatch) -> None:
     """A recorded B state's evaluation reaches the next step without the
-    kernel's geometry, which only the record reads, so no step holds it."""
+    kernel's geometry and the tendency hats, which only the record reads, so
+    no step holds them."""
     grid = TorusGrid(dim=2, n=16)
     state = generate_initial_data(grid, "random_small", "B", amplitude=1e-2, seed=5)
     handed = []
@@ -560,7 +561,8 @@ def test_run_hands_the_step_an_evaluation_without_geometry(monkeypatch) -> None:
     records = []
     result = run(state, PARAMS, IntegratorConfig(dt=1e-3, t_end=2e-3), diag_sink=records.append)
     assert result.status == "completed" and len(records) == 3
-    assert len(handed) == 2 and all(rhs.geometry is None for rhs in handed)
+    assert len(handed) == 2
+    assert all(rhs.geometry is None and rhs.tendency_hats is None for rhs in handed)
 
 
 @pytest.mark.parametrize("h_ext, counts", [
