@@ -295,17 +295,20 @@ def curl_residual(G: MatrixField) -> float:
 
     Zero exactly when every row of G is a gradient (G = grad psi rows). Only
     the d^2 (d - 1) derivatives with i != k enter, so only those are
-    transformed back: 4 inverse transforms in 2D and 18 in 3D, not d^3.
+    transformed back: 4 inverse transforms in 2D and 18 in 3D, not d^3. They
+    are made one row j at a time: all 18 at once (with their hats and the
+    transform's own copy) were a 3D run's peak, a record's.
     """
     grid = G.grid
     hat = grid.fft(G.values)
-    triples = [(j, k, i) for j in range(grid.dim) for k in range(grid.dim) for i in range(k)]
-    # d_i G^{jk} for each triple, then d_k G^{ji} for each
-    der = grid.ifft(np.stack([hat[j, k] * grid.ik[i] for j, k, i in triples]
-                             + [hat[j, i] * grid.ik[k] for j, k, i in triples]))
+    pairs = [(k, i) for k in range(grid.dim) for i in range(k)]
     res = 0.0
-    for a, b in zip(der[: len(triples)], der[len(triples):]):
-        res = max(res, float(np.max(np.abs(a - b))))
+    for j in range(grid.dim):
+        # d_i G^{jk} for each pair, then d_k G^{ji} for each
+        der = grid.ifft(np.stack([hat[j, k] * grid.ik[i] for k, i in pairs]
+                                 + [hat[j, i] * grid.ik[k] for k, i in pairs]))
+        for a, b in zip(der[: len(pairs)], der[len(pairs):]):
+            res = max(res, float(np.max(np.abs(a - b))))
     return res
 
 
