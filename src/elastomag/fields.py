@@ -296,8 +296,8 @@ def curl_residual(G: MatrixField) -> float:
     Zero exactly when every row of G is a gradient (G = grad psi rows). Only
     the d^2 (d - 1) derivatives with i != k enter, so only those are
     transformed back: 4 inverse transforms in 2D and 18 in 3D, not d^3. They
-    are made one row j at a time: all 18 at once (with their hats and the
-    transform's own copy) were a 3D run's peak, a record's.
+    are made one row j at a time: made at once, all 18 with their hats and
+    the transform's own copy set a 3D run's resident peak, inside a record.
     """
     grid = G.grid
     hat = grid.fft(G.values)
