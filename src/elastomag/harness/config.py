@@ -109,7 +109,6 @@ class SimulationConfig:
     snapshot_path: str | None = None
     dt: float = 1e-3
     t_end: float = 1.0
-    scheme: str = "imex2"
     renormalize_m: bool = False
     cfl_guard: float = 0.5
     snapshot_every: int = 0

@@ -243,9 +243,10 @@ def _constraint_audit(config: SimulationConfig) -> tuple[list[Check], dict]:
         trg_max = max(r.trG_vs_divpsi_res for r in recs)
         checks.append(_at_most("curl_res_max", curl_max, CURL_TOL))
         checks.append(_at_most("trG_vs_divpsi_res_max", trg_max, TRG_TOL))
-        if config.n // 2 >= 8:
+        coarse_n = config.n // 4 * 2  # the largest even grid <= n/2
+        if coarse_n >= 8:
             coarse_cfg = config.with_overrides(
-                n=config.n // 2, out_dir=str(Path(config.out_dir) / "coarse")
+                n=coarse_n, out_dir=str(Path(config.out_dir) / "coarse")
             )
             coarse = _completed(run_simulation(coarse_cfg).result, "constraint_audit[coarse]")
             ratio_fine, ratio_coarse = (

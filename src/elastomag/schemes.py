@@ -22,12 +22,13 @@ from, over which the mollified energies sum.
 picard_iterate makes one sweep over the time steps from the initial state's
 time. At step k -> k+1, iterates n = 1, 2, ... in turn advance (v, F, M) by
 one _imex2 call, reading iterate n-1's nodes k and k+1: v and a frozen F
-take iterate n-1's sources (Crank-Nicolson), a transported F and M read
-their own predictors. The v and F tendencies (dynamics._momentum_hat and
-_deformation_hat) make no jacobian of v or F and assume the div v = 0 that
-iterate n-1's velocity meets. Each node is an energetics._StateHats view of
-its state and the hats its step made, which makes each jacobian at most
-once, for every stage and norm that reads it; no trajectory is stored.
+take iterate n-1's sources (Crank-Nicolson) and declare no predictor, a
+transported F and M declare theirs and are evaluated there. The v and F
+tendencies (dynamics._momentum_hat and _deformation_hat) make no jacobian
+of v or F and assume the div v = 0 that iterate n-1's velocity meets. Each
+node is an energetics._StateHats view of its state and the hats its step
+made, which makes each jacobian at most once, for every stage and norm that
+reads it; no trajectory is stored.
 Iterate 1 reads the constant iterate 0, so with no external field its
 sources are made once per sweep, and at step 0, where every iterate's node
 is node 0, all iterates share one first stage; a field's values and hat are
@@ -105,20 +106,17 @@ def _integrate_llg(
     non-finite one raises BlowUpError.
     """
 
-    def llg_hat(m, m_hat, t):
+    def nonstiff(values, hats, t):
+        (m,), (m_hat,) = values, hats
         jac = jacobian_from_hat(grid, m_hat)
-        return _llg_hat(grid, None, m, jac, m_hat, *_field_at(h_ext, grid, t), mask)
-
-    def tendency(star, t):
-        m_hat = star(0)
-        return (llg_hat(grid.ifft(m_hat), m_hat, t),)
+        return (_llg_hat(grid, None, m, jac, m_hat, *_field_at(h_ext, grid, t), mask),)
 
     m, m_hat = m0, m0_hat
     on_node(0, t0, m, m_hat)
     for k in range(n_steps):
         tk = t0 + k * dt
-        (m,), (m_hat,) = _imex2(grid, (m_hat,), (llg_hat(m, m_hat, tk),), tk, dt, tendency,
-                                (1.0,), (None,))
+        (m,), (m_hat,) = _imex2(grid, (m_hat,), nonstiff((m,), (m_hat,), tk), tk, dt, nonstiff,
+                                (True,), (1.0,), (None,))
         t1 = t0 + (k + 1) * dt
         if not np.all(np.isfinite(m)):
             raise BlowUpError(t1)
@@ -229,7 +227,6 @@ class MollifierReport:
     diffs[i] / diffs[i+1]; bound_ok asserts sup_t E_eps <= 2.2 E0 per run.
     """
 
-    cutoffs: list[float]
     runs: list[MollifierRun]
     diffs: list[float]
     e0: float
@@ -268,9 +265,7 @@ def mollifier_convergence_study(
     e0 = runs[0].e0 if runs else 0.0
     e_bound = 2.2 * e0
     bound_ok = all(r.sup_e_eps <= e_bound for r in runs)
-    return MollifierReport(
-        cutoffs=list(cutoffs), runs=runs, diffs=diffs, e0=e0, e_bound=e_bound, bound_ok=bound_ok
-    )
+    return MollifierReport(runs=runs, diffs=diffs, e0=e0, e_bound=e_bound, bound_ok=bound_ok)
 
 
 # --------------------------------------------------------------------------
@@ -368,6 +363,7 @@ def picard_iterate(
     dt, nu, kappa = cfg.dt, params.nu, params.kappa
     mask = _mask(grid, dealias)
     frozen = variant == "frozen"
+    reads = (None, None if frozen else True, True)  # the predictors nonstiff reads
     # a step reads the field at t0, t1 and its predictor's t0 + dt, for every
     # iterate and term: each time's values and hat are made once
     field = lru_cache(maxsize=3)(partial(_field_at, params.h_ext, grid))
@@ -384,15 +380,13 @@ def picard_iterate(
                 t: float) -> np.ndarray:
         return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat, *field(t), mask)
 
-    def tendency(p1: _StateHats, v_src1: np.ndarray, f_src1: np.ndarray | None,
-                 star: Callable[[int], np.ndarray], t: float) -> tuple[np.ndarray, ...]:
+    def nonstiff(p1: _StateHats, v_src1: np.ndarray, f_src1: np.ndarray | None,
+                 values: tuple, hats: tuple, t: float) -> tuple[np.ndarray, ...]:
         # v and a frozen F take iterate n-1's sources at node k+1; a transported
         # F and M read their predictors
         if f_src1 is None:
-            f_star = star(1)
-            f_src1 = deformation_hat(p1, grid.ifft(f_star), f_star)
-        m_star = star(2)
-        m_src1 = llg_hat(p1, grid.ifft(m_star), m_star, jacobian_from_hat(grid, m_star), t)
+            f_src1 = deformation_hat(p1, values[1], hats[1])
+        m_src1 = llg_hat(p1, values[2], hats[2], jacobian_from_hat(grid, hats[2]), t)
         return v_src1, f_src1, m_src1
 
     def sources(p: _StateHats, t: float) -> tuple[np.ndarray, np.ndarray | None]:
@@ -434,8 +428,8 @@ def picard_iterate(
             n1 = (v_src[i], f_src[i] if frozen else f_stage, m_stage)
             hats = tuple(own[name] for name in StateA.names)
             values, new_hats = _imex2(grid, hats, n1, t0, dt,
-                                      partial(tendency, p1, v_src1, f_src1), (nu, kappa, 1.0),
-                                      _POSTS["A"])
+                                      partial(nonstiff, p1, v_src1, f_src1), reads,
+                                      (nu, kappa, 1.0), _POSTS["A"])
             v_src[i], f_src[i] = v_src1, f_src1
             for name, x in zip(("velocity", "deformation", "magnetization"), values):
                 if not np.all(np.isfinite(x)):

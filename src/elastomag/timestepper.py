@@ -19,20 +19,20 @@ fixed (no adaptivity) so energy-monotonicity checks stay clean and runs
 are bit-reproducible.
 
 The rule is written once, in _imex2, on Fourier coefficients: it starts
-from the fields' hats and first-stage tendency hats n1, a tendency callable
-gives the hats at the predictor (field i's predictor hat is made when it
-asks star(i)), the implicit solves (_implicit_stage, _cn_stage) and the
-per-field post-operations (_POSTS) are diagonal there, and a step transforms
-back the values its kernel reads: each new field once and, at the
-predictor, only the fields named in _READS (B's kernel takes psi only
-through its hat). It returns the final hats beside the values, and every
-march hands them on with the new state (fields._State.hats), so no march
-transforms a state it just made: a field is transformed only where nobody
-holds its hat, as for generated initial data and M after renormalize_m. A
-diffusivity of 0 makes a field purely explicit. Every march makes one
-_imex2 call per step: _step, to which step_A and step_B hand their kernel
-(dynamics._tendency_hats_A/_B), and the marches of schemes._integrate_llg
-and schemes.picard_iterate.
+from the fields' hats and first-stage tendency hats n1, and the nonstiff
+callable that makes n1 makes the hats at the predictor too. Each march
+declares per field what that callable reads there (a step's _READS: B's
+kernel takes psi only through its hat), and _imex2 makes only the declared
+predictor hats and transforms back only the declared values. The implicit
+solves (_implicit_stage, _cn_stage) and the per-field post-operations
+(_POSTS) are diagonal there, and each new field is transformed back once.
+It returns the final hats beside the values, and every march hands them on
+with the new state (fields._State.hats), so no march transforms a state it
+just made: a field is transformed only where nobody holds its hat, as for
+generated initial data and M after renormalize_m. A diffusivity of 0 makes
+a field purely explicit. Every march makes one _imex2 call per step: _step,
+to which step_A and step_B hand their kernel (dynamics._tendency_hats_A/_B),
+and the marches of schemes._integrate_llg and schemes.picard_iterate.
 
 run picks the stepper and the evaluation (dynamics.rhs_A/rhs_B) in one
 formulation choice, and shares one evaluation between a diagnostic record
@@ -77,7 +77,6 @@ class IntegratorConfig:
 
     dt: float
     t_end: float
-    scheme: str = "imex2"
     renormalize_m: bool = False
     cfl_guard: float = 0.5
     snapshot_every: int = 0
@@ -91,8 +90,6 @@ class IntegratorConfig:
         _step_count(self.t_end, self.dt)
         if not 0 < self.cfl_guard <= 1:
             raise ValueError(f"cfl_guard must be in (0, 1], got {self.cfl_guard}")
-        if self.scheme != "imex2":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.diag_every < 1:
             raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
         if self.snapshot_every < 0:
@@ -130,7 +127,7 @@ def _gauge_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
 
 
 # Each formulation's post-operations on the (v, F|psi, M) hats after a stage,
-# and the fields whose predictor values its kernel reads (B reads psi by its hat).
+# and what its kernel reads of each predictor (_imex2's reads: B takes psi by its hat).
 _POSTS = {"A": (leray_hat, None, None), "B": (leray_hat, _gauge_hat, None)}
 _READS = {"A": (True, True, True), "B": (True, False, True)}
 
@@ -172,7 +169,8 @@ def _imex2(
     n1: tuple[np.ndarray, ...],
     t0: float,
     dt: float,
-    tendency: Callable[[Callable[[int], np.ndarray], float], tuple[np.ndarray, ...]],
+    nonstiff: Callable[[tuple, tuple, float], tuple[np.ndarray, ...]],
+    reads: tuple[bool | None, ...],
     diffusivities: tuple[float, ...],
     posts: tuple[Callable[[TorusGrid, np.ndarray], np.ndarray] | None, ...],
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -180,8 +178,9 @@ def _imex2(
     values and the hats they were transformed back from.
 
     n1 holds the nonstiff tendency hats of every field at (hats, t0), and
-    tendency(star, t0 + dt) gives them at the predictor, where star(i) is
-    field i's predictor hat, made on first use. Field i diffuses with
+    nonstiff(values, hats, t0 + dt) gives them at the predictor. reads[i]
+    declares what it takes of field i there: True its predictor values and
+    hat, False the hat only, None neither (both None). Field i diffuses with
     diffusivities[i] (0: none), and posts[i] (None: identity) is applied to
     its hat after each stage.
     """
@@ -189,14 +188,12 @@ def _imex2(
     def post(hat: np.ndarray, op) -> np.ndarray:
         return hat if op is None else op(grid, hat)
 
-    stars: dict[int, np.ndarray] = {}
-
-    def star(i: int) -> np.ndarray:
-        if i not in stars:
-            stars[i] = post(_implicit_stage(grid, hats[i], n1[i], diffusivities[i], dt), posts[i])
-        return stars[i]
-
-    n2 = tendency(star, t0 + dt)
+    stars = tuple(
+        None if r is None else post(_implicit_stage(grid, h, a, c, dt), op)
+        for h, a, r, c, op in zip(hats, n1, reads, diffusivities, posts)
+    )
+    values = tuple(grid.ifft(h) if r else None for h, r in zip(stars, reads))
+    n2 = nonstiff(values, stars, t0 + dt)
     new_hats = tuple(
         post(_cn_stage(grid, h, a, b, c, dt), op)
         for h, a, b, c, op in zip(hats, n1, n2, diffusivities, posts)
@@ -218,19 +215,14 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
         h = dynamics._h_values(params.h_ext, grid, t)
         return kernel(grid, *values, h, mask, hats)[0]
 
-    def tendency(star, t):
-        stars = tuple(star(i) for i in range(3))
-        values = (grid.ifft(h) if r else None for h, r in zip(stars, _READS[state.formulation]))
-        return nonstiff(tuple(values), stars, t)
-
     if rhs is None:
         hats = state.field_hats()
         n1 = nonstiff(tuple(f.values for f in state.fields), hats, state.t)
     else:
         hats, n1 = rhs.state_hats, rhs.stage1_hats
     values, new_hats = _imex2(
-        grid, hats, n1, state.t, cfg.dt, tendency, (params.nu, params.kappa, 1.0),
-        _POSTS[state.formulation]
+        grid, hats, n1, state.t, cfg.dt, nonstiff, _READS[state.formulation],
+        (params.nu, params.kappa, 1.0), _POSTS[state.formulation]
     )
     if cfg.renormalize_m:
         m_new = renormalize_M(VectorField(grid, values[2])).values

@@ -69,7 +69,6 @@ class TestConfig:
         assert config.dim == 2
         assert config.n == 64
         assert config.formulation == "A"
-        assert config.scheme == "imex2"
         assert config.delta == "auto"
         assert config.h_ext.is_zero
 
@@ -481,6 +480,10 @@ class TestRunHoldsOnlyWhatItReads:
         assert peak <= 4.5 * unit
 
 
+# a formulation-B run whose first step trips the CFL guard
+GUARD_TRIP = {"formulation": "B", "n": 16, "dt": 1.0, "t_end": 4.0, "amplitude": 0.3}
+
+
 class TestCli:
     def test_missing_subcommand_is_usage_error(self, capsys) -> None:
         assert main([]) == 2
@@ -578,6 +581,24 @@ class TestCli:
         assert main(["inspect", str(bad)]) == 1
         capsys.readouterr()
 
+    def test_run_that_trips_a_guard_exits_3(self, tmp_path: Path, capsys) -> None:
+        """The CFL guard ends the run: exit 3, its status printed, and what it
+        wrote kept."""
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, **GUARD_TRIP, out_dir=str(out_dir))
+        assert main(["run", str(config)]) == 3
+        assert "status: cfl_violation" in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.iterdir()) == ["diagnostics.csv", "final.snap"]
+
+    def test_scenario_that_trips_a_guard_exits_3(self, tmp_path: Path, capsys) -> None:
+        """A scenario whose run trips a guard raises a NumericalError, which
+        main reports on stderr with exit 3 and no verdict."""
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, **GUARD_TRIP, out_dir=str(out_dir))
+        assert main(["scenario", "decay_small_data", str(config)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not (out_dir / "verdict.json").exists()
+
     def test_scenario_writes_verdict(self, tmp_path: Path, capsys) -> None:
         config = write_config(tmp_path, n=16, t_end=1e-3)
         assert main(["scenario", "stokes_verify", str(config)]) == 0
@@ -613,6 +634,13 @@ SCENARIO_CASES = {
     ),
     "constraint_audit_B": (
         ["scenario", "constraint_audit"], {"formulation": "B"}, 0,
+        [("sphere_res_max", True), ("det_res_drift", True), ("div_v_res_max", True),
+         ("curl_res_max", True), ("trG_vs_divpsi_res_max", True),
+         ("key_structure_ratio_stability", True)],
+        ["coarse/diagnostics.csv", "coarse/final.snap", *RUN_FILES], {},
+    ),
+    "constraint_audit_B_n18": (
+        ["scenario", "constraint_audit"], {"formulation": "B", "n": 18}, 0,
         [("sphere_res_max", True), ("det_res_drift", True), ("div_v_res_max", True),
          ("curl_res_max", True), ("trG_vs_divpsi_res_max", True),
          ("key_structure_ratio_stability", True)],

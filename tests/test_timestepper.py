@@ -94,10 +94,6 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-3, t_end=1.0, cfl_guard=0.0)
 
-    def test_rejects_unknown_scheme(self) -> None:
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=1e-3, t_end=1.0, scheme="euler")
-
     def test_rejects_t_end_off_the_time_grid(self) -> None:
         with pytest.raises(ValueError, match="multiple of dt"):
             IntegratorConfig(dt=0.3, t_end=1.0)
@@ -131,23 +127,43 @@ class TestDiffusionSolves:
         out = grid2.ifft(_implicit_stage(grid2, grid2.fft(values), 0.0, 2.0, 0.1))
         assert np.max(np.abs(out - values)) <= 1e-13
 
-    def test_imex2_makes_only_the_predictors_a_tendency_reads(self, grid2: TorusGrid,
-                                                               monkeypatch) -> None:
-        """A tendency that reads no predictor: no forward transform, one inverse
-        transform per field, and the Crank-Nicolson step of the given sources,
-        as values and as the hats they were transformed back from."""
+    def test_imex2_makes_only_the_predictors_declared_read(self, grid2: TorusGrid,
+                                                            monkeypatch) -> None:
+        """reads (None, False, True): nonstiff gets no predictor of field 0, the
+        hat of field 1 and the values and hat of field 2; two implicit stages,
+        no forward transform, one inverse transform for field 2's predictor and
+        one per field for the result, which is the Crank-Nicolson step of the
+        given sources, as values and as the hats they were transformed back from."""
         rng = np.random.default_rng(3)
         fields = [rng.standard_normal((ncomp,) + grid2.shape) for ncomp in (2, 4, 3)]
         hats = tuple(grid2.fft(x) for x in fields)
         n1 = tuple(0.1 * h for h in hats)
         n2 = tuple(0.2 * h for h in hats)
+        cs, dt = (1.0, 0.0, 2.0), 0.1
+        seen = []
+
+        def nonstiff(values, stars, t):
+            seen.append((values, stars, t))
+            return n2
+
+        implicit_calls = []
+        monkeypatch.setattr(timestepper, "_implicit_stage",
+                            lambda *args: implicit_calls.append(args) or _implicit_stage(*args))
         counter = TransformCounter(monkeypatch, grid2)
-        out, out_hats = timestepper._imex2(grid2, hats, n1, 0.0, 0.1, lambda star, t: n2,
-                                           (1.0, 0.0, 2.0), (None, None, None))
-        assert counter.counts == {"fwd": 0, "inv": 9}
-        assert counter.calls == {"fwd": 0, "inv": 3}
-        for x, x_hat, h, a, b, c in zip(out, out_hats, hats, n1, n2, (1.0, 0.0, 2.0)):
-            assert np.array_equal(x_hat, _cn_stage(grid2, h, a, b, c, 0.1))
+        out, out_hats = timestepper._imex2(grid2, hats, n1, 0.0, dt, nonstiff, (None, False, True),
+                                           cs, (None, None, None))
+        counts, calls = dict(counter.counts), dict(counter.calls)
+        assert counts == {"fwd": 0, "inv": 3 + 9}
+        assert calls == {"fwd": 0, "inv": 1 + 3}
+        assert len(implicit_calls) == 2
+        (values, stars, t), = seen
+        assert t == dt
+        assert values[:2] == (None, None) and stars[0] is None
+        for i in (1, 2):
+            assert np.array_equal(stars[i], _implicit_stage(grid2, hats[i], n1[i], cs[i], dt))
+        assert np.array_equal(values[2], grid2.ifft(stars[2]))
+        for x, x_hat, h, a, b, c in zip(out, out_hats, hats, n1, n2, cs):
+            assert np.array_equal(x_hat, _cn_stage(grid2, h, a, b, c, dt))
             assert np.array_equal(x, grid2.ifft(x_hat))
 
     def test_crank_nicolson_single_mode(self, grid2: TorusGrid) -> None:
