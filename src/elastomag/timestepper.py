@@ -192,8 +192,9 @@ def _imex2(
         None if r is None else post(_implicit_stage(grid, h, a, c, dt), op)
         for h, a, r, c, op in zip(hats, n1, reads, diffusivities, posts)
     )
-    values = tuple(grid.ifft(h) if r else None for h, r in zip(stars, reads))
-    n2 = nonstiff(values, stars, t0 + dt)
+    # the predictor values die with the call, before the final stage's arrays are made
+    n2 = nonstiff(tuple(grid.ifft(h) if r else None for h, r in zip(stars, reads)), stars,
+                  t0 + dt)
     new_hats = tuple(
         post(_cn_stage(grid, h, a, b, c, dt), op)
         for h, a, b, c, op in zip(hats, n1, n2, diffusivities, posts)

@@ -127,8 +127,8 @@ class TestDiffusionSolves:
         out = grid2.ifft(_implicit_stage(grid2, grid2.fft(values), 0.0, 2.0, 0.1))
         assert np.max(np.abs(out - values)) <= 1e-13
 
-    def test_imex2_makes_only_the_predictors_declared_read(self, grid2: TorusGrid,
-                                                            monkeypatch) -> None:
+    def test_imex2_makes_only_the_predictors_a_tendency_reads(self, grid2: TorusGrid,
+                                                               monkeypatch) -> None:
         """reads (None, False, True): nonstiff gets no predictor of field 0, the
         hat of field 1 and the values and hat of field 2; two implicit stages,
         no forward transform, one inverse transform for field 2's predictor and
