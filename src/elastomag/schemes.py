@@ -12,12 +12,12 @@ checks assert.
 
 Both families advance in time with the IMEX2 rule of the timestepper,
 one timestepper._imex2 call per step, and start each step from the hats
-the last one returned: no node is transformed. _integrate_llg marches M
-alone, from a given t0 (M0 carries no time) and the truncated initial hat,
-with diffusivity 1 and the magnetization tendency of dynamics._llg_hat
-under the projection's mask; on_node(k, t, m, m_hat) fires at each node,
-the initial one included, with the values and the hat the next step starts
-from, over which the mollified energies sum.
+the last one returned: no node is transformed. _integrate_llg is the
+whole mollified solve: it checks and truncates the initial data, marches M
+alone from a given t0 (M0 carries no time) with diffusivity 1 and the
+tendency of dynamics._llg_hat under the projection's mask, and at each node,
+the initial one included, sums the mollified energies over the hat the next
+step starts from and copies M into the trajectory on the snapshot cadence.
 
 picard_iterate makes one sweep over the time steps from the initial state's
 time. At step k -> k+1, iterates n = 1, 2, ... in turn advance (v, F, M) by
@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable
 
 import numpy as np
 
@@ -66,8 +65,6 @@ from .spectral import (
 )
 from .timestepper import _POSTS, IntegratorConfig, _imex2, _step_count
 
-NodeHook = Callable[[int, float, np.ndarray, np.ndarray], None]
-
 SPHERE_TOL = 1e-8
 DIV_TOL = 1e-10
 DET_TOL = 1e-6
@@ -83,45 +80,6 @@ def _field_at(h_ext: HExt | None, grid: TorusGrid, t: float
     """The external field's values at t and their hat, both None for no field."""
     h = _h_values(h_ext, grid, t)
     return h, None if h is None else grid.fft(h)
-
-
-def _integrate_llg(
-    grid: TorusGrid,
-    m0: np.ndarray,
-    m0_hat: np.ndarray,
-    h_ext: HExt | None,
-    mask: np.ndarray | None,
-    t0: float,
-    dt: float,
-    n_steps: int,
-    on_node: NodeHook,
-) -> np.ndarray:
-    """Integrate the magnetization flow with one single-field IMEX2 call per step.
-
-    Delta M is Crank-Nicolson, everything else trapezoidal-explicit, with
-    the nonlinear terms truncated to mask (None: no truncation), from m0 and
-    its hat m0_hat. Node k is at t0 + k*dt. on_node(k, t, m, m_hat) fires at
-    every node including the initial one, with the hat the next step starts
-    from, which is the one the last step made. Returns the final values; a
-    non-finite one raises BlowUpError.
-    """
-
-    def nonstiff(values, hats, t):
-        (m,), (m_hat,) = values, hats
-        jac = jacobian_from_hat(grid, m_hat)
-        return (_llg_hat(grid, None, m, jac, m_hat, *_field_at(h_ext, grid, t), mask),)
-
-    m, m_hat = m0, m0_hat
-    on_node(0, t0, m, m_hat)
-    for k in range(n_steps):
-        tk = t0 + k * dt
-        (m,), (m_hat,) = _imex2(grid, (m_hat,), nonstiff((m,), (m_hat,), tk), tk, dt, nonstiff,
-                                (True,), (1.0,), (None,))
-        t1 = t0 + (k + 1) * dt
-        if not np.all(np.isfinite(m)):
-            raise BlowUpError(t1)
-        on_node(k + 1, t1, m, m_hat)
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +120,10 @@ def solve_llg_given_v(
     |k| <= K and starts from the projected initial data; cutoff = None uses
     the native 2/3-rule projection (full resolution). K must not exceed n/3.
     """
-    return _solve_llg(M0, M0.grid.fft(M0.values), h_ext, cutoff, s, cfg, t0)
+    return _integrate_llg(M0, M0.grid.fft(M0.values), h_ext, cutoff, s, cfg, t0)
 
 
-def _solve_llg(
+def _integrate_llg(
     M0: VectorField,
     m0_hat: np.ndarray,
     h_ext: HExt | None,
@@ -175,7 +133,9 @@ def _solve_llg(
     t0: float,
 ) -> MollifierRun:
     """solve_llg_given_v from M0 and its hat m0_hat, which a study makes once
-    for all its cutoffs."""
+    for all its cutoffs, with one single-field IMEX2 call per step: Delta M
+    is Crank-Nicolson, everything else trapezoidal-explicit, the nonlinear
+    terms truncated to the cutoff's mask. Node k is at t0 + k*dt."""
     grid = M0.grid
     if sphere_residual(M0) > SPHERE_TOL:
         raise ValueError("initial magnetization must be unit length before truncation")
@@ -187,13 +147,26 @@ def _solve_llg(
     mask = grid.dealias_mask if cutoff is None else grid.k_sq <= cutoff * cutoff
     m0_trunc_hat = m0_hat * mask
     m0_trunc = grid.ifft(m0_trunc_hat)
-    n_steps = _step_count(cfg.t_end, cfg.dt)
+    dt, n_steps = cfg.dt, _step_count(cfg.t_end, cfg.dt)
+
+    def nonstiff(values, hats, t):
+        (m,), (m_hat,) = values, hats
+        jac = jacobian_from_hat(grid, m_hat)
+        return (_llg_hat(grid, None, m, jac, m_hat, *_field_at(h_ext, grid, t), mask),)
+
     times: list[float] = []
     e_eps: list[float] = []
     d_eps: list[float] = []
     trajectory: list[tuple[float, VectorField]] = []
-
-    def on_node(k: int, t: float, m: np.ndarray, m_hat: np.ndarray) -> None:
+    m, m_hat = m0_trunc, m0_trunc_hat
+    for k in range(n_steps + 1):
+        t = t0 + k * dt
+        if k > 0:
+            tk = t0 + (k - 1) * dt  # the step from node k-1 starts there, not at t - dt
+            (m,), (m_hat,) = _imex2(grid, (m_hat,), nonstiff((m,), (m_hat,), tk), tk, dt,
+                                    nonstiff, (True,), (1.0,), (None,))
+            if not np.all(np.isfinite(m)):
+                raise BlowUpError(t)
         if k % cfg.diag_every == 0 or k == n_steps:
             sq = _hat_sq(m_hat)
             times.append(t)
@@ -203,9 +176,6 @@ def _solve_llg(
             d_eps.append(_hat_norm_sq(grid, sq, s, 2))
         if cfg.snapshot_every > 0 and (k % cfg.snapshot_every == 0 or k == n_steps):
             trajectory.append((t, VectorField(grid, m.copy())))
-
-    m_final = _integrate_llg(grid, m0_trunc, m0_trunc_hat, h_ext, mask, t0, cfg.dt, n_steps,
-                             on_node)
     return MollifierRun(
         cutoff=cutoff,
         s=s,
@@ -213,7 +183,7 @@ def _solve_llg(
         e_eps=e_eps,
         d_eps=d_eps,
         M0_truncated=VectorField(grid, m0_trunc),
-        M_final=VectorField(grid, m_final),
+        M_final=VectorField(grid, m),
         e0=_hat_norm_sq(grid, _hat_sq(m0_hat), s, 1),
         trajectory=trajectory,
     )
@@ -255,7 +225,7 @@ def mollifier_convergence_study(
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
     grid = M0.grid
     m0_hat = grid.fft(M0.values)
-    runs = [_solve_llg(M0, m0_hat, h_ext, k, s, cfg, t0) for k in cutoffs]
+    runs = [_integrate_llg(M0, m0_hat, h_ext, k, s, cfg, t0) for k in cutoffs]
     diffs = [
         math.sqrt(
             sobolev_norm_sq(VectorField(grid, a.M_final.values - b.M_final.values), 0)

@@ -165,6 +165,26 @@ class TestSolveLlgGivenV:
         assert np.max(np.abs(period.M_final.values - base)) <= 1e-15
         assert np.max(np.abs(half.M_final.values - base)) > 1e-3
 
+    def test_blowup_is_stamped_at_its_node(self, grid2: TorusGrid, monkeypatch) -> None:
+        """A tendency that turns NaN in step 2's first stage (the third of two
+        calls per step) spoils node 2: the march raises BlowUpError stamped
+        t0 + 2 dt there and makes no further call."""
+        calls, original = [], schemes._llg_hat
+
+        def llg_hat(*args):
+            calls.append(1)
+            out = original(*args)
+            return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+        monkeypatch.setattr(schemes, "_llg_hat", llg_hat)
+        t0, dt = 0.5, 1e-3
+        cfg = IntegratorConfig(dt=dt, t_end=5 * dt)
+        with pytest.raises(BlowUpError) as info:
+            solve_llg_given_v(perturbed_m(grid2, 0.05, 2, seed=3), None, None, 2, cfg, t0=t0)
+        assert type(info.value) is BlowUpError
+        assert info.value.t == t0 + 2 * dt
+        assert len(calls) == 4
+
 
 class TestMollifierStudy:
     def test_rejects_non_increasing_cutoffs(self, grid2: TorusGrid) -> None:
