@@ -13,7 +13,10 @@ class SimulationError(Exception):
 
 
 class NumericalError(SimulationError):
-    """A run failed for numerical reasons (maps to exit code 3)."""
+    """A run failed for numerical reasons (maps to exit code 3). A run it ends
+    reports its status: "numerical_guard" unless a subclass sets another."""
+
+    status = "numerical_guard"
 
 
 class NearSingularError(NumericalError):
@@ -27,6 +30,8 @@ class ConstraintError(NumericalError):
 class BlowUpError(NumericalError):
     """NaN/Inf detected while stepping; carries the failure time."""
 
+    status = "blowup"
+
     def __init__(self, t: float, message: str = "") -> None:
         self.t = t
         super().__init__(message or f"non-finite field values at t = {t:.6g}")
@@ -34,6 +39,8 @@ class BlowUpError(NumericalError):
 
 class CflError(NumericalError):
     """Advective CFL guard violated; carries the failure time."""
+
+    status = "cfl_violation"
 
     def __init__(self, t: float, cfl: float, guard: float) -> None:
         self.t = t

@@ -185,15 +185,9 @@ class SimulationConfig:
             return delta_default(self.nu, self.c0_hat, multiindex_count(self.dim, self.s))
         return float(self.delta)
 
-    def with_overrides(
-        self, seed: int | None = None, out_dir: str | None = None, **kwargs: Any
-    ) -> "SimulationConfig":
-        updates: dict[str, Any] = dict(kwargs)
-        if seed is not None:
-            updates["seed"] = seed
-        if out_dir is not None:
-            updates["out_dir"] = out_dir
-        cfg = replace(self, **updates)
+    def with_overrides(self, **updates: Any) -> "SimulationConfig":
+        """Replace and revalidate the given keys; None keeps a key, as an unset CLI flag."""
+        cfg = replace(self, **{key: value for key, value in updates.items() if value is not None})
         cfg._validate()
         return cfg
 

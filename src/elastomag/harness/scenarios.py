@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..energetics import CSV_HEADER, DiagnosticRecord, _hat_norm_sq, _hat_sq, constraint_bundle
-from ..errors import BlowUpError, ConfigError
+from ..errors import ConfigError
 from ..fields import state_B_to_A
 from ..schemes import (
     MollifierReport,
@@ -153,13 +153,12 @@ def run_simulation(config: SimulationConfig) -> RunArtifacts:
 
 
 def _completed(result: RunResult, context: str) -> RunResult:
-    """The result of a completed run; any other ending raises BlowUpError."""
-    if result.status != "completed":
-        raise BlowUpError(
-            result.t_reached,
-            f"{context}: run ended with status {result.status} at t = {result.t_reached:.6g}"
-            + (f" ({result.message})" if result.message else ""),
-        )
+    """The result of a completed run; any other ending re-raises the error that
+    ended it, with its class and figures, and context before its message."""
+    err = result.error
+    if err is not None:
+        err.args = (f"{context}: {err}",)
+        raise err
     return result
 
 

@@ -98,13 +98,22 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a run: final state, reached time, and status."""
+    """Outcome of a run: final state, reached time, steps, and the
+    NumericalError that ended it (None when it completed), whose status and
+    text are the run's status and message."""
 
     state: StateA | StateB
     t_reached: float
-    status: str  # "completed" | "blowup" | "cfl_violation" | "numerical_guard"
     steps: int
-    message: str = ""
+    error: NumericalError | None = None
+
+    @property
+    def status(self) -> str:
+        return "completed" if self.error is None else self.error.status
+
+    @property
+    def message(self) -> str:
+        return "" if self.error is None else str(self.error)
 
 
 def _check_cfl(state: StateA | StateB, cfg: IntegratorConfig) -> None:
@@ -302,11 +311,6 @@ def run(
             ):
                 snap_sink(state, k)
     except NumericalError as err:
-        if isinstance(err, BlowUpError):
-            status = "blowup"
-        elif isinstance(err, CflError):
-            status = "cfl_violation"
-        else:
-            status = "numerical_guard"
-        return RunResult(replace(state, hats=None), state.t, status, steps, str(err))
-    return RunResult(replace(state, hats=None), state.t, "completed", n_steps)
+        # without its traceback, whose frames would hold the run's arrays
+        return RunResult(replace(state, hats=None), state.t, steps, err.with_traceback(None))
+    return RunResult(replace(state, hats=None), state.t, n_steps)

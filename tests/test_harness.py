@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from elastomag.energetics import CSV_HEADER, delta_default, multiindex_count
-from elastomag.errors import ConfigError, SnapshotError
+from elastomag.errors import CflError, ConfigError, SnapshotError
 from elastomag.fields import HExt, PhysParams, StateA, StateB, det_values, sphere_residual
 from elastomag.harness import (
     SimulationConfig,
@@ -175,6 +175,37 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict(data)
 
+    def test_zero_field_by_name_and_by_object(self) -> None:
+        for h_ext in ("zero", {"type": "zero"}):
+            assert SimulationConfig.from_dict({"h_ext": h_ext}).h_ext == HExt()
+
+    @pytest.mark.parametrize(
+        "h_ext, message",
+        [
+            ({"type": "single_mode", "component": 3}, "invalid single_mode h_ext"),
+            ({"type": "dipole"}, "unknown h_ext type 'dipole'"),
+            (0.5, "h_ext must be 'zero', a 3-vector, or a profile object"),
+        ],
+        ids=["single_mode_component", "unknown_type", "not_an_object"],
+    )
+    def test_rejects_a_bad_field(self, h_ext, message: str) -> None:
+        with pytest.raises(ConfigError, match=message) as info:
+            SimulationConfig.from_dict({"h_ext": h_ext})
+        assert type(info.value) is ConfigError
+
+    def test_file_that_is_not_an_object_is_config_error(self, tmp_path: Path) -> None:
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="must be a JSON object") as info:
+            SimulationConfig.from_file(path)
+        assert type(info.value) is ConfigError
+
+    def test_overrides_keep_the_keys_given_none(self) -> None:
+        """None is an unset CLI flag, for every key: it keeps the config's value."""
+        config = SimulationConfig.from_dict({"n": 16, "seed": 3, "out_dir": "runs"})
+        assert config.with_overrides(n=None, seed=None, out_dir=None, dt=None) == config
+        assert config.with_overrides(n=32, dt=None) == replace(config, n=32)
+
 
 class TestInitialData:
     @pytest.mark.parametrize("variant", ["zero_steady", "harmonic_map", "shear_F", "random_small", "flow_map_F"])
@@ -215,6 +246,22 @@ class TestInitialData:
         rhs = momentum_rhs_A(state.v, state.F, state.M, HExt(), nu=1.0, t=0.0)
         assert np.max(np.abs(rhs.values)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"formulation": "B"}, "holds formulation A state but config says B"),
+         ({"n": 8}, r"snapshot grid \(dim=2, n=16\) does not match config grid \(dim=2, n=8\)")],
+        ids=["formulation", "grid"],
+    )
+    def test_snapshot_that_does_not_fit_the_config(self, grid2, tmp_path: Path, overrides: dict,
+                                                   message: str) -> None:
+        snap = tmp_path / "state.snap"
+        write_snapshot(generate_initial_data(grid2, "zero_steady", "A"), snap)
+        config = tiny_config(tmp_path, **{"n": grid2.n, **overrides},
+                             initial_data="from_snapshot", snapshot_path=str(snap))
+        with pytest.raises(ConfigError, match=message) as info:
+            config.make_state()
+        assert type(info.value) is ConfigError
+
     def test_unknown_variant_rejected(self, grid2) -> None:
         with pytest.raises(ConfigError):
             generate_initial_data(grid2, "spiral", "A")
@@ -252,6 +299,37 @@ class TestTrigSynthesis:
 
 
 SNAPSHOT_GRIDS = [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)]
+
+
+def _with(key: str, value):
+    """A header edit that sets key to value."""
+    return lambda header: {**header, key: value}
+
+
+def _with_field(entry):
+    """A header edit that makes entry the first field entry."""
+    return lambda header: {**header, "fields": [entry, *header["fields"][1:]]}
+
+
+# case -> (edit of the parsed header, or None to remove the file; its message)
+BAD_HEADERS = {
+    "missing_file": (None, "cannot read snapshot"),
+    "not_json": (lambda header: b"{not json", "snapshot header is not valid JSON"),
+    "not_an_object": (lambda header: b"[1, 2]", "snapshot header must be a JSON object"),
+    "unknown_key": (_with("units", "SI"), "unknown header keys: units"),
+    "float_dim": (_with("dim", 2.0), "header dim must be an integer"),
+    "string_n": (_with("n", "16"), "header n must be an integer"),
+    "odd_n": (_with("n", 7), "n must be even and >= 8, got 7"),
+    "infinite_t": (_with("t", float("inf")), "header t must be a finite number"),
+    "boolean_t": (_with("t", True), "header t must be a finite number"),
+    "formulation": (_with("formulation", "C"), "formulation must be 'A' or 'B'"),
+    "unhashable_formulation": (_with("formulation", ["A"]), "formulation must be 'A' or 'B'"),
+    "field_count": (lambda header: {**header, "fields": header["fields"][:2]},
+                    "header must list exactly 3 fields for formulation A"),
+    "malformed_field": (_with_field("v"), "malformed field entry"),
+    "mismatched_field": (_with_field({"name": "v", "components": 3, "dtype": "f64-le",
+                                      "count": 3 * 16 * 16}), "does not match expected"),
+}
 
 
 class TestSnapshot:
@@ -340,6 +418,31 @@ class TestSnapshot:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(SnapshotError, match="trailing"):
             load_snapshot(path)
+
+    @pytest.mark.parametrize("case", list(BAD_HEADERS))
+    def test_bad_header_fails_closed(self, case: str, grid2, tmp_path: Path, capsys) -> None:
+        """Each header defect raises SnapshotError itself, inspect exits 1 on
+        it, and a run from it exits 2 before it writes anything."""
+        edit, message = BAD_HEADERS[case]
+        path = self._write_valid(grid2, tmp_path)
+        raw = path.read_bytes()
+        newline = raw.index(b"\n")
+        if edit is None:
+            path.unlink()
+        else:
+            header = edit(json.loads(raw[:newline]))
+            line = header if isinstance(header, bytes) else json.dumps(header).encode()
+            path.write_bytes(line + raw[newline:])
+        with pytest.raises(SnapshotError, match=message) as info:
+            load_snapshot(path)
+        assert type(info.value) is SnapshotError
+        assert main(["inspect", str(path)]) == 1
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, n=grid2.n, initial_data="from_snapshot",
+                              snapshot_path=str(path), out_dir=str(out_dir))
+        assert main(["run", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestAtomicWrites:
@@ -674,6 +777,38 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="unit determinant"):
             scenarios.run_scenario("picard_study", config)
         assert calls == []
+
+    def test_picard_study_refuses_formulation_B(self, tmp_path: Path) -> None:
+        config = tiny_config(tmp_path / "out", formulation="B")
+        with pytest.raises(ConfigError, match="picard_study requires formulation A") as info:
+            scenarios.run_scenario("picard_study", config)
+        assert type(info.value) is ConfigError
+        assert not (tmp_path / "out").exists()
+
+    def test_mollifier_study_refuses_a_grid_below_its_cutoffs(self, tmp_path: Path) -> None:
+        """The largest cutoff, 16, needs n >= 48."""
+        config = tiny_config(tmp_path / "out", n=46)
+        with pytest.raises(ConfigError, match="largest cutoff 16.0 exceeds") as info:
+            scenarios.run_scenario("mollifier_study", config)
+        assert type(info.value) is ConfigError
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, context",
+        [("decay_small_data", "decay_small_data"),
+         ("formulation_equivalence", r"formulation_equivalence\[A\]"),
+         ("constraint_audit", "constraint_audit")],
+        ids=["decay_small_data", "formulation_equivalence", "constraint_audit"],
+    )
+    def test_failed_run_keeps_its_error(self, name: str, context: str, tmp_path: Path) -> None:
+        """A run that trips the CFL guard surfaces as that CflError, with its
+        time and figure, the scenario's context before its message."""
+        config = tiny_config(tmp_path, **GUARD_TRIP)
+        with pytest.raises(CflError, match=rf"^{context}: CFL number \S+ exceeds guard 0.5 "
+                                           r"at t = 0$") as info:
+            scenarios.run_scenario(name, config)
+        assert (info.value.t, info.value.cfl > 0.5) == (0.0, True)
+        assert not (tmp_path / "verdict.json").exists()
 
     def test_mollifier_study_starts_at_the_snapshot_time(self, tmp_path: Path) -> None:
         """A time-dependent field is sampled from the initial state's time, so
