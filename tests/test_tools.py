@@ -1,11 +1,14 @@
 """The golden-hash tool still names configs and scenarios the package accepts,
-and its compare mode reads every kind of output file."""
+and its compare mode reads every kind of output file; the line-trace tool
+lists what a test run leaves out."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +18,9 @@ from elastomag.harness import SimulationConfig, generate_initial_data, write_sna
 from elastomag.harness.scenarios import SCENARIOS
 from elastomag.spectral import TorusGrid, VectorField
 
-GOLDEN = Path(__file__).resolve().parent.parent / "tools" / "golden_hashes.py"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tools" / "golden_hashes.py"
+LINE_TRACE = ROOT / "tools" / "line_trace.py"
 
 
 def load_tool():
@@ -68,3 +73,24 @@ def test_compare_reports_each_files_largest_relative_change(tmp_path: Path, caps
         assert match[2] == entry
         assert float(match[1]) == pytest.approx(1e-6, rel=1e-3)
     assert lines == {}
+
+
+def test_line_trace_lists_the_statements_a_run_leaves_out() -> None:
+    """tests/test_package.py only imports the package: the trace lists the
+    mollified march's blow-up raise but no statement that import runs, each
+    listed line is its file's source, none is a def, class, import or
+    docstring, and the count is the number of lines listed."""
+    out = subprocess.run(
+        [sys.executable, str(LINE_TRACE), "-q", "-p", "no:cacheprovider", "tests/test_package.py"],
+        capture_output=True, text=True, check=True, cwd=ROOT,
+    ).stdout.splitlines()
+    listed = [re.fullmatch(r"(src/\S+\.py):(\d+): (.*)", line) for line in out]
+    listed = [(path, int(line), text) for path, line, text in (m.groups() for m in listed if m)]
+    count = re.fullmatch(r"(\d+) of (\d+) statements not run", out[-1])
+    assert int(count[1]) == len(listed) < int(count[2])
+    for path, line, text in listed:
+        assert (ROOT / path).read_text().splitlines()[line - 1].strip() == text
+        assert not text.startswith(("def ", "class ", "import ", "from ", '"""'))
+    schemes = [(path, text) for path, _, text in listed if path == "src/elastomag/schemes.py"]
+    assert ("src/elastomag/schemes.py", "raise BlowUpError(t)") in schemes
+    assert not any(text.startswith("SPHERE_TOL = ") for _, text in schemes)
