@@ -5,16 +5,17 @@ src/, then prints one line per executable statement that never ran, with
 its path relative to the checkout and its first line of source, and their
 count last:
 
-    src/elastomag/schemes.py:175: raise BlowUpError(t)
+    src/elastomag/harness/cli.py:116: return EXIT_OK
     ...
-    43 of 1288 statements not run
+    18 of 1203 statements not run
 
 A statement counts as run when a line event fires on one of its own lines:
 the whole span of a simple statement, the header of a compound one (if,
 for, while, with, try). Docstrings, def, class, imports, global/nonlocal
 and annotations without a value make no code of their own and are not
 counted. The arguments are handed to pytest (default: tests/); the exit
-code is pytest's. Tracing makes the suite a few times slower.
+code is pytest's. Only frames of src/ get line events, so the whole suite
+runs about a fifth slower than untraced.
 
     python3 tools/line_trace.py [PYTEST_ARGS ...]
 """
@@ -32,15 +33,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-_NO_CODE = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
-            ast.Global, ast.Nonlocal)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_NO_CODE = (*_DEFS, ast.Import, ast.ImportFrom, ast.Global, ast.Nonlocal)
 _COMPOUND = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith, ast.Try)
 
 
 def _docstrings(tree: ast.Module) -> set[ast.stmt]:
     """The first statement of the module and of each def and class, where it is a string."""
-    owners = [tree, *(n for n in ast.walk(tree)
-                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))]
+    owners = [tree, *(n for n in ast.walk(tree) if isinstance(n, _DEFS))]
     firsts = [o.body[0] for o in owners if o.body]
     return {s for s in firsts if isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant)
             and isinstance(s.value.value, str)}
