@@ -26,7 +26,12 @@ mask, state_hats), share jacobians and a field's hat across terms and
 return tendencies in Fourier space, with the geometry B makes on the way
 (G = grad psi, (I + G)^{-1}, det(I + G); None in A). B reads psi only
 through its hat, so a step's predictor hands it no values of psi. Both
-build the momentum with _momentum_hat from their elastic stress values.
+build the momentum with _momentum_hat from the upper entries i <= j of
+their elastic stress less grad M (.) grad M, each made by _upper_outer,
+which sums as np.einsum does, so with its bits. The kernels make their
+temporaries one row or entry at a time (the stress entries, the
+deformation's correction rows and flux pairs) and free each input once its
+last term is made, which bounds a 3D step's memory.
 rhs_A and rhs_B pass their kernel to one evaluation, which takes the hats
 a stepped state holds (and transforms a state that holds none, such as
 generated initial data), adds the stiff terms in Fourier space and returns
@@ -131,23 +136,37 @@ def _llg_hat(
     return out
 
 
+def _upper_outer(a: np.ndarray) -> np.ndarray:
+    """The entries i <= j of a a^T, in _upper(d, 0) order, for a (d, K) + shape
+    stack: sum_k a_ik a_jk, summed over k = 0..K-1 in turn, as
+    np.einsum("ik...,jk...->ij...", a, a) sums it, so with its bits."""
+    rows, cols = _upper(len(a), 0)
+    out = np.empty((len(rows),) + a.shape[2:])
+    for p, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(a[i, 0], a[j, 0], out=out[p])
+        for k in range(1, a.shape[1]):
+            out[p] += a[i, k] * a[j, k]
+    return out
+
+
 def _momentum_hat(
     grid: TorusGrid,
     v: np.ndarray,
     m: np.ndarray,
-    jac_m: np.ndarray,
     stress: np.ndarray,
     h_hat: np.ndarray | None,
     mask: np.ndarray | None,
 ) -> np.ndarray:
-    """Unprojected hat of div(stress - grad M (.) grad M - v (x) v) + (grad H)^T M, stress
-    being the elastic stress values (F F^T in A, g(grad psi) in B), which are overwritten;
-    -div(v (x) v) is -v.grad v for div v = 0. The total stress S is transformed on i <= j
-    only, and (div S)_i = sum_j i k_j Shat^{ji} is summed from those hats. h_hat is
+    """Unprojected hat of div S + (grad H)^T M with S = stress - v (x) v, stress being
+    the upper entries i <= j, in _upper(d, 0) order, of the elastic stress less
+    grad M (.) grad M, each made by _upper_outer (B's elastic stress by _g_values).
+    v (x) v is subtracted from them in place, and (div S)_i = sum_j i k_j Shat^{ji}
+    is summed from their hats; -div(v (x) v) is -v.grad v for div v = 0. h_hat is
     the field's hat, or None for no field."""
-    stress -= np.einsum("ki...,kj...->ij...", jac_m, jac_m)
     rows, cols = _upper(grid.dim, 0)
-    upper_hat = _masked_fft(grid, stress[rows, cols] - v[rows] * v[cols], mask)
+    for p, (i, j) in enumerate(zip(rows, cols)):
+        stress[p] -= v[i] * v[j]
+    upper_hat = _masked_fft(grid, stress, mask)
     out = np.zeros((grid.dim,) + grid.hat_shape, dtype=complex)
     for p, (i, j) in enumerate(zip(rows, cols)):  # S_ij = S_ji feeds rows j and i
         out[j] += grid.ik[i] * upper_hat[p]
@@ -167,36 +186,37 @@ def _deformation_hat(
     mask: np.ndarray | None,
 ) -> np.ndarray:
     """Hat of the nonstiff deformation tendency (grad v) F - v.grad F in the flux
-    form -d_k P_kij - v_i d_k F_kj, exact for div v = 0 and any F. P_kij =
-    v_k F_ij - v_i F_kj is antisymmetric in (k, i), so only its entries k < i are
-    transformed, and d_k F_kj costs d inverse transforms, F's jacobian d^3."""
-    rows, cols = _upper(grid.dim, 1)
-    flux = np.empty((len(rows),) + f.shape[1:])
-    for p, (k, i) in enumerate(zip(rows, cols)):
-        np.multiply(v[k], f[i], out=flux[p])
-        flux[p] -= v[i] * f[k]
-    flux_hat = _masked_fft(grid, flux, mask)
-    del flux  # not held through the correction's temporaries, the kernel's peak
+    form -d_k P_kij - v_i d_k F_kj, exact for div v = 0 and any F. d_k F_kj costs d
+    inverse transforms, F's jacobian d^3. The correction is made and transformed one
+    row i at a time. P_kij = v_k F_ij - v_i F_kj is antisymmetric in (k, i), so only
+    its entries k < i are made, one pair at a time, each transformed and folded into
+    the result at once, so at most one row's products and hats are alive."""
     col_div = grid.ifft(np.einsum("k...,kj...->j...", grid.ik, f_hat))
-    out = _masked_fft(grid, v[:, None] * col_div, mask)
-    np.negative(out, out=out)
-    for p, (k, i) in enumerate(zip(rows, cols)):  # P_kij = -P_ikj feeds rows i and k
-        out[i] -= grid.ik[k] * flux_hat[p]
-        out[k] += grid.ik[i] * flux_hat[p]
+    out = np.empty(f_hat.shape, dtype=complex)
+    for i in range(grid.dim):
+        np.negative(_masked_fft(grid, v[i] * col_div, mask), out=out[i])
+    del col_div
+    flux = np.empty(f.shape[1:])
+    for k, i in zip(*_upper(grid.dim, 1)):  # P_kij = -P_ikj feeds rows i and k
+        np.multiply(v[k], f[i], out=flux)
+        flux -= v[i] * f[k]
+        flux_hat = _masked_fft(grid, flux, mask)
+        out[i] -= grid.ik[k] * flux_hat
+        out[k] += grid.ik[i] * flux_hat
     return out
 
 
-def _g_values(grid: TorusGrid, g_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g(G) = (I+G)^{-1} (I+G)^{-T} - I + G + G^T on raw (d, d) + shape values,
-    with the (I+G)^{-1} and det(I+G) it is made from."""
-    a, det = identity_plus(grid, g_vals)
-    b = inverse_values(grid, a, "g_of_G", det)
-    out = np.einsum("ik...,jk...->ij...", b, b)
-    for i in range(grid.dim):
-        out[i, i] -= 1.0
-    out += g_vals
-    out += np.swapaxes(g_vals, 0, 1)
-    return out, b, det
+def _g_values(grid: TorusGrid, g_vals: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The upper entries i <= j, in _upper(d, 0) order, of
+    g(G) = (I+G)^{-1} (I+G)^{-T} - I + G + G^T on raw (d, d) + shape values of G,
+    given b = (I+G)^{-1}."""
+    out = _upper_outer(b)
+    for p, (i, j) in enumerate(zip(*_upper(grid.dim, 0))):
+        if i == j:
+            out[p] -= 1.0
+        out[p] += g_vals[i, j]
+        out[p] += g_vals[j, i]
+    return out
 
 
 def _tendency_hats_A(
@@ -220,7 +240,10 @@ def _tendency_hats_A(
     """
     jac_m = jacobian_from_hat(grid, state_hats[2])
     h_hat = None if h is None else grid.fft(h)
-    dv = _momentum_hat(grid, v, m, jac_m, np.einsum("ik...,jk...->ij...", f, f), h_hat, mask)
+    stress = _upper_outer(f)
+    stress -= _upper_outer(np.swapaxes(jac_m, 0, 1))
+    dv = _momentum_hat(grid, v, m, stress, h_hat, mask)
+    del stress
     dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, h_hat, mask)
     del jac_m
     df = _deformation_hat(grid, v, f, state_hats[1], mask)
@@ -242,16 +265,28 @@ def _tendency_hats_B(
     are not read (the step passes None), only its hat. h is always None, as
     fields.check_params refuses a field in B. Returns (dv_hat, dpsi_hat,
     dM_hat), dv_hat including the explicit -Delta psi coupling, and the
-    geometry (G, (I + G)^{-1}, det(I + G)) of G = grad psi.
+    geometry (G, (I + G)^{-1}, det(I + G)) of G = grad psi, which a record
+    reads. The magnetization comes first and M's jacobian is freed, its
+    grad M (.) grad M entries kept, before the geometry is made: the geometry
+    lives to the return, so the kernel's peak is the inversion of I + G.
     """
     v_hat, psi_hat, m_hat = state_hats
-    jac_psi, jac_m = (jacobian_from_hat(grid, x_hat) for x_hat in (psi_hat, m_hat))
-    stress, f, det = _g_values(grid, jac_psi)
-    dv = _momentum_hat(grid, v, m, jac_m, stress, None, mask)
+    jac_m = jacobian_from_hat(grid, m_hat)
+    dm = _llg_hat(grid, v, m, jac_m, m_hat, None, None, mask)
+    gm = _upper_outer(np.swapaxes(jac_m, 0, 1))
+    del jac_m
+    jac_psi = jacobian_from_hat(grid, psi_hat)
+    a, det = identity_plus(grid, jac_psi)
+    f = inverse_values(grid, a, "g_of_G", det)
+    del a
+    stress = _g_values(grid, jac_psi, f)
+    stress -= gm
+    del gm
+    dv = _momentum_hat(grid, v, m, stress, None, mask)
+    del stress
     dv += grid.k_sq * psi_hat
     adv_psi = np.einsum("a...,ka...->k...", v, jac_psi)
     dpsi = -v_hat - _masked_fft(grid, adv_psi, mask)
-    dm = _llg_hat(grid, v, m, jac_m, m_hat, None, None, mask)
     return (dv, dpsi, dm), (jac_psi, f, det)
 
 

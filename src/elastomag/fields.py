@@ -221,7 +221,9 @@ def det_values(grid: TorusGrid, mat: np.ndarray) -> np.ndarray:
 def inverse_values(grid: TorusGrid, mat: np.ndarray, context: str,
                    det: np.ndarray | None = None) -> np.ndarray:
     """Pointwise closed-form inverse; raises if |det| < DET_GUARD anywhere.
-    det, if given, is det_values(grid, mat), made by a caller that needs it too."""
+    det, if given, is det_values(grid, mat), made by a caller that needs it too.
+    The cofactors are divided by det in place, so the inverse is the one
+    (d, d) + shape array it allocates."""
     det = det_values(grid, mat) if det is None else det
     min_det = float(np.min(np.abs(det)))
     if min_det < DET_GUARD:
@@ -244,7 +246,8 @@ def inverse_values(grid: TorusGrid, mat: np.ndarray, context: str,
         inv[2, 0] = mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0]
         inv[2, 1] = mat[0, 1] * mat[2, 0] - mat[0, 0] * mat[2, 1]
         inv[2, 2] = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    return inv / det
+    inv /= det
+    return inv
 
 
 def identity_plus(grid: TorusGrid, g_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +275,12 @@ def identity_matrix_field(grid: TorusGrid) -> MatrixField:
 
 
 def F_to_G(F: MatrixField, det: np.ndarray | None = None) -> MatrixField:
-    """G = F^{-1} - I by pointwise closed-form inversion; det as in inverse_values."""
+    """G = F^{-1} - I by pointwise closed-form inversion; det as in inverse_values.
+    I is subtracted from the inverse's diagonal in place, with no identity array."""
     grid = F.grid
-    G = inverse_values(grid, F.values, "F_to_G", det) - identity_values(grid)
+    G = inverse_values(grid, F.values, "F_to_G", det)
+    for i in range(grid.dim):
+        G[i, i] -= 1.0
     return MatrixField(grid, G)
 
 
@@ -296,19 +302,22 @@ def curl_residual(G: MatrixField) -> float:
     Zero exactly when every row of G is a gradient (G = grad psi rows). Only
     the d^2 (d - 1) derivatives with i != k enter, so only those are
     transformed back: 4 inverse transforms in 2D and 18 in 3D, not d^3. They
-    are made one row j at a time: made at once, all 18 with their hats and
-    the transform's own copy set a 3D run's resident peak, inside a record.
+    are made one pair (d_i G^{jk}, d_k G^{ji}) at a time, in one array that
+    holds their hats: made at once, all 18 with their hats and the
+    transform's own copy set a 3D run's resident peak, inside a record, and
+    a row's 6 still set an A record's traced peak.
     """
     grid = G.grid
     hat = grid.fft(G.values)
-    pairs = [(k, i) for k in range(grid.dim) for i in range(k)]
+    der_hat = np.empty((2,) + grid.hat_shape, dtype=complex)
     res = 0.0
     for j in range(grid.dim):
-        # d_i G^{jk} for each pair, then d_k G^{ji} for each
-        der = grid.ifft(np.stack([hat[j, k] * grid.ik[i] for k, i in pairs]
-                                 + [hat[j, i] * grid.ik[k] for k, i in pairs]))
-        for a, b in zip(der[: len(pairs)], der[len(pairs):]):
-            res = max(res, float(np.max(np.abs(a - b))))
+        for k in range(grid.dim):
+            for i in range(k):
+                np.multiply(hat[j, k], grid.ik[i], out=der_hat[0])
+                np.multiply(hat[j, i], grid.ik[k], out=der_hat[1])
+                a, b = grid.ifft(der_hat)
+                res = max(res, float(np.max(np.abs(a - b))))
     return res
 
 

@@ -51,6 +51,7 @@ from .dynamics import (
     _llg_hat,
     _mask,
     _momentum_hat,
+    _upper_outer,
 )
 from .energetics import _StateHats, _hat_norm_sq, _hat_sq, _local, _norms, sobolev_norm_sq
 from .errors import BlowUpError
@@ -340,8 +341,9 @@ def picard_iterate(
 
     def velocity_hat(p: _StateHats, t: float) -> np.ndarray:
         v, f, m = (x.values for x in p.state.fields)
-        stress = np.einsum("ik...,jk...->ij...", f, f)
-        return leray_hat(grid, _momentum_hat(grid, v, m, p.jac("M"), stress, field(t)[1], mask))
+        stress = _upper_outer(f)
+        stress -= _upper_outer(np.swapaxes(p.jac("M"), 0, 1))
+        return leray_hat(grid, _momentum_hat(grid, v, m, stress, field(t)[1], mask))
 
     def deformation_hat(p: _StateHats, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
         return _deformation_hat(grid, p.state.v.values, f, f_hat, mask)

@@ -34,6 +34,17 @@ a field purely explicit. Every march makes one _imex2 call per step: _step,
 to which step_A and step_B hand their kernel (dynamics._tendency_hats_A/_B),
 and the marches of schemes._integrate_llg and schemes.picard_iterate.
 
+What a step holds: the state (values and hats) and n1 live through the
+whole step, since the final stage reads both. _imex2 makes the predictor
+hats and the declared predictor values, and hands them to the nonstiff
+callable; the values die with that call and the predictor hats right after
+it. The final stage then goes one field at a time: its Crank-Nicolson
+stage and post-operation, then its inverse transform, and that field's
+second-stage hats n2 are dropped once its new hat exists. The kernels make
+their temporaries one row or entry at a time (dynamics), so a 3D step peaks
+inside the predictor's kernel call, with the state, n1 and the predictor
+hats alive, not in the final stage.
+
 run picks the stepper and the evaluation (dynamics.rhs_A/rhs_B) in one
 formulation choice, and shares one evaluation between a diagnostic record
 and the next step: the record reads its state and tendency hats, and the
@@ -191,7 +202,10 @@ def _imex2(
     declares what it takes of field i there: True its predictor values and
     hat, False the hat only, None neither (both None). Field i diffuses with
     diffusivities[i] (0: none), and posts[i] (None: identity) is applied to
-    its hat after each stage.
+    its hat after each stage. The predictor hats are dropped when nonstiff
+    returns, and the final stage is made one field at a time (stage, post,
+    inverse transform), each field's second-stage hats dropped once its new
+    hat exists; hats and n1 stay the caller's.
     """
 
     def post(hat: np.ndarray, op) -> np.ndarray:
@@ -201,14 +215,17 @@ def _imex2(
         None if r is None else post(_implicit_stage(grid, h, a, c, dt), op)
         for h, a, r, c, op in zip(hats, n1, reads, diffusivities, posts)
     )
-    # the predictor values die with the call, before the final stage's arrays are made
-    n2 = nonstiff(tuple(grid.ifft(h) if r else None for h, r in zip(stars, reads)), stars,
-                  t0 + dt)
-    new_hats = tuple(
-        post(_cn_stage(grid, h, a, b, c, dt), op)
-        for h, a, b, c, op in zip(hats, n1, n2, diffusivities, posts)
-    )
-    return tuple(grid.ifft(h) for h in new_hats), new_hats
+    # the predictor values die with the call, and its hats right after it, before
+    # the final stage's arrays are made
+    n2 = list(nonstiff(tuple(grid.ifft(h) if r else None for h, r in zip(stars, reads)),
+                       stars, t0 + dt))
+    del stars
+    values, new_hats = [], []
+    for i, (h, a, c, op) in enumerate(zip(hats, n1, diffusivities, posts)):
+        new_hats.append(post(_cn_stage(grid, h, a, n2[i], c, dt), op))
+        n2[i] = None  # field i's second stage is spent once its new hat exists
+        values.append(grid.ifft(new_hats[-1]))
+    return tuple(values), tuple(new_hats)
 
 
 def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,23 @@ def grid2_small() -> TorusGrid:
 @pytest.fixture(scope="session")
 def grid3() -> TorusGrid:
     return TorusGrid(dim=3, n=8)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated during fn(), after one untraced
+    call that makes the first-call caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def value_bytes(state) -> int:
+    """Bytes of a state's field values (not its hats)."""
+    return sum(f.values.nbytes for f in state.fields)
 
 
 def scalar(grid: TorusGrid, values: np.ndarray) -> ScalarField:

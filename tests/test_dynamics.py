@@ -12,6 +12,8 @@ from elastomag.dynamics import rhs_A, rhs_B
 from elastomag.fields import (
     G_to_F,
     HExt,
+    identity_plus,
+    inverse_values,
     PhysParams,
     StateA,
     StateB,
@@ -31,7 +33,15 @@ from elastomag.spectral import (
 )
 from elastomag.timestepper import IntegratorConfig, step_A, step_B
 
-from conftest import TransformCounter, div_free_vector, matrix, random_band_limited, vector
+from conftest import (
+    TransformCounter,
+    div_free_vector,
+    matrix,
+    random_band_limited,
+    traced_peak,
+    value_bytes,
+    vector,
+)
 from oracles import (
     deformation_rhs,
     elastic_stress_div,
@@ -538,3 +548,52 @@ def test_evaluation_adds_no_inverse_transforms(grid: TorusGrid, formulation: str
         rhs_B(state, nu=0.9)
     assert kernel_calls > 0
     assert calls["inv"] - kernel_calls == kernel_calls
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_upper_outer_is_the_einsum_it_replaces(dim: int) -> None:
+    """_upper_outer sums k in einsum's order: its entries i <= j equal, bit for
+    bit, those of np.einsum for F F^T, (I+G)^{-1} (I+G)^{-T} and
+    grad M (.) grad M on random data, where another order rounds differently.
+    A NumPy whose einsum sums in another order fails here before it moves a
+    golden byte. The data tells the orders apart: summed in reverse, every
+    product of three terms differs somewhere."""
+    grid = TorusGrid(dim=dim, n=8)
+    rng = np.random.default_rng(11)
+    rows, cols = np.triu_indices(dim)
+    f = rng.standard_normal((dim, dim) + grid.shape)
+    g = 0.1 * rng.standard_normal((dim, dim) + grid.shape)
+    mat, det = identity_plus(grid, g)
+    b = inverse_values(grid, mat, "test", det)
+    jac_m = jacobian_values(grid, rng.standard_normal((3,) + grid.shape))
+    cases = {
+        "F F^T": (f, np.einsum("ik...,jk...->ij...", f, f)),
+        "(I+G)^-1 (I+G)^-T": (b, np.einsum("ik...,jk...->ij...", b, b)),
+        "grad M (.) grad M": (np.swapaxes(jac_m, 0, 1),
+                              np.einsum("ki...,kj...->ij...", jac_m, jac_m)),
+    }
+    for name, (a, full) in cases.items():
+        upper = dynamics._upper_outer(a)
+        assert upper.shape == (len(rows),) + grid.shape, name
+        assert np.array_equal(upper, full[rows, cols]), name
+        if a.shape[1] > 2:  # two terms sum alike in either order
+            reversed_sum = sum(a[rows, k] * a[cols, k] for k in reversed(range(a.shape[1])))
+            assert not np.array_equal(upper, reversed_sum), name
+
+
+@pytest.mark.parametrize("formulation, bound", [("A", 2.3), ("B", 5.0)])
+def test_kernel_temporaries_are_bounded(formulation: str, bound: float) -> None:
+    """At 3D n = 16 one kernel call from a stepped state's values and hats
+    allocates at most `bound` times the state's value bytes: 2.00 in A and
+    4.49 in B, against 2.83 and 6.78 when the stress was made on all d^2
+    entries, the deformation's correction and flux whole, and B held M's
+    jacobian and the full stress through its momentum."""
+    grid = TorusGrid(dim=3, n=16)
+    params, cfg = PhysParams(nu=1.0), IntegratorConfig(dt=1e-3, t_end=1e-3)
+    stepper, kernel = {"A": (step_A, dynamics._tendency_hats_A),
+                       "B": (step_B, dynamics._tendency_hats_B)}[formulation]
+    state = stepper(generate_initial_data(grid, "random_small", formulation, amplitude=1e-2,
+                                          seed=5), params, cfg)
+    values = (state.v.values, state.F.values if formulation == "A" else None, state.M.values)
+    peak = traced_peak(lambda: kernel(grid, *values, None, grid.dealias_mask, state.hats))
+    assert peak <= bound * value_bytes(state)

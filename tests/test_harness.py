@@ -124,6 +124,11 @@ class TestConfig:
         )
         assert SimulationConfig.from_dict(config.to_dict()) == config
 
+    def test_zero_field_echoes_as_zero(self) -> None:
+        config = SimulationConfig.from_dict({"n": 16})
+        assert config.to_dict()["h_ext"] == "zero"
+        assert SimulationConfig.from_dict(config.to_dict()) == config
+
     def test_uniform_field_object(self) -> None:
         vector = SimulationConfig.from_dict({"h_ext": {"type": "uniform", "vector": [0, 0.5, 1]}})
         default = SimulationConfig.from_dict({"h_ext": {"type": "uniform"}})
@@ -777,6 +782,24 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="unit determinant"):
             scenarios.run_scenario("picard_study", config)
         assert calls == []
+
+    def test_verdict_writes_non_finite_values_as_strings(self, tmp_path: Path,
+                                                         monkeypatch) -> None:
+        """A check value of inf is written as "inf", and the non-finite entries
+        of a nested dict of extras as strings under their keys, so verdict.json
+        is strict JSON."""
+        def scenario(config):
+            return ([scenarios.Check("bounded", False, float("inf"), 1.0)],
+                    {"rates": {"A": [1.0, float("-inf")], "B": {"last": float("nan")}}})
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "non_finite", scenario)
+        code, path, verdict = scenarios.run_scenario("non_finite", tiny_config(tmp_path))
+        text = path.read_text()
+        written = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        assert code == 1 and written == verdict
+        assert written["checks"] == [
+            {"name": "bounded", "pass": False, "value": "inf", "threshold": 1.0}]
+        assert written["rates"] == {"A": [1.0, "-inf"], "B": {"last": "nan"}}
 
     def test_picard_study_refuses_formulation_B(self, tmp_path: Path) -> None:
         config = tiny_config(tmp_path / "out", formulation="B")

@@ -29,7 +29,7 @@ from elastomag.timestepper import (
     step_B,
 )
 
-from conftest import TransformCounter, vector
+from conftest import TransformCounter, traced_peak, value_bytes, vector
 
 
 def const_m(grid: TorusGrid, direction: tuple[float, float, float]) -> VectorField:
@@ -631,3 +631,20 @@ def test_carried_hats_are_the_transforms_of_the_values(grid: TorusGrid, formulat
     for hat, f in zip(state.hats, state.fields, strict=True):
         expected = grid.fft(f.values)
         assert np.max(np.abs(hat - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("formulation, bound", [("A", 4.5), ("B", 7.0)])
+def test_a_step_from_a_record_is_bounded(formulation: str, bound: float) -> None:
+    """At 3D n = 16 one step given a record's evaluation, as run hands it
+    (no tendency hats, no geometry), allocates at most `bound` times the
+    state's value bytes: 4.13 in A and 6.29 in B, against 4.96 and 8.58 when
+    _imex2 held the predictor hats and every second stage through its final
+    stage and the kernels made their temporaries on all entries at once."""
+    grid = TorusGrid(dim=3, n=16)
+    params, cfg = PhysParams(nu=1.0), IntegratorConfig(dt=1e-3, t_end=1e-3)
+    stepper, evaluate = {"A": (step_A, dynamics.rhs_A), "B": (step_B, dynamics.rhs_B)}[formulation]
+    state = stepper(generate_initial_data(grid, "random_small", formulation, amplitude=1e-2,
+                                          seed=5), params, cfg)
+    rhs = replace(evaluate(state, nu=params.nu), tendency_hats=None, geometry=None)
+    peak = traced_peak(lambda: stepper(state, params, cfg, True, rhs))
+    assert peak <= bound * value_bytes(state)

@@ -21,6 +21,7 @@ from elastomag.spectral import TorusGrid, VectorField
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tools" / "golden_hashes.py"
 LINE_TRACE = ROOT / "tools" / "line_trace.py"
+RSS_TRACE = ROOT / "tools" / "rss_trace.py"
 
 
 def load_tool():
@@ -94,3 +95,30 @@ def test_line_trace_lists_the_statements_a_run_leaves_out() -> None:
     schemes = [(path, text) for path, _, text in listed if path == "src/elastomag/schemes.py"]
     assert ("src/elastomag/schemes.py", "raise BlowUpError(t)") in schemes
     assert not any(text.startswith("SPHERE_TOL = ") for _, text in schemes)
+
+
+def test_rss_trace_prints_each_rise_and_the_peak() -> None:
+    """A one-round replica of run3d_sparse at n = 8: a header, then each rise
+    of ru_maxrss with its total, phase and call path, the totals rising, then
+    the peak, at least the last total. Paths are elastomag frames, innermost
+    first, or a function outside the package. Only the format is checked.
+    The tool starts from a small process: Linux starts a child's ru_maxrss at
+    its parent's peak, and this test process may be larger than the replica."""
+    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, str(RSS_TRACE), "run3d_sparse",
+         "--n", "8", "--rounds", "1", "--min-mb", "0.1"],
+        capture_output=True, text=True, check=True, cwd=ROOT,
+    ).stdout.splitlines()
+    assert out[0] == "rss_trace: run3d_sparse seed 0, 1 rounds, ru_maxrss in MB"
+    rises = [re.fullmatch(r"  \+(\d+\.\d\d) -> (\d+\.\d\d)  (setup|round0)  (\S+( < \S+)*)",
+                          line) for line in out[1:-1]]
+    assert rises and all(rises)
+    totals = [float(m[2]) for m in rises]
+    assert totals == sorted(totals) and all(float(m[1]) >= 0.1 for m in rises)
+    frame = re.compile(r"elastomag(\.[\w<>]+)+:\d+")
+    for m in rises:
+        path = m[4].split(" < ")
+        assert all(frame.fullmatch(f) for f in path) or (len(path) == 1 and ":" not in path[0])
+    peak = re.fullmatch(r"peak (\d+\.\d\d) MB in (setup|round0) at (\S.*)", out[-1])
+    assert peak and float(peak[1]) >= totals[-1]
