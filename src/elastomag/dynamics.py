@@ -27,8 +27,9 @@ return tendencies in Fourier space, with the geometry B makes on the way
 (G = grad psi, (I + G)^{-1}, det(I + G); None in A). B reads psi only
 through its hat, so a step's predictor hands it no values of psi. Both
 build the momentum with _momentum_hat from the upper entries i <= j of
-their elastic stress less grad M (.) grad M, each made by _upper_outer,
-which sums as np.einsum does, so with its bits. The kernels make their
+their elastic stress less grad M (.) grad M (_stress_A in A; B subtracts
+_magnetic_stress from _g_values), each made by _upper_outer, which sums as
+np.einsum does, so with its bits. The kernels make their
 temporaries one row or entry at a time (the stress entries, the
 deformation's correction rows and flux pairs) and free each input once its
 last term is made, which bounds a 3D step's memory.
@@ -149,6 +150,20 @@ def _upper_outer(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _magnetic_stress(jac_m: np.ndarray) -> np.ndarray:
+    """The entries i <= j of grad M (.) grad M, sum_k d_i M_k d_j M_k, from M's
+    (k, i) + shape jacobian, made by _upper_outer."""
+    return _upper_outer(np.swapaxes(jac_m, 0, 1))
+
+
+def _stress_A(f: np.ndarray, jac_m: np.ndarray) -> np.ndarray:
+    """The entries i <= j of F F^T - grad M (.) grad M, the stress that
+    _momentum_hat takes in formulation A (its kernel and Picard's velocity)."""
+    stress = _upper_outer(f)
+    stress -= _magnetic_stress(jac_m)
+    return stress
+
+
 def _momentum_hat(
     grid: TorusGrid,
     v: np.ndarray,
@@ -159,7 +174,7 @@ def _momentum_hat(
 ) -> np.ndarray:
     """Unprojected hat of div S + (grad H)^T M with S = stress - v (x) v, stress being
     the upper entries i <= j, in _upper(d, 0) order, of the elastic stress less
-    grad M (.) grad M, each made by _upper_outer (B's elastic stress by _g_values).
+    grad M (.) grad M (_stress_A in A; _g_values less _magnetic_stress in B).
     v (x) v is subtracted from them in place, and (div S)_i = sum_j i k_j Shat^{ji}
     is summed from their hats; -div(v (x) v) is -v.grad v for div v = 0. h_hat is
     the field's hat, or None for no field."""
@@ -240,10 +255,7 @@ def _tendency_hats_A(
     """
     jac_m = jacobian_from_hat(grid, state_hats[2])
     h_hat = None if h is None else grid.fft(h)
-    stress = _upper_outer(f)
-    stress -= _upper_outer(np.swapaxes(jac_m, 0, 1))
-    dv = _momentum_hat(grid, v, m, stress, h_hat, mask)
-    del stress
+    dv = _momentum_hat(grid, v, m, _stress_A(f, jac_m), h_hat, mask)
     dm = _llg_hat(grid, v, m, jac_m, state_hats[2], h, h_hat, mask)
     del jac_m
     df = _deformation_hat(grid, v, f, state_hats[1], mask)
@@ -273,7 +285,7 @@ def _tendency_hats_B(
     v_hat, psi_hat, m_hat = state_hats
     jac_m = jacobian_from_hat(grid, m_hat)
     dm = _llg_hat(grid, v, m, jac_m, m_hat, None, None, mask)
-    gm = _upper_outer(np.swapaxes(jac_m, 0, 1))
+    gm = _magnetic_stress(jac_m)
     del jac_m
     jac_psi = jacobian_from_hat(grid, psi_hat)
     a, det = identity_plus(grid, jac_psi)

@@ -51,7 +51,7 @@ from .dynamics import (
     _llg_hat,
     _mask,
     _momentum_hat,
-    _upper_outer,
+    _stress_A,
 )
 from .energetics import _StateHats, _hat_norm_sq, _hat_sq, _local, _norms, sobolev_norm_sq
 from .errors import BlowUpError
@@ -341,9 +341,8 @@ def picard_iterate(
 
     def velocity_hat(p: _StateHats, t: float) -> np.ndarray:
         v, f, m = (x.values for x in p.state.fields)
-        stress = _upper_outer(f)
-        stress -= _upper_outer(np.swapaxes(p.jac("M"), 0, 1))
-        return leray_hat(grid, _momentum_hat(grid, v, m, stress, field(t)[1], mask))
+        return leray_hat(grid, _momentum_hat(grid, v, m, _stress_A(f, p.jac("M")),
+                                             field(t)[1], mask))
 
     def deformation_hat(p: _StateHats, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
         return _deformation_hat(grid, p.state.v.values, f, f_hat, mask)

@@ -230,14 +230,8 @@ def jacobian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 
 def jacobian_from_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
-    """Jacobian from an already transformed field (shares one forward FFT), made
-    one derivative direction at a time: all d at once, the multiplied hats and
-    the inverse transform's own complex copy of them set a 3D step's resident
-    peak. Each entry has the bits of the one transform of all d."""
-    out = np.empty(hat.shape[: hat.ndim - grid.dim] + (grid.dim,) + grid.shape)
-    for i, direction in enumerate(np.moveaxis(out, -grid.dim - 1, 0)):
-        direction[...] = grid.ifft(hat * grid.ik[i])
-    return out
+    """Jacobian from an already transformed field (shares one forward FFT)."""
+    return grid.ifft(np.expand_dims(hat, -grid.dim - 1) * grid.ik)
 
 
 def laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:

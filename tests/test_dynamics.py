@@ -557,7 +557,9 @@ def test_upper_outer_is_the_einsum_it_replaces(dim: int) -> None:
     grad M (.) grad M on random data, where another order rounds differently.
     A NumPy whose einsum sums in another order fails here before it moves a
     golden byte. The data tells the orders apart: summed in reverse, every
-    product of three terms differs somewhere."""
+    product of three terms differs somewhere. _magnetic_stress and _stress_A,
+    which A's kernel and Picard's velocity hand to _momentum_hat, equal the
+    einsums they replace too."""
     grid = TorusGrid(dim=dim, n=8)
     rng = np.random.default_rng(11)
     rows, cols = np.triu_indices(dim)
@@ -579,6 +581,10 @@ def test_upper_outer_is_the_einsum_it_replaces(dim: int) -> None:
         if a.shape[1] > 2:  # two terms sum alike in either order
             reversed_sum = sum(a[rows, k] * a[cols, k] for k in reversed(range(a.shape[1])))
             assert not np.array_equal(upper, reversed_sum), name
+    grad_m_sq = cases["grad M (.) grad M"][1]
+    assert np.array_equal(dynamics._magnetic_stress(jac_m), grad_m_sq[rows, cols])
+    stress = cases["F F^T"][1] - grad_m_sq
+    assert np.array_equal(dynamics._stress_A(f, jac_m), stress[rows, cols])
 
 
 @pytest.mark.parametrize("formulation, bound", [("A", 2.3), ("B", 5.0)])

@@ -13,7 +13,6 @@ from elastomag.spectral import (
     TorusGrid,
     VectorField,
     divergence_values,
-    jacobian_from_hat,
     l2_norm_sq_values,
     laplacian_values,
     leray_hat,
@@ -245,17 +244,3 @@ class TestFieldContainers:
     def test_scalar_shape_check(self, grid2: TorusGrid) -> None:
         with pytest.raises(ValueError):
             ScalarField(grid2, np.zeros((4, 4)))
-
-
-@pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["scalar", "vector", "matrix"])
-@pytest.mark.parametrize("dim", [2, 3])
-def test_jacobian_by_direction_is_the_one_batched_transform(dim: int, lead: tuple) -> None:
-    """jacobian_from_hat transforms one derivative direction at a time; each
-    entry equals, bit for bit, the one inverse transform of all d multiplied
-    hats at once, for a scalar, a vector and a matrix field."""
-    grid = TorusGrid(dim=dim, n=8)
-    hat = grid.fft(np.random.default_rng(5).standard_normal(lead + grid.shape))
-    expected = grid.ifft(np.expand_dims(hat, -grid.dim - 1) * grid.ik)
-    out = jacobian_from_hat(grid, hat)
-    assert out.shape == lead + (dim,) + grid.shape and out.flags.c_contiguous
-    assert np.array_equal(out, expected)

@@ -10,10 +10,10 @@ path (innermost frame first) that ran since the last reading, or the
 outside function it was in; the peak and where it was reached come last:
 
     rss_trace: run3d_sparse seed 31, 2 rounds, ru_maxrss in MB
-      +2.25 -> 68.91  setup  elastomag.spectral.jacobian_from_hat:237 < ...
+      +4.75 -> 73.76  setup  elastomag.spectral.TorusGrid.ifft:151 < ...
       ...
-      +0.25 -> 94.71  round1  elastomag.fields.inverse_values:247 < ...
-    peak 95.05 MB in round1 at elastomag.spectral.TorusGrid.fft:147 < ...
+      +0.70 -> 96.71  round1  elastomag.dynamics._deformation_hat:212 < ...
+    peak 96.71 MB in round1 at elastomag.dynamics._deformation_hat:212 < ...
 
 ru_maxrss also counts what NumPy and scipy.fft allocate outside Python's
 allocator, which tracemalloc does not see. Linux starts a process's
@@ -22,7 +22,10 @@ small process, as perfbench starts its workers from run.py. --n replaces the gri
 every config the workload reads (a smaller replica, not the benchmark's
 figures). The workload's files go to a temporary directory. Line events
 make the run several times slower than the worker, but the allocations,
-and so the path of the peak, are the worker's.
+and so the path of the peak, are the worker's. The peak's size moves by
+about 1 MB with the heap's history (one tree read 96.7 MB from one
+directory and 97.9 MB from another), so compare trees by perfbench's
+peak_rss_mb over alternating runs, not by one trace each.
 
     python3 tools/rss_trace.py WORKLOAD [--seed S] [--rounds R] [--min-mb X] [--n N]
 """
@@ -90,10 +93,11 @@ def _where(frame) -> str:
     out, outside = [], None
     while frame is not None:
         module = frame.f_globals.get("__name__", "?")
+        name = getattr(frame.f_code, "co_qualname", frame.f_code.co_name)  # 3.11+
         if frame.f_code.co_filename.startswith(PACKAGE):
-            out.append(f"{module}.{frame.f_code.co_qualname}:{frame.f_lineno}")
+            out.append(f"{module}.{name}:{frame.f_lineno}")
         elif outside is None and not module.startswith(("numpy", "scipy")):
-            outside = f"{module}.{frame.f_code.co_qualname}"
+            outside = f"{module}.{name}"
         frame = frame.f_back
     return " < ".join(out) or outside or "?"
 
