@@ -20,21 +20,27 @@ the initial one included, sums the mollified energies over the hat the next
 step starts from and copies M into the trajectory on the snapshot cadence.
 
 picard_iterate makes one sweep over the time steps from the initial state's
-time. At step k -> k+1, iterates n = 1, 2, ... in turn advance (v, F, M) by
-one _imex2 call, reading iterate n-1's nodes k and k+1: v and a frozen F
-take iterate n-1's sources (Crank-Nicolson) and declare no predictor, a
-transported F and M declare theirs and are evaluated there. The v and F
-tendencies (dynamics._momentum_hat and _deformation_hat) make no jacobian
-of v or F and assume the div v = 0 that iterate n-1's velocity meets. Each
-node is an energetics._StateHats view of its state and the hats its step
-made, which makes each jacobian at most once, for every stage and norm that
-reads it; no trajectory is stored.
-Iterate 1 reads the constant iterate 0, so with no external field its
-sources are made once per sweep, and at step 0, where every iterate's node
-is node 0, all iterates share one first stage; a field's values and hat are
-made once per time, for every iterate and term that reads them.
+time for both deformation variants. At step k -> k+1, iterates n = 1, 2, ...
+in turn, each frozen and then transported, advance (v, F, M) by one _imex2
+call, reading iterate n-1's node k+1 of their variant: v and a frozen F take
+its sources (Crank-Nicolson) and declare no predictor, a transported F and M
+declare theirs and are evaluated there. The v and F tendencies
+(dynamics._momentum_hat and _deformation_hat) make no jacobian of v or F and
+assume the div v = 0 that iterate n-1's velocity meets. M^n reads only
+v^{n-1} and M^n, and v^n reads (v, F, M)^{n-1}, so v^1, M^1 and M^2 are the
+same in both variants: the transported call steps only the fields it does
+not share (F at n = 1, v and F at n = 2) and takes the others' values, hats,
+M's jacobian and first stage from the frozen node. Each node is an
+energetics._StateHats view of its state and the hats its step made, which
+makes each jacobian at most once, for every stage and norm that reads it,
+and lives until iterate n+1 has read it; between steps an iterate holds
+only its hats and its next first stage, and no trajectory is stored.
+Iterate 1 reads the constant iterate 0, so node 0's sources and its first
+stage serve every iterate of both variants (with no external field the
+velocity source at every step), and a field's values and hat are made once
+per time, for every iterate and term that reads them.
 In both families a non-finite value raises BlowUpError at its node's time;
-in the sweep, for the first (node, iterate, stage) in that order.
+in the sweep, for the first (node, iterate, variant, stage) in that order.
 """
 
 from __future__ import annotations
@@ -289,16 +295,36 @@ def _node_norms(node: _StateHats, nu: float, s: int) -> tuple[float, float, floa
     return e_s, d_s, float(np.max(np.abs(divergence_from_hat(grid, node["v"]))))
 
 
+# the deformation variants in sweep order, each with the predictors its
+# tendencies read (of v, F and M; see timestepper._imex2)
+_VARIANTS = {"frozen": (None, None, True), "transported": (None, True, True)}
+# per iterate, the fields the transported variant takes from the frozen one
+_SHARED = {1: (0, 2), 2: (2,)}
+_STAGES = ("velocity", "deformation", "magnetization")
+
+
+def _pick(xs: tuple, fields: tuple[int, ...]) -> tuple:
+    return tuple(xs[j] for j in fields)
+
+
+def _merge(base: tuple, fields: tuple[int, ...], own: tuple) -> tuple:
+    """base with its entries at fields replaced by own, in order."""
+    out = list(base)
+    for j, x in zip(fields, own):
+        out[j] = x
+    return tuple(out)
+
+
 def picard_iterate(
     initial: StateA,
     params: PhysParams,
     n_max: int,
     cfg: IntegratorConfig,
     s: int,
-    variant: str = "frozen",
     dealias: bool = True,
-) -> PicardRun:
-    """Run the staged linearization from constant-in-time initial data.
+) -> dict[str, PicardRun]:
+    """Run the staged linearization from constant-in-time initial data in both
+    deformation variants; returns their runs keyed "frozen" and "transported".
 
     Per iterate: (i) the velocity solves a linear implicit-diffusion system
     with trapezoidal sources assembled from the previous iterate; (ii) the
@@ -310,17 +336,25 @@ def picard_iterate(
     resolution. The run starts at initial.t and lasts cfg.t_end;
     successive-difference norms are recorded at its end.
 
-    The iterates advance together in one sweep over the time steps: for
-    k = 0, 1, ..., iterates n = 1..n_max in turn take the step k -> k+1 of
-    their velocity, deformation and magnetization stages in one IMEX2 call,
-    reading iterate n-1's nodes k and k+1 (iterate 0 is one constant node).
-    So only the current nodes are held, each node keeps the hats its step
-    made, and its jacobians serve every stage that reads them. E_s, D_s and
-    max |div v| per node come from the node's hats. A non-finite value
-    raises BlowUpError for the first (node, iterate, stage) in this order.
+    One sweep over the time steps advances both variants: for k = 0, 1, ...,
+    iterates n = 1..n_max in turn, each in the frozen variant and then in the
+    transported one, take the step k -> k+1 of their velocity, deformation
+    and magnetization stages in one IMEX2 call, reading iterate n-1's node
+    k+1 of their variant (iterate 0 is one constant node). M^n reads only
+    v^{n-1} and M^n, and v^n reads (v, F, M)^{n-1}, so v^1, M^1 and M^2 are
+    the same in both variants: the transported call steps only F at n = 1
+    and (v, F) at n = 2, and takes the rest (values, hats, M's jacobian and
+    first stage) from the frozen iterate's new node.
+
+    Between steps an iterate holds only its field hats and its next step's
+    first-stage hats: the Crank-Nicolson sources of v and a frozen F at
+    iterate n-1's node, and the tendencies of a transported F and of M,
+    made at the end of its step from its new node and iterate n-1's. A node
+    (values, hats and M's jacobian) lives until iterate n+1 has read it,
+    and the last step keeps only the states. E_s, D_s and max |div v| per
+    node come from the node's hats. A non-finite value raises BlowUpError
+    for the first (node, iterate, variant, stage) in this order.
     """
-    if variant not in ("frozen", "transported"):
-        raise ValueError(f"unknown deformation variant {variant!r}")
     grid = initial.grid
     node0 = _StateHats(initial)
     e0, d0, div0 = _node_norms(node0, params.nu, s)
@@ -333,10 +367,8 @@ def picard_iterate(
 
     dt, nu, kappa = cfg.dt, params.nu, params.kappa
     mask = _mask(grid, dealias)
-    frozen = variant == "frozen"
-    reads = (None, None if frozen else True, True)  # the predictors nonstiff reads
-    # a step reads the field at t0, t1 and its predictor's t0 + dt, for every
-    # iterate and term: each time's values and hat are made once
+    # a step reads the field at t1 and its predictor's t0 + dt, for every
+    # iterate, variant and term: each time's values and hat are made once
     field = lru_cache(maxsize=3)(partial(_field_at, params.h_ext, grid))
 
     def velocity_hat(p: _StateHats, t: float) -> np.ndarray:
@@ -351,74 +383,100 @@ def picard_iterate(
                 t: float) -> np.ndarray:
         return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat, *field(t), mask)
 
-    def nonstiff(p1: _StateHats, v_src1: np.ndarray, f_src1: np.ndarray | None,
-                 values: tuple, hats: tuple, t: float) -> tuple[np.ndarray, ...]:
-        # v and a frozen F take iterate n-1's sources at node k+1; a transported
-        # F and M read their predictors
-        if f_src1 is None:
-            f_src1 = deformation_hat(p1, values[1], hats[1])
-        m_src1 = llg_hat(p1, values[2], hats[2], jacobian_from_hat(grid, hats[2]), t)
-        return v_src1, f_src1, m_src1
-
-    def sources(p: _StateHats, t: float) -> tuple[np.ndarray, np.ndarray | None]:
-        # the CN sources of v and a frozen F at node p (a transported F has none)
-        f_src = deformation_hat(p, p.state.F.values, p["F"]) if frozen else None
-        return velocity_hat(p, t), f_src
-
-    def first_stage(p0: _StateHats, own: _StateHats, t: float
-                    ) -> tuple[np.ndarray | None, np.ndarray]:
-        # the first-stage hats of a transported F (None when frozen) and of M at
-        # iterate n's node, read with iterate n-1's node p0
-        f = None if frozen else deformation_hat(p0, own.state.F.values, own["F"])
-        return f, llg_hat(p0, own.state.M.values, own["M"], own.jac("M"), t)
-
-    # per iterate: its current node, and the CN sources at iterate n-1's node k;
-    # iterate 1 reads the constant node 0, whose sources depend on t only
-    # through a field
-    start = initial.t
-    nodes = [node0] * (n_max + 1)
-    v_src, f_src = ([x] * n_max for x in sources(node0, start))
-    constant_sources = params.h_ext.is_zero
-    e_sup, div_res = [e0] * n_max, [div0] * n_max
-    d_nodes = [[d0] for _ in range(n_max)]  # scalar D_s per node, for the trapezoid
-
-    for k in range(_step_count(cfg.t_end, dt)):
-        t0, t1 = start + k * dt, start + (k + 1) * dt
-        p0 = node0
-        # at step 0 every iterate's own node and its predecessor's are node 0,
-        # so their first stage is made once, and not held past the step
-        stage0 = first_stage(node0, node0, t0) if k == 0 else None
-        for n in range(1, n_max + 1):
-            # p0, p1: iterate n-1's nodes k and k+1; own: iterate n's node k
-            i, p1, own = n - 1, nodes[n - 1], nodes[n]
-            if n == 1 and constant_sources:
-                v_src1, f_src1 = v_src[0], f_src[0]
+    def tendencies(p1: _StateHats, src: tuple, fields: tuple[int, ...], values: tuple,
+                   hats: tuple, t: float, node: _StateHats | None = None
+                   ) -> tuple[np.ndarray, ...]:
+        # the tendency hats of fields at (values, hats), read with iterate n-1's
+        # node p1: v and a frozen F take its sources src, a transported F and M
+        # read their own values; M's jacobian is node's, or made here at a predictor
+        out = []
+        for j, x, x_hat in zip(fields, values, hats):
+            if j == 2:
+                jac = jacobian_from_hat(grid, x_hat) if node is None else node.jac("M")
+                out.append(llg_hat(p1, x, x_hat, jac, t))
             else:
-                v_src1, f_src1 = sources(p1, t1)
-            f_stage, m_stage = stage0 or first_stage(p0, own, t0)
-            n1 = (v_src[i], f_src[i] if frozen else f_stage, m_stage)
-            hats = tuple(own[name] for name in StateA.names)
-            values, new_hats = _imex2(grid, hats, n1, t0, dt,
-                                      partial(nonstiff, p1, v_src1, f_src1), reads,
-                                      (nu, kappa, 1.0), _POSTS["A"])
-            v_src[i], f_src[i] = v_src1, f_src1
-            for name, x in zip(("velocity", "deformation", "magnetization"), values):
-                if not np.all(np.isfinite(x)):
-                    raise BlowUpError(t1, f"iterate {n} {name} stage: {BlowUpError(t1)}")
-            p0, nodes[n] = own, _StateHats(StateA.from_values(t1, grid, values, new_hats))
-            e_s, d_s, div = _node_norms(nodes[n], nu, s)
-            e_sup[i], div_res[i] = max(e_sup[i], e_s), max(div_res[i], div)
-            d_nodes[i].append(d_s)
+                out.append(deformation_hat(p1, x, x_hat) if src[j] is None else src[j])
+        return tuple(out)
 
-    states_at_T = [replace(node.state, t=start + cfg.t_end, hats=None) for node in nodes]
-    return PicardRun(
-        variant=variant,
-        s=s,
-        e0=e0,
-        states_at_T=states_at_T,
-        diffs=[picard_metric(b, a, s) for a, b in zip(states_at_T, states_at_T[1:])],
-        e_sup=e_sup,
-        d_int=[float(dt * (np.sum(d) - 0.5 * d[0] - 0.5 * d[-1])) for d in d_nodes],
-        div_v_res=div_res,
-        sphere_res=[sphere_residual(state.M) for state in states_at_T[1:]],
-    )
+    start, n_steps = initial.t, _step_count(cfg.t_end, dt)
+    # node 0's sources serve every iterate and variant; its F source is also a
+    # transported F's first stage there, and with no field its v source is the
+    # same at every time
+    v_src0 = velocity_hat(node0, start)
+    f_src0 = deformation_hat(node0, initial.F.values, node0["F"])
+    constant_v_src0 = params.h_ext.is_zero
+    # per variant and iterate: its hats and first-stage hats at node k; at step 0
+    # every iterate's node and its predecessor's are node 0
+    stage0 = llg_hat(node0, initial.M.values, node0["M"], node0.jac("M"), start)
+    held = {variant: [(tuple(node0[name] for name in StateA.names),
+                       (v_src0, f_src0, stage0))] * n_max for variant in _VARIANTS}
+    states = {variant: [replace(initial, t=start + cfg.t_end, hats=None)] * (n_max + 1)
+              for variant in _VARIANTS}
+    e_sup = {variant: [e0] * n_max for variant in _VARIANTS}
+    div_res = {variant: [div0] * n_max for variant in _VARIANTS}
+    # scalar D_s per node, for the trapezoid
+    d_nodes = {variant: [[d0] for _ in range(n_max)] for variant in _VARIANTS}
+
+    for k in range(n_steps):
+        t0, t1 = start + k * dt, start + (k + 1) * dt
+        prev = dict.fromkeys(_VARIANTS, node0)  # per variant, iterate n-1's node k+1
+        for n in range(1, n_max + 1):
+            i = n - 1
+            for variant, reads in _VARIANTS.items():
+                frozen, p1 = variant == "frozen", prev[variant]
+                shared = () if frozen else _SHARED.get(n, ())
+                fields = tuple(j for j in range(3) if j not in shared)
+                v_src1 = f_src1 = None
+                if 0 in fields:
+                    v_src1 = v_src0 if p1 is node0 and constant_v_src0 else velocity_hat(p1, t1)
+                if frozen:
+                    f_src1 = f_src0 if p1 is node0 else deformation_hat(p1, p1.state.F.values,
+                                                                        p1["F"])
+                src = (v_src1, f_src1)
+                hats, n1 = held[variant][i]
+                values, new_hats = _imex2(grid, _pick(hats, fields), _pick(n1, fields), t0, dt,
+                                          partial(tendencies, p1, src, fields),
+                                          _pick(reads, fields), _pick((nu, kappa, 1.0), fields),
+                                          _pick(_POSTS["A"], fields))
+                for j, x in zip(fields, values):
+                    if not np.all(np.isfinite(x)):
+                        raise BlowUpError(
+                            t1, f"{variant} iterate {n} {_STAGES[j]} stage: {BlowUpError(t1)}")
+                own = values, new_hats
+                if shared:
+                    values, new_hats = (_merge(x, fields, y) for x, y in zip(made[:2], own))
+                node = _StateHats(StateA.from_values(t1, grid, values, new_hats))
+                if 2 in shared:
+                    node.jacs = made_node.jacs  # M's jacobian is the frozen node's
+                e_s, d_s, div = _node_norms(node, nu, s)
+                e_sup[variant][i] = max(e_sup[variant][i], e_s)
+                div_res[variant][i] = max(div_res[variant][i], div)
+                d_nodes[variant][i].append(d_s)
+                if k == n_steps - 1:
+                    held[variant][i] = n1 = None
+                    states[variant][n] = replace(node.state, t=start + cfg.t_end, hats=None)
+                else:
+                    n1 = tendencies(p1, src, fields, *own, t1, node)
+                    if shared:
+                        n1 = _merge(made[2], fields, n1)
+                    held[variant][i] = new_hats, n1
+                if frozen:
+                    made, made_node = (values, new_hats, n1), node
+                prev[variant] = node
+
+    runs = {}
+    for variant in _VARIANTS:
+        states_at_T = states[variant]
+        runs[variant] = PicardRun(
+            variant=variant,
+            s=s,
+            e0=e0,
+            states_at_T=states_at_T,
+            diffs=[picard_metric(b, a, s) for a, b in zip(states_at_T, states_at_T[1:])],
+            e_sup=e_sup[variant],
+            d_int=[float(dt * (np.sum(d) - 0.5 * d[0] - 0.5 * d[-1]))
+                   for d in d_nodes[variant]],
+            div_v_res=div_res[variant],
+            sphere_res=[sphere_residual(state.M) for state in states_at_T[1:]],
+        )
+    return runs

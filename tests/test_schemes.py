@@ -263,104 +263,121 @@ class TestPicardGuards:
         with pytest.raises(ValueError):
             picard_iterate(bad, PARAMS, 1, cfg, 2)
 
-    def test_rejects_unknown_variant(self, grid2: TorusGrid) -> None:
-        cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
-        with pytest.raises(ValueError):
-            picard_iterate(
-                steady_circle_state(grid2), PARAMS, 1, cfg, 2, variant="exotic"
-            )
-
 
 class TestPicardIteration:
     def test_iterate_zero_is_the_initial_data(self, grid2: TorusGrid) -> None:
         init = steady_circle_state(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.02)
-        out = picard_iterate(init, PARAMS, 1, cfg, 2)
-        first = out.states_at_T[0]
-        assert first.t == 0.02
-        assert np.array_equal(first.v.values, init.v.values)
-        assert np.array_equal(first.F.values, init.F.values)
-        assert np.array_equal(first.M.values, init.M.values)
+        for out in picard_iterate(init, PARAMS, 1, cfg, 2).values():
+            first = out.states_at_T[0]
+            assert first.t == 0.02
+            assert np.array_equal(first.v.values, init.v.values)
+            assert np.array_equal(first.F.values, init.F.values)
+            assert np.array_equal(first.M.values, init.M.values)
 
     def test_stored_iterates_own_their_data(self, grid2: TorusGrid) -> None:
         # a view into an iterate's node arrays would keep its whole trajectory alive
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
-        out = picard_iterate(init, PARAMS, 2, cfg, 2)
-        for state in out.states_at_T[1:]:
-            assert all(f.values.base is None for f in (state.v, state.F, state.M))
+        for out in picard_iterate(init, PARAMS, 2, cfg, 2).values():
+            for state in out.states_at_T[1:]:
+                assert all(f.values.base is None for f in (state.v, state.F, state.M))
 
-    @pytest.mark.parametrize(("variant", "per_node"), [
-        ("frozen", {"fwd": 10.5, "inv": 32}),
-        ("transported", {"fwd": 19.5, "inv": 39}),
-    ], ids=["frozen", "transported"])
-    def test_iterate_transforms_per_node(self, grid2: TorusGrid, variant: str,
-                                         per_node: dict[str, float], monkeypatch) -> None:
-        """Scalar transforms per node and iterate, sources, steps and norms
-        together: no node is transformed, each holding the hats its step made,
-        and each makes each jacobian at most once. Iterate 1 reads the
-        constant iterate 0, whose jacobians and, with no field, whose sources
-        are made once per run, and no node makes a jacobian of v or F, so
-        per_node is the mean over iterates 1 and 2."""
+    def test_iterate_transforms_per_node(self, grid2: TorusGrid, monkeypatch) -> None:
+        """Scalar transforms per step of 2 iterates in both variants, sources,
+        steps and norms together: no node is transformed, each holding the
+        hats its step made, and each makes each jacobian at most once. Iterate
+        1 reads the constant iterate 0, whose jacobians and, with no field,
+        whose sources are made once per run, and no node makes a jacobian of v
+        or F. Two sweeps, one per variant, made 21/64 + 39/78 = 60/142: the
+        transported iterate 1 takes v and M from the frozen node and iterate 2
+        takes M, so M's predictor, tendencies, jacobians and new values (6/24
+        per iterate) are made once, and so are v's new values at iterate 1."""
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         counter = TransformCounter(monkeypatch, grid2)
         totals = []
         for steps in (4, 5):
             cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3)
-            picard_iterate(init, PARAMS, 2, cfg, 2, variant)
+            picard_iterate(init, PARAMS, 2, cfg, 2)
             totals.append(dict(counter.counts))
-        # counts accumulate: this is the 5-step run less the 4-step one, one node
-        # more in each of the 2 iterates
+        # counts accumulate: this is the 5-step run less the 4-step one, one step
+        # more of each iterate in each variant
         extra = {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]}
-        assert extra == {k: 2 * count for k, count in per_node.items()}
+        assert extra == {"fwd": 48, "inv": 92}
 
-    @pytest.mark.parametrize(("variant", "per_iterate"), [
-        ("frozen", {"fwd": 21, "inv": 30}),
-        ("transported", {"fwd": 21, "inv": 34}),
-    ], ids=["frozen", "transported"])
-    def test_step_zero_makes_the_first_stage_once(self, grid2: TorusGrid, variant: str,
-                                                  per_iterate: dict[str, int],
+    def test_step_zero_makes_the_first_stage_once(self, grid2: TorusGrid,
                                                   monkeypatch) -> None:
         """At step 0 every iterate's own node and its predecessor's are node 0,
-        so the first-stage hats of M and of a transported F are the same for
-        all iterates and made once per sweep: each iterate past the first adds
-        to a one-step sweep only its sources at node 1, its predictor tendency,
-        its new node and its norms. Made per iterate, they cost 3/3 (M) and
-        6/2 (a transported F) more: 24/33 and 30/39."""
+        so the first-stage hats of M and of a transported F (a frozen F's
+        source there) are the same for all iterates and both variants and made
+        once per sweep: each iterate past the first adds to a one-step sweep
+        only its sources at node 1, its predictor tendency, its new node and
+        its norms. Two sweeps, one per variant, added 42/60 + 42/68 for
+        iterates 2 and 3; the transported iterate 2 takes M from the frozen
+        node (3/15), and iterates 2 and 3 read M's jacobian of the frozen
+        iterates 1 and 2 (0/12)."""
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         counts = TransformCounter(monkeypatch, grid2).counts
         totals = []
         for n_max in (1, 3):
             before = dict(counts)
-            picard_iterate(init, PARAMS, n_max, IntegratorConfig(dt=1e-3, t_end=1e-3), 2, variant)
+            picard_iterate(init, PARAMS, n_max, IntegratorConfig(dt=1e-3, t_end=1e-3), 2)
             totals.append({k: counts[k] - before[k] for k in before})
-        assert {k: totals[1][k] - totals[0][k] for k in totals[0]} == {
-            k: 2 * count for k, count in per_iterate.items()
-        }
+        assert {k: totals[1][k] - totals[0][k] for k in totals[0]} == {"fwd": 81, "inv": 101}
 
-    @pytest.mark.parametrize(("variant", "counts"), [
-        ("frozen", {"fwd": 112, "inv": 162}),
-        ("transported", {"fwd": 124, "inv": 182}),
-    ], ids=["frozen", "transported"])
-    def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid, variant: str,
-                                                  counts: dict[str, int], monkeypatch) -> None:
-        """With a field, every iterate and term at one time share its values
-        and hat: 2 iterates of 2 steps transform h at t = 0, dt and 2 dt
-        only, not once per iterate, velocity source and magnetization term
-        (142/162 and 154/182 that way)."""
+    def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid,
+                                                  monkeypatch) -> None:
+        """With a field, every iterate, variant and term at one time share its
+        values and hat: 2 iterates of 2 steps transform h at t = 0, dt and 2 dt
+        only, not once per iterate, velocity source and magnetization term.
+        Two sweeps, one per variant, made 112/162 + 124/182 = 236/344."""
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         params = PhysParams(nu=1.0, h_ext=HExt(kind="single_mode", amplitude=0.1, omega=20.0))
         counter = TransformCounter(monkeypatch, grid2)
-        picard_iterate(init, params, 2, IntegratorConfig(dt=1e-3, t_end=2e-3), 2, variant)
+        picard_iterate(init, params, 2, IntegratorConfig(dt=1e-3, t_end=2e-3), 2)
+        assert counter.counts == {"fwd": 164, "inv": 222}
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
+    @pytest.mark.parametrize(("grid", "counts"), [
+        (TorusGrid(dim=2, n=16), {"fwd": 350, "inv": 570}),
+        (TorusGrid(dim=3, n=8), {"fwd": 720, "inv": 859}),
+    ], ids=["2d_n16", "3d_n8"])
+    def test_variants_share_v1_m1_and_m2(self, grid: TorusGrid, counts: dict[str, int],
+                                         dealias: bool, monkeypatch) -> None:
+        """M^n reads only v^{n-1} and M^n, and v^n reads (v, F, M)^{n-1}, so
+        v^1, M^1 and M^2 are the same in both variants and v^2 is not: a sweep
+        that shares nothing makes them apart, bit for bit the same, and gives
+        every run of the sharing sweep bit for bit. The sharing sweep's
+        scalar transforms are pinned (the one that shares nothing makes
+        395/732 in 2D and 777/1069 in 3D)."""
+        init = generate_initial_data(grid, "flow_map_F", "A", amplitude=1e-2, seed=5)
+        h_ext = HExt(kind="single_mode", amplitude=0.1, wavevector=(1,) + (0,) * (grid.dim - 1),
+                     omega=20.0)
+        params = PhysParams(nu=1.0, kappa=0.1, h_ext=h_ext)
+        cfg = IntegratorConfig(dt=1e-3, t_end=3e-3)
+        counter = TransformCounter(monkeypatch, grid)
+        shared = picard_iterate(init, params, 3, cfg, 2, dealias=dealias)
         assert counter.counts == counts
+        monkeypatch.setattr(schemes, "_SHARED", {})
+        apart = picard_iterate(init, params, 3, cfg, 2, dealias=dealias)
+        frozen, transported = (apart[v].states_at_T for v in ("frozen", "transported"))
+        for a, b in ((frozen[1].v, transported[1].v), (frozen[1].M, transported[1].M),
+                     (frozen[2].M, transported[2].M)):
+            assert np.array_equal(a.values, b.values)
+        assert not np.array_equal(frozen[2].v.values, transported[2].v.values)
+        for variant, run_ in shared.items():
+            for a, b in zip(run_.states_at_T, apart[variant].states_at_T, strict=True):
+                assert all(np.array_equal(x.values, y.values) for x, y in zip(a.fields, b.fields))
+            for name in ("diffs", "e_sup", "d_int", "div_v_res", "sphere_res"):
+                assert getattr(run_, name) == getattr(apart[variant], name)
 
     @pytest.mark.parametrize("variant", ["frozen", "transported"])
     def test_later_iterates_leave_earlier_ones_unchanged(self, grid2: TorusGrid,
                                                          variant: str) -> None:
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
-        short = picard_iterate(init, PARAMS, 3, cfg, 2, variant)
-        long = picard_iterate(init, PARAMS, 5, cfg, 2, variant)
+        short = picard_iterate(init, PARAMS, 3, cfg, 2)[variant]
+        long = picard_iterate(init, PARAMS, 5, cfg, 2)[variant]
         for a, b in zip(short.states_at_T, long.states_at_T[:4], strict=True):
             assert all(np.array_equal(x.values, y.values) for x, y in zip(a.fields, b.fields))
         for name in ("diffs", "e_sup", "d_int", "div_v_res", "sphere_res"):
@@ -387,9 +404,13 @@ class TestPicardIteration:
     def test_blowup_names_the_first_bad_node_and_stage(self, grid2: TorusGrid,
                                                        monkeypatch) -> None:
         """A field that turns NaN at t = 2 dt spoils iterate 1's velocity
-        source there first: the sweep reaches node 2 of iterate 1's velocity
-        stage before any later node or iterate. The field is a time-dependent
-        one, for which iterate 1's velocity source is made at every node."""
+        source there first: the sweep reaches node 2 of the frozen iterate 1's
+        velocity stage before any later node, iterate or variant. The field is
+        a time-dependent one, for which iterate 1's velocity source is made at
+        every node. Steps whose new values turn NaN at node 2 when they cover
+        fewer than three fields (the transported iterates 1 and 2, which take
+        the rest from the frozen node) name the transported iterate 1, which
+        the sweep reaches before iterate 2 of either variant."""
         dt = 1e-3
 
         def h_values(h_ext, grid, t):
@@ -400,8 +421,22 @@ class TestPicardIteration:
         h_ext = HExt(kind="single_mode", amplitude=0.5, wavevector=(1, 0), component=0,
                      omega=20.0)
         params = PhysParams(nu=1.0, kappa=0.0, h_ext=h_ext)
-        with pytest.raises(BlowUpError, match="iterate 1 velocity stage") as info:
+        with pytest.raises(BlowUpError, match="frozen iterate 1 velocity stage") as info:
             picard_iterate(init, params, 3, IntegratorConfig(dt=dt, t_end=5 * dt), 2)
+        assert info.value.t == 2 * dt
+
+        monkeypatch.undo()
+        imex2 = schemes._imex2
+
+        def spoiled(grid, hats, *args):
+            values, new_hats = imex2(grid, hats, *args)
+            if len(hats) < 3 and args[1] == dt:  # args[1] is the step's t0
+                values = tuple(np.full_like(x, np.nan) for x in values)
+            return values, new_hats
+
+        monkeypatch.setattr(schemes, "_imex2", spoiled)
+        with pytest.raises(BlowUpError, match="transported iterate 1 deformation stage") as info:
+            picard_iterate(init, PARAMS, 3, IntegratorConfig(dt=dt, t_end=5 * dt), 2)
         assert info.value.t == 2 * dt
 
     def test_sweep_starts_at_the_initial_time(self, grid2: TorusGrid) -> None:
@@ -414,7 +449,7 @@ class TestPicardIteration:
             generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5), t=0.5
         )
         cfg = IntegratorConfig(dt=1e-3, t_end=3e-3)
-        last = picard_iterate(init, params, 6, cfg, 2).states_at_T[-1]
+        last = picard_iterate(init, params, 6, cfg, 2)["frozen"].states_at_T[-1]
         mono = run(init, params, cfg)
         assert mono.status == "completed"
         assert last.t == mono.state.t == pytest.approx(0.503, abs=1e-15)
@@ -424,7 +459,7 @@ class TestPicardIteration:
         init = steady_circle_state(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
         out = picard_iterate(init, PARAMS, 3, cfg, 2)
-        for state in out.states_at_T:
+        for state in out["frozen"].states_at_T + out["transported"].states_at_T:
             assert np.max(np.abs(state.v.values - init.v.values)) <= 1e-10
             assert np.max(np.abs(state.F.values - init.F.values)) <= 1e-10
             assert np.max(np.abs(state.M.values - init.M.values)) <= 1e-10
@@ -432,7 +467,7 @@ class TestPicardIteration:
     def test_small_data_contracts(self, grid2: TorusGrid) -> None:
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 5, cfg, 2)
+        out = picard_iterate(init, PARAMS, 5, cfg, 2)["frozen"]
         assert all(b < a for a, b in zip(out.diffs, out.diffs[1:]))
         assert all(r <= 0.5 for r in out.ratios)
         assert max(out.div_v_res) <= 1e-11
@@ -441,7 +476,7 @@ class TestPicardIteration:
     def test_transported_variant_also_contracts(self, grid2: TorusGrid) -> None:
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 3, cfg, 2, variant="transported")
+        out = picard_iterate(init, PARAMS, 3, cfg, 2)["transported"]
         assert out.variant == "transported"
         assert all(b < a for a, b in zip(out.diffs, out.diffs[1:]))
 
@@ -457,7 +492,7 @@ class TestConvergenceReport:
     def test_steady_run_distance_is_tiny(self, grid2: TorusGrid) -> None:
         init = steady_circle_state(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 3, cfg, 2)
+        out = picard_iterate(init, PARAMS, 3, cfg, 2)["frozen"]
         reference = StateA(t=0.05, v=init.v, F=init.F, M=init.M)
         assert picard_metric(out.states_at_T[-1], reference, 2) <= 1e-10
         assert max(e + d for e, d in zip(out.e_sup, out.d_int)) <= 2.0 * out.e0
@@ -465,7 +500,7 @@ class TestConvergenceReport:
     def test_small_data_limit_matches_monolithic_solver(self, grid2: TorusGrid) -> None:
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 5, cfg, 2)
+        out = picard_iterate(init, PARAMS, 5, cfg, 2)["frozen"]
         mono = run(init, PARAMS, cfg)
         assert mono.status == "completed"
         assert picard_metric(out.states_at_T[-1], mono.state, 2) <= 1e-5
@@ -483,6 +518,11 @@ def flow_map_3d() -> StateA:
 
 
 @pytest.fixture(scope="module")
+def picard_3d(flow_map_3d: StateA) -> dict[str, schemes.PicardRun]:
+    return picard_iterate(flow_map_3d, PARAMS, 6, PICARD_CFG3, 2)
+
+
+@pytest.fixture(scope="module")
 def monolithic_3d(flow_map_3d: StateA) -> StateA:
     result = run(flow_map_3d, PARAMS, PICARD_CFG3)
     assert result.status == "completed"
@@ -494,10 +534,10 @@ class TestSchemes3D:
     mollifier_study thresholds."""
 
     @pytest.mark.parametrize("variant", ["frozen", "transported"])
-    def test_picard_contracts_to_the_monolithic_run(self, flow_map_3d: StateA,
+    def test_picard_contracts_to_the_monolithic_run(self, picard_3d: dict,
                                                     monolithic_3d: StateA,
                                                     variant: str) -> None:
-        out = picard_iterate(flow_map_3d, PARAMS, 6, PICARD_CFG3, 2, variant)
+        out = picard_3d[variant]
         assert max(out.ratios) <= PICARD_RATIO_TOL
         assert picard_metric(out.states_at_T[-1], monolithic_3d, 2) <= PICARD_DISTANCE_TOL
         assert max(e + d for e, d in zip(out.e_sup, out.d_int)) <= 2.0 * out.e0

@@ -1,6 +1,7 @@
 """The golden-hash tool still names configs and scenarios the package accepts,
 and its compare mode reads every kind of output file; the line-trace tool
-lists what a test run leaves out."""
+lists what a test run leaves out; the trajectory tool reads both BENCH pair
+layouts."""
 
 from __future__ import annotations
 
@@ -24,14 +25,15 @@ LINE_TRACE = ROOT / "tools" / "line_trace.py"
 RSS_TRACE = ROOT / "tools" / "rss_trace.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("golden_hashes", GOLDEN)
+def load_tool(path: Path = GOLDEN):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 TOOL = load_tool()
+TRAJECTORY = load_tool(ROOT / "tools" / "bench_trajectory.py")
 RUNS = TOOL.RUNS
 
 
@@ -122,3 +124,41 @@ def test_rss_trace_prints_each_rise_and_the_peak() -> None:
         assert all(frame.fullmatch(f) for f in path) or (len(path) == 1 and ":" not in path[0])
     peak = re.fullmatch(r"peak (\d+\.\d\d) MB in (setup|round0) at (\S.*)", out[-1])
     assert peak and float(peak[1]) >= totals[-1]
+
+
+def test_bench_trajectory_reads_both_pair_layouts(tmp_path: Path, capsys) -> None:
+    """Two files outside git, so in name order: per-run records with a side,
+    their metrics numbers or {"value": ...} objects, in "metrics" or in the
+    record itself, and records that hold both sides. Each prints the median
+    of each side's runs per workload and metric; run keys are not metrics,
+    and a workload without pairs or a metric only one side reports is left out."""
+    def run(side: str, wall: float, count: int, **extra) -> dict:
+        return {"pair": 0, "seed": 1, "side": side, "correct": True, "attempted": 3,
+                "failed": 0, "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                         "fft_scalar_count": count}, **extra}
+
+    per_run = {"what": "per-run records", "workloads": {
+        "schemes_2d": {"stats": {}, "pairs": [
+            run("parent", 10.0, 100), run("change", 8.0, 90),
+            run("parent", 12.0, 100), run("change", 9.0, 90),
+            run("parent", 11.0, 100), run("change", 7.0, 90, run_order=1)]},
+        "run2d_diag": {"pairs": [{"seed": 2, "side": "parent", "wall_s": 2.0},
+                                 {"seed": 2, "side": "change", "wall_s": 1.0,
+                                  "peak_rss_mb": 70.0}]},
+        "no_pairs": {"medians": {"wall_s": 1.0}}}}
+    both = {"workloads": {"run3d_sparse": {"pairs": [
+        {"seed": 3, "first": "parent", "parent": {"wall_s": 4.0, "correct": True},
+         "change": {"wall_s": 3.0, "correct": True}},
+        {"seed": 4, "first": "change", "parent": {"wall_s": 6.0}, "change": {"wall_s": 5.0}}]}}}
+    (tmp_path / "BENCH_b.json").write_text(json.dumps(both))
+    (tmp_path / "BENCH_a.json").write_text(json.dumps(per_run))
+    (tmp_path / "other.json").write_text(json.dumps(both))
+    TRAJECTORY.main(["--dir", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines() == [
+        "BENCH_a.json",
+        "  schemes_2d  wall_s  11 -> 8  (-27.3%, 3/3 runs)",
+        "  schemes_2d  fft_scalar_count  100 -> 90  (-10.0%, 3/3 runs)",
+        "  run2d_diag  wall_s  2 -> 1  (-50.0%, 1/1 runs)",
+        "BENCH_b.json",
+        "  run3d_sparse  wall_s  5 -> 4  (-20.0%, 2/2 runs)",
+    ]
