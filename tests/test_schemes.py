@@ -233,6 +233,14 @@ class TestMollifierStudy:
         assert study == {"fwd": solves["fwd"] + 2 * 3 - 2 * 3, "inv": solves["inv"]}
 
 
+def sweep_only(monkeypatch: pytest.MonkeyPatch, variant: str) -> None:
+    """Make picard_iterate sweep one deformation variant alone, sharing
+    nothing with the other; "both" keeps the joint sweep."""
+    if variant != "both":
+        monkeypatch.setattr(schemes, "_VARIANTS", {variant: schemes._VARIANTS[variant]})
+        monkeypatch.setattr(schemes, "_SHARED", {})
+
+
 class TestPicardGuards:
     def test_rejects_non_div_free_velocity(self, grid2: TorusGrid) -> None:
         state = steady_circle_state(grid2)
@@ -283,16 +291,23 @@ class TestPicardIteration:
             for state in out.states_at_T[1:]:
                 assert all(f.values.base is None for f in (state.v, state.F, state.M))
 
-    def test_iterate_transforms_per_node(self, grid2: TorusGrid, monkeypatch) -> None:
-        """Scalar transforms per step of 2 iterates in both variants, sources,
-        steps and norms together: no node is transformed, each holding the
-        hats its step made, and each makes each jacobian at most once. Iterate
-        1 reads the constant iterate 0, whose jacobians and, with no field,
-        whose sources are made once per run, and no node makes a jacobian of v
-        or F. Two sweeps, one per variant, made 21/64 + 39/78 = 60/142: the
+    @pytest.mark.parametrize(("variant", "extra"), [
+        ("frozen", {"fwd": 21, "inv": 64}),
+        ("transported", {"fwd": 39, "inv": 78}),
+        ("both", {"fwd": 48, "inv": 92}),
+    ], ids=["frozen", "transported", "both"])
+    def test_iterate_transforms_per_node(self, grid2: TorusGrid, variant: str,
+                                         extra: dict[str, int], monkeypatch) -> None:
+        """Scalar transforms per step of 2 iterates, sources, steps and norms
+        together: no node is transformed, each holding the hats its step made,
+        and each makes each jacobian at most once. Iterate 1 reads the
+        constant iterate 0, whose jacobians and, with no field, whose sources
+        are made once per run, and no node makes a jacobian of v or F. The
+        joint sweep makes less than the two variants alone (60/142): the
         transported iterate 1 takes v and M from the frozen node and iterate 2
         takes M, so M's predictor, tendencies, jacobians and new values (6/24
         per iterate) are made once, and so are v's new values at iterate 1."""
+        sweep_only(monkeypatch, variant)
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         counter = TransformCounter(monkeypatch, grid2)
         totals = []
@@ -301,21 +316,28 @@ class TestPicardIteration:
             picard_iterate(init, PARAMS, 2, cfg, 2)
             totals.append(dict(counter.counts))
         # counts accumulate: this is the 5-step run less the 4-step one, one step
-        # more of each iterate in each variant
-        extra = {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]}
-        assert extra == {"fwd": 48, "inv": 92}
+        # more of each iterate
+        assert {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]} == extra
 
-    def test_step_zero_makes_the_first_stage_once(self, grid2: TorusGrid,
+    @pytest.mark.parametrize(("variant", "added"), [
+        ("frozen", {"fwd": 42, "inv": 60}),
+        ("transported", {"fwd": 42, "inv": 68}),
+        ("both", {"fwd": 81, "inv": 101}),
+    ], ids=["frozen", "transported", "both"])
+    def test_step_zero_makes_the_first_stage_once(self, grid2: TorusGrid, variant: str,
+                                                  added: dict[str, int],
                                                   monkeypatch) -> None:
         """At step 0 every iterate's own node and its predecessor's are node 0,
         so the first-stage hats of M and of a transported F (a frozen F's
         source there) are the same for all iterates and both variants and made
         once per sweep: each iterate past the first adds to a one-step sweep
         only its sources at node 1, its predictor tendency, its new node and
-        its norms. Two sweeps, one per variant, added 42/60 + 42/68 for
-        iterates 2 and 3; the transported iterate 2 takes M from the frozen
-        node (3/15), and iterates 2 and 3 read M's jacobian of the frozen
-        iterates 1 and 2 (0/12)."""
+        its norms. Made per iterate, they cost 3/3 (M) and 6/2 (a transported
+        F) more. The joint sweep adds less for iterates 2 and 3 than the two
+        variants alone (84/128): the transported iterate 2 takes M from the
+        frozen node (3/15), and iterates 2 and 3 read M's jacobian of the
+        frozen iterates 1 and 2 (0/12)."""
+        sweep_only(monkeypatch, variant)
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         counts = TransformCounter(monkeypatch, grid2).counts
         totals = []
@@ -323,19 +345,28 @@ class TestPicardIteration:
             before = dict(counts)
             picard_iterate(init, PARAMS, n_max, IntegratorConfig(dt=1e-3, t_end=1e-3), 2)
             totals.append({k: counts[k] - before[k] for k in before})
-        assert {k: totals[1][k] - totals[0][k] for k in totals[0]} == {"fwd": 81, "inv": 101}
+        assert {k: totals[1][k] - totals[0][k] for k in totals[0]} == added
 
-    def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid,
+    @pytest.mark.parametrize(("variant", "counts"), [
+        ("frozen", {"fwd": 100, "inv": 158}),
+        ("transported", {"fwd": 124, "inv": 182}),
+        ("both", {"fwd": 164, "inv": 222}),
+    ], ids=["frozen", "transported", "both"])
+    def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid, variant: str,
+                                                  counts: dict[str, int],
                                                   monkeypatch) -> None:
         """With a field, every iterate, variant and term at one time share its
         values and hat: 2 iterates of 2 steps transform h at t = 0, dt and 2 dt
-        only, not once per iterate, velocity source and magnetization term.
-        Two sweeps, one per variant, made 112/162 + 124/182 = 236/344."""
+        only, not once per iterate, velocity source and magnetization term
+        (130/158 and 154/182 that way for the variants alone). A frozen F's
+        source at the constant node 0 does not depend on t, so iterate 1 reads
+        it made once per run even with a field (6/2 per step)."""
+        sweep_only(monkeypatch, variant)
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         params = PhysParams(nu=1.0, h_ext=HExt(kind="single_mode", amplitude=0.1, omega=20.0))
         counter = TransformCounter(monkeypatch, grid2)
         picard_iterate(init, params, 2, IntegratorConfig(dt=1e-3, t_end=2e-3), 2)
-        assert counter.counts == {"fwd": 164, "inv": 222}
+        assert counter.counts == counts
 
     @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
     @pytest.mark.parametrize(("grid", "counts"), [
