@@ -10,9 +10,9 @@ full magnetization solve with the previous iterate's velocity. Both come
 with convergence-study drivers that report the quantities the acceptance
 checks assert.
 
-Both families advance in time with the IMEX2 rule of the timestepper,
-one timestepper._imex2 call per step, and start each step from the hats
-the last one returned: no node is transformed. _integrate_llg is the
+Both families advance in time with the IMEX2 rule of the timestepper, one
+timestepper._imex2 call per field and step, and start each step from the
+hats the last one returned: no node is transformed. _integrate_llg is the
 whole mollified solve: it checks and truncates the initial data, marches M
 alone from a given t0 (M0 carries no time) with diffusivity 1 and the
 tendency of dynamics._llg_hat under the projection's mask, and at each node,
@@ -21,24 +21,24 @@ step starts from and copies M into the trajectory on the snapshot cadence.
 
 picard_iterate makes one sweep over the time steps from the initial state's
 time for both deformation variants. At step k -> k+1, iterates n = 1, 2, ...
-in turn, each frozen and then transported, advance (v, F, M) by one _imex2
-call, reading iterate n-1's node k+1 of their variant: v and a frozen F take
-its sources (Crank-Nicolson) and declare no predictor, a transported F and M
-declare theirs and are evaluated there. The v and F tendencies
+in turn, each frozen and then transported, step each of v, F and M by its
+own call, reading iterate n-1's node k+1 of their variant and no other field
+of the iterate: v and a frozen F take that node's sources (Crank-Nicolson)
+and declare no predictor, a transported F and M declare theirs and are
+evaluated there with that node's v. The v and F tendencies
 (dynamics._momentum_hat and _deformation_hat) make no jacobian of v or F and
 assume the div v = 0 that iterate n-1's velocity meets. M^n reads only
 v^{n-1} and M^n, and v^n reads (v, F, M)^{n-1}, so v^1, M^1 and M^2 are the
-same in both variants: the transported call steps only the fields it does
-not share (F at n = 1, v and F at n = 2) and takes the others' values, hats,
-M's jacobian and first stage from the frozen node. Each node is an
-energetics._StateHats view of its state and the hats its step made, which
-makes each jacobian at most once, for every stage and norm that reads it,
-and lives until iterate n+1 has read it; between steps an iterate holds
-only its hats and its next first stage, and no trajectory is stored.
-Iterate 1 reads the constant iterate 0, so node 0's sources and its first
-stage serve every iterate of both variants (with no external field the
-velocity source at every step), and a field's values and hat are made once
-per time, for every iterate and term that reads them.
+same in both variants, and the transported iterate takes each as the frozen
+iterate's whole cell: new values and hat, next first stage, and v's max
+|div v| or M's jacobian. Each node is an energetics._StateHats view of its
+cells' values and hats, which makes each jacobian at most once, for every
+stage and norm that reads it, and lives until iterate n+1 has read it;
+between steps an iterate holds only its per-field hats and next first
+stages, and no trajectory is stored. Iterate 1 reads the constant iterate 0,
+so node 0's sources and its first stage serve every iterate of both variants
+(with no external field the velocity source at every step), and a field's
+values and hat are made once per time and serve every iterate and term.
 In both families a non-finite value raises BlowUpError at its node's time;
 in the sweep, for the first (node, iterate, variant, stage) in that order.
 """
@@ -288,31 +288,11 @@ class PicardRun:
         ]
 
 
-def _node_norms(node: _StateHats, nu: float, s: int) -> tuple[float, float, float]:
-    """(E_s, D_s, max |div v|) at a Picard node, from its hats."""
-    grid = node.state.grid
-    e_s, d_s = _local(_norms(grid, node), nu, s)
-    return e_s, d_s, float(np.max(np.abs(divergence_from_hat(grid, node["v"]))))
-
-
-# the deformation variants in sweep order, each with the predictors its
-# tendencies read (of v, F and M; see timestepper._imex2)
-_VARIANTS = {"frozen": (None, None, True), "transported": (None, True, True)}
+# the deformation variants, in sweep order
+_VARIANTS = ("frozen", "transported")
 # per iterate, the fields the transported variant takes from the frozen one
 _SHARED = {1: (0, 2), 2: (2,)}
 _STAGES = ("velocity", "deformation", "magnetization")
-
-
-def _pick(xs: tuple, fields: tuple[int, ...]) -> tuple:
-    return tuple(xs[j] for j in fields)
-
-
-def _merge(base: tuple, fields: tuple[int, ...], own: tuple) -> tuple:
-    """base with its entries at fields replaced by own, in order."""
-    out = list(base)
-    for j, x in zip(fields, own):
-        out[j] = x
-    return tuple(out)
 
 
 def picard_iterate(
@@ -338,26 +318,27 @@ def picard_iterate(
 
     One sweep over the time steps advances both variants: for k = 0, 1, ...,
     iterates n = 1..n_max in turn, each in the frozen variant and then in the
-    transported one, take the step k -> k+1 of their velocity, deformation
-    and magnetization stages in one IMEX2 call, reading iterate n-1's node
-    k+1 of their variant (iterate 0 is one constant node). M^n reads only
-    v^{n-1} and M^n, and v^n reads (v, F, M)^{n-1}, so v^1, M^1 and M^2 are
-    the same in both variants: the transported call steps only F at n = 1
-    and (v, F) at n = 2, and takes the rest (values, hats, M's jacobian and
-    first stage) from the frozen iterate's new node.
+    transported one, step each of v, F and M from k to k+1 by its own
+    one-field IMEX2 call, reading iterate n-1's node k+1 of their variant
+    (iterate 0 is one constant node) and no other field of their own
+    iterate. A field reads its predictor exactly when it has no
+    Crank-Nicolson source, as v and a frozen F have. M^n reads only v^{n-1}
+    and M^n, and v^n reads (v, F, M)^{n-1}, so the transported iterate takes
+    v^1, M^1 and M^2 as the frozen iterate's whole cell: the field's new
+    values and hat, its next first stage, and v's max |div v| or M's jacobian.
 
-    Between steps an iterate holds only its field hats and its next step's
-    first-stage hats: the Crank-Nicolson sources of v and a frozen F at
-    iterate n-1's node, and the tendencies of a transported F and of M,
-    made at the end of its step from its new node and iterate n-1's. A node
-    (values, hats and M's jacobian) lives until iterate n+1 has read it,
-    and the last step keeps only the states. E_s, D_s and max |div v| per
-    node come from the node's hats. A non-finite value raises BlowUpError
-    for the first (node, iterate, variant, stage) in this order.
+    Between steps an iterate holds only its per-field hats and next first
+    stages: the sources of v and a frozen F at iterate n-1's node, and the
+    tendencies of a transported F and of M at their new values. A node
+    lives until iterate n+1 has read it, and the last step keeps only the
+    states. E_s and D_s per node come from the node's hats. A non-finite
+    value raises BlowUpError for the first (node, iterate, variant, stage)
+    in this order.
     """
     grid = initial.grid
     node0 = _StateHats(initial)
-    e0, d0, div0 = _node_norms(node0, params.nu, s)
+    e0, d0 = _local(_norms(grid, node0), params.nu, s)
+    div0 = float(np.max(np.abs(divergence_from_hat(grid, node0["v"]))))
     if div0 > DIV_TOL:
         raise ValueError("initial velocity must be divergence-free")
     if float(np.max(np.abs(det_field(initial.F).values - 1.0))) > DET_TOL:
@@ -383,33 +364,36 @@ def picard_iterate(
                 t: float) -> np.ndarray:
         return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat, *field(t), mask)
 
-    def tendencies(p1: _StateHats, src: tuple, fields: tuple[int, ...], values: tuple,
-                   hats: tuple, t: float, node: _StateHats | None = None
-                   ) -> tuple[np.ndarray, ...]:
-        # the tendency hats of fields at (values, hats), read with iterate n-1's
-        # node p1: v and a frozen F take its sources src, a transported F and M
-        # read their own values; M's jacobian is node's, or made here at a predictor
-        out = []
-        for j, x, x_hat in zip(fields, values, hats):
-            if j == 2:
-                jac = jacobian_from_hat(grid, x_hat) if node is None else node.jac("M")
-                out.append(llg_hat(p1, x, x_hat, jac, t))
-            else:
-                out.append(deformation_hat(p1, x, x_hat) if src[j] is None else src[j])
-        return tuple(out)
-
     start, n_steps = initial.t, _step_count(cfg.t_end, dt)
     # node 0's sources serve every iterate and variant; its F source is also a
     # transported F's first stage there, and with no field its v source is the
     # same at every time
-    v_src0 = velocity_hat(node0, start)
-    f_src0 = deformation_hat(node0, initial.F.values, node0["F"])
-    constant_v_src0 = params.h_ext.is_zero
+    src0 = (velocity_hat(node0, start), deformation_hat(node0, initial.F.values, node0["F"]))
+
+    def source(j: int, p: _StateHats, t: float) -> np.ndarray:
+        # v's (j = 0) or a frozen F's Crank-Nicolson source at iterate n-1's node p
+        if p is node0 and (j == 1 or params.h_ext.is_zero):
+            return src0[j]
+        return velocity_hat(p, t) if j == 0 else deformation_hat(p, p.state.F.values, p["F"])
+
+    # the one-field tendencies (timestepper._imex2's nonstiff): v's and a frozen F's
+    # is their given source, a transported F's and M's read iterate n-1's node p1
+    def given(src: np.ndarray, values: tuple, hats: tuple, t: float) -> tuple[np.ndarray]:
+        return (src,)
+
+    def deformation(p1: _StateHats, values: tuple, hats: tuple, t: float) -> tuple[np.ndarray]:
+        return (deformation_hat(p1, *values, *hats),)
+
+    def magnetization(p1: _StateHats, values: tuple, hats: tuple, t: float
+                      ) -> tuple[np.ndarray]:
+        (m,), (m_hat,) = values, hats
+        return (llg_hat(p1, m, m_hat, jacobian_from_hat(grid, m_hat), t),)
+
     # per variant and iterate: its hats and first-stage hats at node k; at step 0
     # every iterate's node and its predecessor's are node 0
     stage0 = llg_hat(node0, initial.M.values, node0["M"], node0.jac("M"), start)
-    held = {variant: [(tuple(node0[name] for name in StateA.names),
-                       (v_src0, f_src0, stage0))] * n_max for variant in _VARIANTS}
+    held = {variant: [(tuple(node0[name] for name in StateA.names), (*src0, stage0))] * n_max
+            for variant in _VARIANTS}
     states = {variant: [replace(initial, t=start + cfg.t_end, hats=None)] * (n_max + 1)
               for variant in _VARIANTS}
     e_sup = {variant: [e0] * n_max for variant in _VARIANTS}
@@ -418,55 +402,53 @@ def picard_iterate(
     d_nodes = {variant: [[d0] for _ in range(n_max)] for variant in _VARIANTS}
 
     for k in range(n_steps):
-        t0, t1 = start + k * dt, start + (k + 1) * dt
+        t0, t1, last = start + k * dt, start + (k + 1) * dt, k == n_steps - 1
         prev = dict.fromkeys(_VARIANTS, node0)  # per variant, iterate n-1's node k+1
         for n in range(1, n_max + 1):
             i = n - 1
-            for variant, reads in _VARIANTS.items():
+            made = {}  # per variant, the cells of iterate n's node k+1
+            for variant in _VARIANTS:
                 frozen, p1 = variant == "frozen", prev[variant]
                 shared = () if frozen else _SHARED.get(n, ())
-                fields = tuple(j for j in range(3) if j not in shared)
-                v_src1 = f_src1 = None
-                if 0 in fields:
-                    v_src1 = v_src0 if p1 is node0 and constant_v_src0 else velocity_hat(p1, t1)
-                if frozen:
-                    f_src1 = f_src0 if p1 is node0 else deformation_hat(p1, p1.state.F.values,
-                                                                        p1["F"])
-                src = (v_src1, f_src1)
-                hats, n1 = held[variant][i]
-                values, new_hats = _imex2(grid, _pick(hats, fields), _pick(n1, fields), t0, dt,
-                                          partial(tendencies, p1, src, fields),
-                                          _pick(reads, fields), _pick((nu, kappa, 1.0), fields),
-                                          _pick(_POSTS["A"], fields))
-                for j, x in zip(fields, values):
+                # per field: new values and hat, next first stage, v's max |div v| or M's jacobians
+                cells = made[variant] = []
+                for j, (hat, n1) in enumerate(zip(*held[variant][i])):
+                    if j in shared:
+                        cells.append(made["frozen"][j])
+                        continue
+                    src = source(j, p1, t1) if j == 0 or frozen and j == 1 else None
+                    if src is None:  # a transported F and M read their predictor
+                        tendency, reads = partial((deformation, magnetization)[j - 1], p1), True
+                    else:
+                        tendency, reads = partial(given, src), None
+                    (x,), (x_hat,) = _imex2(grid, (hat,), (n1,), t0, dt, tendency, (reads,),
+                                            ((nu, kappa, 1.0)[j],), (_POSTS["A"][j],))
                     if not np.all(np.isfinite(x)):
                         raise BlowUpError(
                             t1, f"{variant} iterate {n} {_STAGES[j]} stage: {BlowUpError(t1)}")
-                own = values, new_hats
-                if shared:
-                    values, new_hats = (_merge(x, fields, y) for x, y in zip(made[:2], own))
-                node = _StateHats(StateA.from_values(t1, grid, values, new_hats))
-                if 2 in shared:
-                    node.jacs = made_node.jacs  # M's jacobian is the frozen node's
-                e_s, d_s, div = _node_norms(node, nu, s)
+                    extra, n1 = None, src
+                    if j == 0:
+                        extra = float(np.max(np.abs(divergence_from_hat(grid, x_hat))))
+                    elif j == 2:  # after the last step M's jacobian is made on first read
+                        extra = {} if last else {"M": jacobian_from_hat(grid, x_hat)}
+                    if reads and not last:  # the next first stage, at the new values
+                        n1 = (deformation_hat(p1, x, x_hat) if j == 1
+                              else llg_hat(p1, x, x_hat, extra["M"], t1))
+                    cells.append((x, x_hat, n1, extra))
+                values, hats, n1s, extras = zip(*cells)
+                node = _StateHats(StateA.from_values(t1, grid, values, hats))
+                node.jacs = extras[2]
+                e_s, d_s = _local(_norms(grid, node), nu, s)
                 e_sup[variant][i] = max(e_sup[variant][i], e_s)
-                div_res[variant][i] = max(div_res[variant][i], div)
+                div_res[variant][i] = max(div_res[variant][i], extras[0])
                 d_nodes[variant][i].append(d_s)
-                if k == n_steps - 1:
-                    held[variant][i] = n1 = None
+                held[variant][i] = None if last else (hats, n1s)
+                if last:
                     states[variant][n] = replace(node.state, t=start + cfg.t_end, hats=None)
-                else:
-                    n1 = tendencies(p1, src, fields, *own, t1, node)
-                    if shared:
-                        n1 = _merge(made[2], fields, n1)
-                    held[variant][i] = new_hats, n1
-                if frozen:
-                    made, made_node = (values, new_hats, n1), node
                 prev[variant] = node
 
     runs = {}
-    for variant in _VARIANTS:
-        states_at_T = states[variant]
+    for variant, states_at_T in states.items():
         runs[variant] = PicardRun(
             variant=variant,
             s=s,

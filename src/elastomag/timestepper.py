@@ -30,9 +30,10 @@ It returns the final hats beside the values, and every march hands them on
 with the new state (fields._State.hats), so no march transforms a state it
 just made: a field is transformed only where nobody holds its hat, as for
 generated initial data and M after renormalize_m. A diffusivity of 0 makes
-a field purely explicit. Every march makes one _imex2 call per step: _step,
-to which step_A and step_B hand their kernel (dynamics._tendency_hats_A/_B),
-and the marches of schemes._integrate_llg and schemes.picard_iterate.
+a field purely explicit. _step, to which step_A and step_B hand their kernel
+(dynamics._tendency_hats_A/_B), and schemes._integrate_llg make one _imex2
+call per step; schemes.picard_iterate makes one per field and step, since
+no field of a Picard iterate reads another field of it.
 
 What a step holds: the state (values and hats) and n1 live through the
 whole step, since the final stage reads both. _imex2 makes the predictor
@@ -200,12 +201,13 @@ def _imex2(
     n1 holds the nonstiff tendency hats of every field at (hats, t0), and
     nonstiff(values, hats, t0 + dt) gives them at the predictor. reads[i]
     declares what it takes of field i there: True its predictor values and
-    hat, False the hat only, None neither (both None). Field i diffuses with
-    diffusivities[i] (0: none), and posts[i] (None: identity) is applied to
-    its hat after each stage. The predictor hats are dropped when nonstiff
-    returns, and the final stage is made one field at a time (stage, post,
-    inverse transform), each field's second-stage hats dropped once its new
-    hat exists; hats and n1 stay the caller's.
+    hat, False the hat only, None neither (both None), as for a field whose
+    tendency is a given source. Field i diffuses with diffusivities[i] (0:
+    none), and posts[i] (None: identity) is applied to its hat after each
+    stage. The predictor hats are dropped when nonstiff returns, and the
+    final stage is made one field at a time (stage, post, inverse
+    transform), each field's second-stage hats dropped once its new hat
+    exists; hats and n1 stay the caller's.
     """
 
     def post(hat: np.ndarray, op) -> np.ndarray:
