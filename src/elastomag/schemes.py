@@ -20,27 +20,22 @@ the initial one included, sums the mollified energies over the hat the next
 step starts from and copies M into the trajectory on the snapshot cadence.
 
 picard_iterate makes one sweep over the time steps from the initial state's
-time for both deformation variants. At step k -> k+1, iterates n = 1, 2, ...
-in turn, each frozen and then transported, step each of v, F and M by its
-own call, reading iterate n-1's node k+1 of their variant and no other field
-of the iterate: v and a frozen F take that node's sources (Crank-Nicolson)
-and declare no predictor, a transported F and M declare theirs and are
-evaluated there with that node's v. The v and F tendencies
-(dynamics._momentum_hat and _deformation_hat) make no jacobian of v or F and
-assume the div v = 0 that iterate n-1's velocity meets. M^n reads only
-v^{n-1} and M^n, and v^n reads (v, F, M)^{n-1}, so v^1, M^1 and M^2 are the
-same in both variants, and the transported iterate takes each as the frozen
-iterate's whole cell: new values and hat, next first stage, and v's max
-|div v| or M's jacobian. Each node is an energetics._StateHats view of its
-cells' values and hats, which makes each jacobian at most once, for every
-stage and norm that reads it, and lives until iterate n+1 has read it;
-between steps an iterate holds only its per-field hats and next first
-stages, and no trajectory is stored. Iterate 1 reads the constant iterate 0,
-so node 0's sources and its first stage serve every iterate of both variants
-(with no external field the velocity source at every step), and a field's
-values and hat are made once per time and serve every iterate and term.
+time. At step k -> k+1, iterates n = 1, 2, ... in turn step each of v, F and
+M by its own call, reading iterate n-1's node k+1 and no other field of the
+iterate: v and F take that node's sources (Crank-Nicolson) and declare no
+predictor, M declares its predictor and is evaluated there with that node's
+v. The v and F tendencies (dynamics._momentum_hat and _deformation_hat) make
+no jacobian of v or F and assume the div v = 0 that iterate n-1's velocity
+meets. Each node is an energetics._StateHats view of its fields' values and
+hats, which makes each jacobian at most once, for every stage and norm that
+reads it, and lives until iterate n+1 has read it; between steps an iterate
+holds only its per-field hats and next first stages, and no trajectory is
+stored. Iterate 1 reads the constant iterate 0, so node 0's sources and M's
+first stage serve every iterate (with no external field the velocity source
+at every step), and a field's values and hat are made once per time and
+serve every iterate and term.
 In both families a non-finite value raises BlowUpError at its node's time;
-in the sweep, for the first (node, iterate, variant, stage) in that order.
+in the sweep, for the first (node, iterate, stage) in that order.
 """
 
 from __future__ import annotations
@@ -270,7 +265,6 @@ class PicardRun:
     per computed iterate (index n corresponds to iterate n+1).
     """
 
-    variant: str
     s: int
     e0: float
     states_at_T: list[StateA]
@@ -288,10 +282,6 @@ class PicardRun:
         ]
 
 
-# the deformation variants, in sweep order
-_VARIANTS = ("frozen", "transported")
-# per iterate, the fields the transported variant takes from the frozen one
-_SHARED = {1: (0, 2), 2: (2,)}
 _STAGES = ("velocity", "deformation", "magnetization")
 
 
@@ -302,38 +292,30 @@ def picard_iterate(
     cfg: IntegratorConfig,
     s: int,
     dealias: bool = True,
-) -> dict[str, PicardRun]:
-    """Run the staged linearization from constant-in-time initial data in both
-    deformation variants; returns their runs keyed "frozen" and "transported".
+) -> PicardRun:
+    """Run the staged linearization from constant-in-time initial data.
 
     Per iterate: (i) the velocity solves a linear implicit-diffusion system
     with trapezoidal sources assembled from the previous iterate; (ii) the
-    deformation update uses the previous iterate's velocity, either with the
-    previous iterate's deformation on the right-hand side ("frozen", a pure
-    time quadrature, the form the staged system displays) or transporting
-    the new deformation ("transported"); (iii) the magnetization solves the
-    full nonlinear flow with the previous iterate's velocity at full
-    resolution. The run starts at initial.t and lasts cfg.t_end;
-    successive-difference norms are recorded at its end.
+    deformation update is a pure time quadrature of the previous iterate's
+    velocity and deformation, the form the staged system displays; (iii)
+    the magnetization solves the full nonlinear flow with the previous
+    iterate's velocity at full resolution. The run starts at initial.t and
+    lasts cfg.t_end; successive-difference norms are recorded at its end.
 
-    One sweep over the time steps advances both variants: for k = 0, 1, ...,
-    iterates n = 1..n_max in turn, each in the frozen variant and then in the
-    transported one, step each of v, F and M from k to k+1 by its own
-    one-field IMEX2 call, reading iterate n-1's node k+1 of their variant
-    (iterate 0 is one constant node) and no other field of their own
-    iterate. A field reads its predictor exactly when it has no
-    Crank-Nicolson source, as v and a frozen F have. M^n reads only v^{n-1}
-    and M^n, and v^n reads (v, F, M)^{n-1}, so the transported iterate takes
-    v^1, M^1 and M^2 as the frozen iterate's whole cell: the field's new
-    values and hat, its next first stage, and v's max |div v| or M's jacobian.
+    One sweep over the time steps advances every iterate: for k = 0, 1, ...,
+    iterates n = 1..n_max in turn step each of v, F and M from k to k+1 by
+    its own one-field IMEX2 call, reading iterate n-1's node k+1 (iterate 0
+    is one constant node) and no other field of their own iterate. v and F
+    take that node's sources (Crank-Nicolson) and declare no predictor; M
+    declares its predictor and is evaluated there with that node's v.
 
     Between steps an iterate holds only its per-field hats and next first
-    stages: the sources of v and a frozen F at iterate n-1's node, and the
-    tendencies of a transported F and of M at their new values. A node
-    lives until iterate n+1 has read it, and the last step keeps only the
-    states. E_s and D_s per node come from the node's hats. A non-finite
-    value raises BlowUpError for the first (node, iterate, variant, stage)
-    in this order.
+    stages: the sources of v and F at iterate n-1's node and M's tendency at
+    its new values. A node lives until iterate n+1 has read it, and the last
+    step keeps only the states. E_s and D_s per node come from the node's
+    hats. A non-finite value raises BlowUpError for the first (node,
+    iterate, stage) in this order.
     """
     grid = initial.grid
     node0 = _StateHats(initial)
@@ -349,7 +331,7 @@ def picard_iterate(
     dt, nu, kappa = cfg.dt, params.nu, params.kappa
     mask = _mask(grid, dealias)
     # a step reads the field at t1 and its predictor's t0 + dt, for every
-    # iterate, variant and term: each time's values and hat are made once
+    # iterate and term: each time's values and hat are made once
     field = lru_cache(maxsize=3)(partial(_field_at, params.h_ext, grid))
 
     def velocity_hat(p: _StateHats, t: float) -> np.ndarray:
@@ -357,108 +339,89 @@ def picard_iterate(
         return leray_hat(grid, _momentum_hat(grid, v, m, _stress_A(f, p.jac("M")),
                                              field(t)[1], mask))
 
-    def deformation_hat(p: _StateHats, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
-        return _deformation_hat(grid, p.state.v.values, f, f_hat, mask)
+    def deformation_hat(p: _StateHats) -> np.ndarray:
+        return _deformation_hat(grid, p.state.v.values, p.state.F.values, p["F"], mask)
 
     def llg_hat(p: _StateHats, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
                 t: float) -> np.ndarray:
         return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat, *field(t), mask)
 
     start, n_steps = initial.t, _step_count(cfg.t_end, dt)
-    # node 0's sources serve every iterate and variant; its F source is also a
-    # transported F's first stage there, and with no field its v source is the
+    # node 0's sources serve every iterate; with no field its v source is the
     # same at every time
-    src0 = (velocity_hat(node0, start), deformation_hat(node0, initial.F.values, node0["F"]))
+    src0 = (velocity_hat(node0, start), deformation_hat(node0))
 
     def source(j: int, p: _StateHats, t: float) -> np.ndarray:
-        # v's (j = 0) or a frozen F's Crank-Nicolson source at iterate n-1's node p
+        # v's (j = 0) or F's Crank-Nicolson source at iterate n-1's node p
         if p is node0 and (j == 1 or params.h_ext.is_zero):
             return src0[j]
-        return velocity_hat(p, t) if j == 0 else deformation_hat(p, p.state.F.values, p["F"])
+        return velocity_hat(p, t) if j == 0 else deformation_hat(p)
 
-    # the one-field tendencies (timestepper._imex2's nonstiff): v's and a frozen F's
-    # is their given source, a transported F's and M's read iterate n-1's node p1
+    # the one-field tendencies (timestepper._imex2's nonstiff): v's and F's is
+    # their given source, M's reads iterate n-1's node p1
     def given(src: np.ndarray, values: tuple, hats: tuple, t: float) -> tuple[np.ndarray]:
         return (src,)
-
-    def deformation(p1: _StateHats, values: tuple, hats: tuple, t: float) -> tuple[np.ndarray]:
-        return (deformation_hat(p1, *values, *hats),)
 
     def magnetization(p1: _StateHats, values: tuple, hats: tuple, t: float
                       ) -> tuple[np.ndarray]:
         (m,), (m_hat,) = values, hats
         return (llg_hat(p1, m, m_hat, jacobian_from_hat(grid, m_hat), t),)
 
-    # per variant and iterate: its hats and first-stage hats at node k; at step 0
-    # every iterate's node and its predecessor's are node 0
+    # per iterate: its hats and first-stage hats at node k; at step 0 every
+    # iterate's node and its predecessor's are node 0
     stage0 = llg_hat(node0, initial.M.values, node0["M"], node0.jac("M"), start)
-    held = {variant: [(tuple(node0[name] for name in StateA.names), (*src0, stage0))] * n_max
-            for variant in _VARIANTS}
-    states = {variant: [replace(initial, t=start + cfg.t_end, hats=None)] * (n_max + 1)
-              for variant in _VARIANTS}
-    e_sup = {variant: [e0] * n_max for variant in _VARIANTS}
-    div_res = {variant: [div0] * n_max for variant in _VARIANTS}
+    held = [(tuple(node0[name] for name in StateA.names), (*src0, stage0))] * n_max
+    states = [replace(initial, t=start + cfg.t_end, hats=None)] * (n_max + 1)
+    e_sup = [e0] * n_max
+    div_res = [div0] * n_max
     # scalar D_s per node, for the trapezoid
-    d_nodes = {variant: [[d0] for _ in range(n_max)] for variant in _VARIANTS}
+    d_nodes = [[d0] for _ in range(n_max)]
 
     for k in range(n_steps):
         t0, t1, last = start + k * dt, start + (k + 1) * dt, k == n_steps - 1
-        prev = dict.fromkeys(_VARIANTS, node0)  # per variant, iterate n-1's node k+1
-        for n in range(1, n_max + 1):
-            i = n - 1
-            made = {}  # per variant, the cells of iterate n's node k+1
-            for variant in _VARIANTS:
-                frozen, p1 = variant == "frozen", prev[variant]
-                shared = () if frozen else _SHARED.get(n, ())
-                # per field: new values and hat, next first stage, v's max |div v| or M's jacobians
-                cells = made[variant] = []
-                for j, (hat, n1) in enumerate(zip(*held[variant][i])):
-                    if j in shared:
-                        cells.append(made["frozen"][j])
-                        continue
-                    src = source(j, p1, t1) if j == 0 or frozen and j == 1 else None
-                    if src is None:  # a transported F and M read their predictor
-                        tendency, reads = partial((deformation, magnetization)[j - 1], p1), True
-                    else:
-                        tendency, reads = partial(given, src), None
-                    (x,), (x_hat,) = _imex2(grid, (hat,), (n1,), t0, dt, tendency, (reads,),
-                                            ((nu, kappa, 1.0)[j],), (_POSTS["A"][j],))
-                    if not np.all(np.isfinite(x)):
-                        raise BlowUpError(
-                            t1, f"{variant} iterate {n} {_STAGES[j]} stage: {BlowUpError(t1)}")
-                    extra, n1 = None, src
-                    if j == 0:
-                        extra = float(np.max(np.abs(divergence_from_hat(grid, x_hat))))
-                    elif j == 2:  # after the last step M's jacobian is made on first read
-                        extra = {} if last else {"M": jacobian_from_hat(grid, x_hat)}
-                    if reads and not last:  # the next first stage, at the new values
-                        n1 = (deformation_hat(p1, x, x_hat) if j == 1
-                              else llg_hat(p1, x, x_hat, extra["M"], t1))
-                    cells.append((x, x_hat, n1, extra))
-                values, hats, n1s, extras = zip(*cells)
-                node = _StateHats(StateA.from_values(t1, grid, values, hats))
-                node.jacs = extras[2]
-                e_s, d_s = _local(_norms(grid, node), nu, s)
-                e_sup[variant][i] = max(e_sup[variant][i], e_s)
-                div_res[variant][i] = max(div_res[variant][i], extras[0])
-                d_nodes[variant][i].append(d_s)
-                held[variant][i] = None if last else (hats, n1s)
-                if last:
-                    states[variant][n] = replace(node.state, t=start + cfg.t_end, hats=None)
-                prev[variant] = node
+        p1 = node0  # iterate n-1's node k+1
+        for i in range(n_max):
+            # per field: new values and hat, next first stage, v's max |div v| or M's jacobians
+            cells = []
+            for j, (hat, n1) in enumerate(zip(*held[i])):
+                src = source(j, p1, t1) if j < 2 else None
+                if src is None:  # M reads its predictor
+                    tendency, reads = partial(magnetization, p1), True
+                else:
+                    tendency, reads = partial(given, src), None
+                (x,), (x_hat,) = _imex2(grid, (hat,), (n1,), t0, dt, tendency, (reads,),
+                                        ((nu, kappa, 1.0)[j],), (_POSTS["A"][j],))
+                if not np.all(np.isfinite(x)):
+                    raise BlowUpError(
+                        t1, f"iterate {i + 1} {_STAGES[j]} stage: {BlowUpError(t1)}")
+                extra, n1 = None, src
+                if j == 0:
+                    extra = float(np.max(np.abs(divergence_from_hat(grid, x_hat))))
+                elif j == 2:  # after the last step M's jacobian is made on first read
+                    extra = {} if last else {"M": jacobian_from_hat(grid, x_hat)}
+                    if not last:  # the next first stage, at the new values
+                        n1 = llg_hat(p1, x, x_hat, extra["M"], t1)
+                cells.append((x, x_hat, n1, extra))
+            values, hats, n1s, extras = zip(*cells)
+            node = _StateHats(StateA.from_values(t1, grid, values, hats))
+            node.jacs = extras[2]
+            e_s, d_s = _local(_norms(grid, node), nu, s)
+            e_sup[i] = max(e_sup[i], e_s)
+            div_res[i] = max(div_res[i], extras[0])
+            d_nodes[i].append(d_s)
+            held[i] = None if last else (hats, n1s)
+            if last:
+                states[i + 1] = replace(node.state, t=start + cfg.t_end, hats=None)
+            p1 = node
 
-    runs = {}
-    for variant, states_at_T in states.items():
-        runs[variant] = PicardRun(
-            variant=variant,
-            s=s,
-            e0=e0,
-            states_at_T=states_at_T,
-            diffs=[picard_metric(b, a, s) for a, b in zip(states_at_T, states_at_T[1:])],
-            e_sup=e_sup[variant],
-            d_int=[float(dt * (np.sum(d) - 0.5 * d[0] - 0.5 * d[-1]))
-                   for d in d_nodes[variant]],
-            div_v_res=div_res[variant],
-            sphere_res=[sphere_residual(state.M) for state in states_at_T[1:]],
-        )
-    return runs
+    return PicardRun(
+        s=s,
+        e0=e0,
+        states_at_T=states,
+        diffs=[picard_metric(b, a, s) for a, b in zip(states, states[1:])],
+        e_sup=e_sup,
+        d_int=[float(dt * (np.sum(d) - 0.5 * d[0] - 0.5 * d[-1]))
+               for d in d_nodes],
+        div_v_res=div_res,
+        sphere_res=[sphere_residual(state.M) for state in states[1:]],
+    )

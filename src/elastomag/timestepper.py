@@ -56,7 +56,7 @@ after a record gets the evaluation without its tendency hats and geometry,
 and run drops its reference to the initial state when step 1 returns, so a
 caller that hands run a state made in the call frees it there; a caller
 that needs the initial state later keeps it (as scenarios._picard_study
-does for its sweeps and the reference run).
+does for its sweep and the reference run).
 """
 
 from __future__ import annotations

@@ -327,7 +327,7 @@ def test_criterion_11_picard_iteration(grid64: TorusGrid) -> None:
     start = time.monotonic()
     initial = generate_initial_data(grid64, "flow_map_F", "A", amplitude=1e-2, seed=5)
     cfg = IntegratorConfig(dt=DT, t_end=0.1)
-    prun = picard_iterate(initial, PARAMS, 8, cfg, 2)["frozen"]
+    prun = picard_iterate(initial, PARAMS, 8, cfg, 2)
     mono = run(initial, PARAMS, cfg)
     assert mono.status == "completed"
     distance = picard_metric(prun.states_at_T[-1], mono.state, 2)

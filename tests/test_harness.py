@@ -27,7 +27,7 @@ from elastomag.harness import (
 from elastomag.harness import initial_data, scenarios
 from elastomag.harness.cli import main
 from elastomag.harness.scenarios import _write_csv
-from elastomag.schemes import solve_llg_given_v
+from elastomag.schemes import picard_iterate, picard_metric, solve_llg_given_v
 from elastomag.spectral import TorusGrid, VectorField, divergence_values
 from elastomag.timestepper import IntegratorConfig, run
 
@@ -807,6 +807,37 @@ class TestScenarios:
             scenarios.run_scenario("picard_study", config)
         assert type(info.value) is ConfigError
         assert not (tmp_path / "out").exists()
+
+    def test_picard_study_table_is_the_sweep(self, tmp_path: Path) -> None:
+        """picard_study writes one row per iterate of its one sweep: the diff,
+        ratio and distance_to_reference columns are what picard_iterate and
+        picard_metric give directly, and the verdict holds the three frozen
+        checks and the extras T, iterates and csv."""
+        config = tiny_config(tmp_path, n=16, initial_data="flow_map_F", t_end=0.01)
+        code, _, verdict = scenarios.run_scenario("picard_study", config)
+        state, params, integ = config.make_state(), config.make_params(), config.make_integrator()
+        prun = picard_iterate(state, params, scenarios.PICARD_ITERATES, integ, config.s,
+                              dealias=config.dealias)
+        reference = run(state, params, integ, s=config.s, delta=config.resolved_delta(),
+                        dealias=config.dealias).state
+        lines = (tmp_path / config.csv_name).read_text().splitlines()
+        assert lines[0] == ("iterate,diff,ratio,e_sup,d_int,div_v_res,sphere_res,"
+                            "distance_to_reference")
+        rows = [dict(zip(lines[0].split(","), map(float, line.split(","))))
+                for line in lines[1:]]
+        assert len(rows) == scenarios.PICARD_ITERATES
+        assert [row["iterate"] for row in rows] == list(range(1, len(rows) + 1))
+        assert [row["diff"] for row in rows] == prun.diffs
+        assert np.array_equal([row["ratio"] for row in rows], [np.nan, *prun.ratios],
+                              equal_nan=True)
+        assert [row["distance_to_reference"] for row in rows] == [
+            picard_metric(x, reference, config.s) for x in prun.states_at_T[1:]]
+        assert code == 0 and verdict["pass"]
+        assert [check["name"] for check in verdict["checks"]] == [
+            "frozen_ratio_max", "frozen_distance_to_monolithic", "frozen_uniform_bound"]
+        assert set(verdict) == {"scenario", "pass", "checks", "T", "iterates", "csv"}
+        assert (verdict["T"], verdict["iterates"], verdict["csv"]) == (
+            0.01, scenarios.PICARD_ITERATES, config.csv_name)
 
     def test_mollifier_study_refuses_a_grid_below_its_cutoffs(self, tmp_path: Path) -> None:
         """The largest cutoff, 16, needs n >= 48."""

@@ -234,14 +234,6 @@ class TestMollifierStudy:
         assert study == {"fwd": solves["fwd"] + 2 * 3 - 2 * 3, "inv": solves["inv"]}
 
 
-def sweep_only(monkeypatch: pytest.MonkeyPatch, variant: str) -> None:
-    """Make picard_iterate sweep one deformation variant alone, sharing
-    nothing with the other; "both" keeps the joint sweep."""
-    if variant != "both":
-        monkeypatch.setattr(schemes, "_VARIANTS", (variant,))
-        monkeypatch.setattr(schemes, "_SHARED", {})
-
-
 class TestPicardGuards:
     def test_rejects_non_div_free_velocity(self, grid2: TorusGrid) -> None:
         state = steady_circle_state(grid2)
@@ -277,64 +269,51 @@ class TestPicardIteration:
     def test_iterate_zero_is_the_initial_data(self, grid2: TorusGrid) -> None:
         init = steady_circle_state(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.02)
-        for out in picard_iterate(init, PARAMS, 1, cfg, 2).values():
-            first = out.states_at_T[0]
-            assert first.t == 0.02
-            assert np.array_equal(first.v.values, init.v.values)
-            assert np.array_equal(first.F.values, init.F.values)
-            assert np.array_equal(first.M.values, init.M.values)
+        first = picard_iterate(init, PARAMS, 1, cfg, 2).states_at_T[0]
+        assert first.t == 0.02
+        assert np.array_equal(first.v.values, init.v.values)
+        assert np.array_equal(first.F.values, init.F.values)
+        assert np.array_equal(first.M.values, init.M.values)
 
     def test_a_zero_length_sweep_returns_the_initial_data(self, grid2: TorusGrid) -> None:
-        """With t_end = 0 no step runs: every iterate of both variants is the
-        initial data at its own time, no iterate differs from the last, no
-        dissipation accrues, and the per-iterate sups hold node 0's values."""
+        """With t_end = 0 no step runs: every iterate is the initial data at its
+        own time, no iterate differs from the last, no dissipation accrues,
+        and the per-iterate sups hold node 0's values."""
         init = replace(
             generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5), t=0.25
         )
-        out = picard_iterate(init, PARAMS, 3, IntegratorConfig(dt=1e-3, t_end=0.0), 2)
+        run_ = picard_iterate(init, PARAMS, 3, IntegratorConfig(dt=1e-3, t_end=0.0), 2)
         e0 = (sobolev_norm_sq(init.v, 2) + sobolev_norm_sq(init.F, 2)
               + sobolev_norm_sq(init.M, 2, 1))
         div0 = float(np.max(np.abs(divergence_from_hat(grid2, grid2.fft(init.v.values)))))
-        assert set(out) == {"frozen", "transported"}
-        for run_ in out.values():
-            assert len(run_.states_at_T) == 4
-            for state in run_.states_at_T:
-                assert state.t == init.t
-                assert all(np.array_equal(x.values, y.values)
-                           for x, y in zip(state.fields, init.fields))
-            assert run_.diffs == [0.0] * 3
-            assert run_.d_int == [0.0] * 3
-            assert run_.e0 == pytest.approx(e0, rel=1e-12)
-            assert run_.e_sup == [run_.e0] * 3
-            assert run_.div_v_res == [div0] * 3
-            assert run_.sphere_res == [sphere_residual(init.M)] * 3
+        assert isinstance(run_, schemes.PicardRun)
+        assert len(run_.states_at_T) == 4
+        for state in run_.states_at_T:
+            assert state.t == init.t
+            assert all(np.array_equal(x.values, y.values)
+                       for x, y in zip(state.fields, init.fields))
+        assert run_.diffs == [0.0] * 3
+        assert run_.d_int == [0.0] * 3
+        assert run_.e0 == pytest.approx(e0, rel=1e-12)
+        assert run_.e_sup == [run_.e0] * 3
+        assert run_.div_v_res == [div0] * 3
+        assert run_.sphere_res == [sphere_residual(init.M)] * 3
 
     def test_stored_iterates_own_their_data(self, grid2: TorusGrid) -> None:
         # a view into an iterate's node arrays would keep its whole trajectory alive
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
-        for out in picard_iterate(init, PARAMS, 2, cfg, 2).values():
-            for state in out.states_at_T[1:]:
-                assert all(f.values.base is None for f in (state.v, state.F, state.M))
+        for state in picard_iterate(init, PARAMS, 2, cfg, 2).states_at_T[1:]:
+            assert all(f.values.base is None for f in (state.v, state.F, state.M))
 
-    @pytest.mark.parametrize(("variant", "extra"), [
-        ("frozen", {"fwd": 21, "inv": 64}),
-        ("transported", {"fwd": 39, "inv": 78}),
-        ("both", {"fwd": 48, "inv": 91}),
-    ], ids=["frozen", "transported", "both"])
-    def test_iterate_transforms_per_node(self, grid2: TorusGrid, variant: str,
-                                         extra: dict[str, int], monkeypatch) -> None:
+    @pytest.mark.parametrize("extra", [{"fwd": 21, "inv": 64}], ids=["frozen"])
+    def test_iterate_transforms_per_node(self, grid2: TorusGrid, extra: dict[str, int],
+                                         monkeypatch) -> None:
         """Scalar transforms per step of 2 iterates, sources, steps and norms
         together: no node is transformed, each holding the hats its step made,
         and each makes each jacobian at most once. Iterate 1 reads the
         constant iterate 0, whose jacobians and, with no field, whose sources
-        are made once per run, and no node makes a jacobian of v or F. The
-        joint sweep makes less than the two variants alone (60/142): the
-        transported iterate 1 takes v's and M's cells from the frozen node and
-        iterate 2 takes M's, so M's predictor, tendencies, jacobians and new
-        values (6/24 per iterate) are made once, and so are v's new values and
-        divergence at iterate 1 (0/3)."""
-        sweep_only(monkeypatch, variant)
+        are made once per run, and no node makes a jacobian of v or F."""
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         counter = TransformCounter(monkeypatch, grid2)
         totals = []
@@ -346,25 +325,16 @@ class TestPicardIteration:
         # more of each iterate
         assert {k: totals[1][k] - 2 * totals[0][k] for k in totals[0]} == extra
 
-    @pytest.mark.parametrize(("variant", "added"), [
-        ("frozen", {"fwd": 42, "inv": 60}),
-        ("transported", {"fwd": 42, "inv": 68}),
-        ("both", {"fwd": 81, "inv": 101}),
-    ], ids=["frozen", "transported", "both"])
-    def test_step_zero_makes_the_first_stage_once(self, grid2: TorusGrid, variant: str,
+    @pytest.mark.parametrize("added", [{"fwd": 42, "inv": 60}], ids=["frozen"])
+    def test_step_zero_makes_the_first_stage_once(self, grid2: TorusGrid,
                                                   added: dict[str, int],
                                                   monkeypatch) -> None:
         """At step 0 every iterate's own node and its predecessor's are node 0,
-        so the first-stage hats of M and of a transported F (a frozen F's
-        source there) are the same for all iterates and both variants and made
-        once per sweep: each iterate past the first adds to a one-step sweep
-        only its sources at node 1, its predictor tendency, its new node and
-        its norms. Made per iterate, they cost 3/3 (M) and 6/2 (a transported
-        F) more. The joint sweep adds less for iterates 2 and 3 than the two
-        variants alone (84/128): the transported iterate 2 takes M from the
-        frozen node (3/15), and iterates 2 and 3 read M's jacobian of the
-        frozen iterates 1 and 2 (0/12)."""
-        sweep_only(monkeypatch, variant)
+        so the first-stage hats of M and F's source there are the same for all
+        iterates and made once per sweep: each iterate past the first adds to
+        a one-step sweep only its sources at node 1, its predictor tendency,
+        its new node and its norms. Made per iterate, M's first stage would
+        cost 3/3 more."""
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         counts = TransformCounter(monkeypatch, grid2).counts
         totals = []
@@ -374,69 +344,27 @@ class TestPicardIteration:
             totals.append({k: counts[k] - before[k] for k in before})
         assert {k: totals[1][k] - totals[0][k] for k in totals[0]} == added
 
-    @pytest.mark.parametrize(("variant", "counts"), [
-        ("frozen", {"fwd": 100, "inv": 158}),
-        ("transported", {"fwd": 124, "inv": 182}),
-        ("both", {"fwd": 164, "inv": 220}),
-    ], ids=["frozen", "transported", "both"])
-    def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid, variant: str,
+    @pytest.mark.parametrize("counts", [{"fwd": 100, "inv": 158}], ids=["frozen"])
+    def test_a_field_is_transformed_once_per_time(self, grid2: TorusGrid,
                                                   counts: dict[str, int],
                                                   monkeypatch) -> None:
-        """With a field, every iterate, variant and term at one time share its
-        values and hat: 2 iterates of 2 steps transform h at t = 0, dt and 2 dt
-        only, not once per iterate, velocity source and magnetization term
-        (130/158 and 154/182 that way for the variants alone; the joint sweep
-        makes 164/220, sharing v's and M's cells as above). A frozen F's
-        source at the constant node 0 does not depend on t, so iterate 1 reads
-        it made once per run even with a field (6/2 per step)."""
-        sweep_only(monkeypatch, variant)
+        """With a field, every iterate and term at one time share its values
+        and hat: 2 iterates of 2 steps transform h at t = 0, dt and 2 dt only,
+        not once per iterate, velocity source and magnetization term (130/158
+        that way). F's source at the constant node 0 does not depend on t, so
+        iterate 1 reads it made once per run even with a field (6/2 per
+        step)."""
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         params = PhysParams(nu=1.0, h_ext=HExt(kind="single_mode", amplitude=0.1, omega=20.0))
         counter = TransformCounter(monkeypatch, grid2)
         picard_iterate(init, params, 2, IntegratorConfig(dt=1e-3, t_end=2e-3), 2)
         assert counter.counts == counts
 
-    @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no_dealias"])
-    @pytest.mark.parametrize(("grid", "counts"), [
-        (TorusGrid(dim=2, n=16), {"fwd": 350, "inv": 567}),
-        (TorusGrid(dim=3, n=8), {"fwd": 720, "inv": 856}),
-    ], ids=["2d_n16", "3d_n8"])
-    def test_variants_share_v1_m1_and_m2(self, grid: TorusGrid, counts: dict[str, int],
-                                         dealias: bool, monkeypatch) -> None:
-        """M^n reads only v^{n-1} and M^n, and v^n reads (v, F, M)^{n-1}, so
-        v^1, M^1 and M^2 are the same in both variants and v^2 is not: a sweep
-        that shares nothing makes them apart, bit for bit the same, and gives
-        every run of the sharing sweep bit for bit. The sharing sweep's
-        scalar transforms are pinned: 350/567 in 2D and 720/856 in 3D, against
-        395/732 and 777/1069 for the one that shares nothing."""
-        init = generate_initial_data(grid, "flow_map_F", "A", amplitude=1e-2, seed=5)
-        h_ext = HExt(kind="single_mode", amplitude=0.1, wavevector=(1,) + (0,) * (grid.dim - 1),
-                     omega=20.0)
-        params = PhysParams(nu=1.0, kappa=0.1, h_ext=h_ext)
-        cfg = IntegratorConfig(dt=1e-3, t_end=3e-3)
-        counter = TransformCounter(monkeypatch, grid)
-        shared = picard_iterate(init, params, 3, cfg, 2, dealias=dealias)
-        assert counter.counts == counts
-        monkeypatch.setattr(schemes, "_SHARED", {})
-        apart = picard_iterate(init, params, 3, cfg, 2, dealias=dealias)
-        frozen, transported = (apart[v].states_at_T for v in ("frozen", "transported"))
-        for a, b in ((frozen[1].v, transported[1].v), (frozen[1].M, transported[1].M),
-                     (frozen[2].M, transported[2].M)):
-            assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(frozen[2].v.values, transported[2].v.values)
-        for variant, run_ in shared.items():
-            for a, b in zip(run_.states_at_T, apart[variant].states_at_T, strict=True):
-                assert all(np.array_equal(x.values, y.values) for x, y in zip(a.fields, b.fields))
-            for name in ("diffs", "e_sup", "d_int", "div_v_res", "sphere_res"):
-                assert getattr(run_, name) == getattr(apart[variant], name)
-
-    @pytest.mark.parametrize("variant", ["frozen", "transported"])
-    def test_later_iterates_leave_earlier_ones_unchanged(self, grid2: TorusGrid,
-                                                         variant: str) -> None:
+    def test_later_iterates_leave_earlier_ones_unchanged(self, grid2: TorusGrid) -> None:
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
-        short = picard_iterate(init, PARAMS, 3, cfg, 2)[variant]
-        long = picard_iterate(init, PARAMS, 5, cfg, 2)[variant]
+        short = picard_iterate(init, PARAMS, 3, cfg, 2)
+        long = picard_iterate(init, PARAMS, 5, cfg, 2)
         for a, b in zip(short.states_at_T, long.states_at_T[:4], strict=True):
             assert all(np.array_equal(x.values, y.values) for x, y in zip(a.fields, b.fields))
         for name in ("diffs", "e_sup", "d_int", "div_v_res", "sphere_res"):
@@ -463,12 +391,11 @@ class TestPicardIteration:
     def test_blowup_names_the_first_bad_node_and_stage(self, grid2: TorusGrid,
                                                        monkeypatch) -> None:
         """A field that turns NaN at t = 2 dt spoils iterate 1's velocity
-        source there first: the sweep reaches node 2 of the frozen iterate 1's
-        velocity stage before any later node, iterate or variant. The field is
-        a time-dependent one, for which iterate 1's velocity source is made at
-        every node. A transported F whose new values turn NaN at node 2 names
-        the transported iterate 1, which the sweep reaches before iterate 2 of
-        either variant."""
+        source there first: the sweep reaches node 2 of iterate 1's velocity
+        stage before any later node or iterate. The field is a time-dependent
+        one, for which iterate 1's velocity source is made at every node. An F
+        whose new values turn NaN at node 2 names iterate 1's deformation
+        stage, which the sweep reaches before iterate 2 and before M."""
         dt = 1e-3
 
         def h_values(h_ext, grid, t):
@@ -479,7 +406,8 @@ class TestPicardIteration:
         h_ext = HExt(kind="single_mode", amplitude=0.5, wavevector=(1, 0), component=0,
                      omega=20.0)
         params = PhysParams(nu=1.0, kappa=0.0, h_ext=h_ext)
-        with pytest.raises(BlowUpError, match="frozen iterate 1 velocity stage") as info:
+        at_node_2 = r" stage: non-finite field values at t = 0\.002$"
+        with pytest.raises(BlowUpError, match="^iterate 1 velocity" + at_node_2) as info:
             picard_iterate(init, params, 3, IntegratorConfig(dt=dt, t_end=5 * dt), 2)
         assert info.value.t == 2 * dt
 
@@ -488,14 +416,13 @@ class TestPicardIteration:
 
         def spoiled(grid, hats, *args):
             values, new_hats = imex2(grid, hats, *args)
-            # args[1] is the step's t0 and args[4] its reads: the transported F is
-            # the one matrix field that reads its predictor
-            if hats[0].ndim == grid.dim + 2 and args[4] == (True,) and args[1] == dt:
+            # args[1] is the step's t0: F is the one matrix field
+            if hats[0].ndim == grid.dim + 2 and args[1] == dt:
                 values = tuple(np.full_like(x, np.nan) for x in values)
             return values, new_hats
 
         monkeypatch.setattr(schemes, "_imex2", spoiled)
-        with pytest.raises(BlowUpError, match="transported iterate 1 deformation stage") as info:
+        with pytest.raises(BlowUpError, match="^iterate 1 deformation" + at_node_2) as info:
             picard_iterate(init, PARAMS, 3, IntegratorConfig(dt=dt, t_end=5 * dt), 2)
         assert info.value.t == 2 * dt
 
@@ -509,7 +436,7 @@ class TestPicardIteration:
             generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5), t=0.5
         )
         cfg = IntegratorConfig(dt=1e-3, t_end=3e-3)
-        last = picard_iterate(init, params, 6, cfg, 2)["frozen"].states_at_T[-1]
+        last = picard_iterate(init, params, 6, cfg, 2).states_at_T[-1]
         mono = run(init, params, cfg)
         assert mono.status == "completed"
         assert last.t == mono.state.t == pytest.approx(0.503, abs=1e-15)
@@ -519,7 +446,7 @@ class TestPicardIteration:
         init = steady_circle_state(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
         out = picard_iterate(init, PARAMS, 3, cfg, 2)
-        for state in out["frozen"].states_at_T + out["transported"].states_at_T:
+        for state in out.states_at_T:
             assert np.max(np.abs(state.v.values - init.v.values)) <= 1e-10
             assert np.max(np.abs(state.F.values - init.F.values)) <= 1e-10
             assert np.max(np.abs(state.M.values - init.M.values)) <= 1e-10
@@ -527,18 +454,11 @@ class TestPicardIteration:
     def test_small_data_contracts(self, grid2: TorusGrid) -> None:
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 5, cfg, 2)["frozen"]
+        out = picard_iterate(init, PARAMS, 5, cfg, 2)
         assert all(b < a for a, b in zip(out.diffs, out.diffs[1:]))
         assert all(r <= 0.5 for r in out.ratios)
         assert max(out.div_v_res) <= 1e-11
         assert max(out.sphere_res) <= 1e-7
-
-    def test_transported_variant_also_contracts(self, grid2: TorusGrid) -> None:
-        init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
-        cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 3, cfg, 2)["transported"]
-        assert out.variant == "transported"
-        assert all(b < a for a, b in zip(out.diffs, out.diffs[1:]))
 
     def test_metric_basics(self, grid2: TorusGrid) -> None:
         a = steady_circle_state(grid2)
@@ -552,7 +472,7 @@ class TestConvergenceReport:
     def test_steady_run_distance_is_tiny(self, grid2: TorusGrid) -> None:
         init = steady_circle_state(grid2)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 3, cfg, 2)["frozen"]
+        out = picard_iterate(init, PARAMS, 3, cfg, 2)
         reference = StateA(t=0.05, v=init.v, F=init.F, M=init.M)
         assert picard_metric(out.states_at_T[-1], reference, 2) <= 1e-10
         assert max(e + d for e, d in zip(out.e_sup, out.d_int)) <= 2.0 * out.e0
@@ -560,7 +480,7 @@ class TestConvergenceReport:
     def test_small_data_limit_matches_monolithic_solver(self, grid2: TorusGrid) -> None:
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         cfg = IntegratorConfig(dt=1e-3, t_end=0.05)
-        out = picard_iterate(init, PARAMS, 5, cfg, 2)["frozen"]
+        out = picard_iterate(init, PARAMS, 5, cfg, 2)
         mono = run(init, PARAMS, cfg)
         assert mono.status == "completed"
         assert picard_metric(out.states_at_T[-1], mono.state, 2) <= 1e-5
@@ -578,7 +498,7 @@ def flow_map_3d() -> StateA:
 
 
 @pytest.fixture(scope="module")
-def picard_3d(flow_map_3d: StateA) -> dict[str, schemes.PicardRun]:
+def picard_3d(flow_map_3d: StateA) -> schemes.PicardRun:
     return picard_iterate(flow_map_3d, PARAMS, 6, PICARD_CFG3, 2)
 
 
@@ -593,11 +513,9 @@ class TestSchemes3D:
     """The constructive schemes in 3D, against the picard_study and
     mollifier_study thresholds."""
 
-    @pytest.mark.parametrize("variant", ["frozen", "transported"])
-    def test_picard_contracts_to_the_monolithic_run(self, picard_3d: dict,
-                                                    monolithic_3d: StateA,
-                                                    variant: str) -> None:
-        out = picard_3d[variant]
+    def test_picard_contracts_to_the_monolithic_run(self, picard_3d: schemes.PicardRun,
+                                                    monolithic_3d: StateA) -> None:
+        out = picard_3d
         assert max(out.ratios) <= PICARD_RATIO_TOL
         assert picard_metric(out.states_at_T[-1], monolithic_3d, 2) <= PICARD_DISTANCE_TOL
         assert max(e + d for e, d in zip(out.e_sup, out.d_int)) <= 2.0 * out.e0
