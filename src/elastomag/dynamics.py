@@ -35,7 +35,7 @@ deformation's correction rows and flux pairs) and free each input once its
 last term is made, which bounds a 3D step's memory.
 rhs_A and rhs_B pass their kernel to one evaluation, which takes the hats
 a stepped state holds (and transforms a state that holds none, such as
-generated initial data), adds the stiff terms in Fourier space and returns
+generated initial data), adds the diffusion of _linear_split and returns
 one Rhs: the state hats, the kernel's nonstiff hats, the full tendency
 hats and its geometry. That one evaluation serves a diagnostic record,
 which takes the geometry instead of making it again, the next step's first
@@ -61,6 +61,7 @@ from .spectral import TorusGrid, jacobian_from_hat, leray_hat
 Hats = tuple[np.ndarray, np.ndarray, np.ndarray]
 Geometry = tuple[np.ndarray, np.ndarray, np.ndarray]
 Kernel = Callable[..., tuple[Hats, Geometry | None]]
+Split = tuple[tuple[float, Callable[[TorusGrid, np.ndarray], np.ndarray] | None], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +70,10 @@ class Rhs:
 
     state_hats are the transforms of the state; stage1_hats are the nonstiff
     kernel hats, the first IMEX2 stage of a step from this state (_imex2's
-    n1); tendency_hats are the full tendencies, with the stiff terms added
-    and dv Leray-projected. geometry is the kernel's: in B, the G = grad psi,
-    F = (I + G)^{-1} and det(I + G) a diagnostic record reads; None in A.
-    timestepper.run hands a step the evaluation with neither (both None).
+    n1); tendency_hats are the full tendencies (_evaluate). geometry is the
+    kernel's: in B, the G = grad psi, F = (I + G)^{-1} and det(I + G) a
+    diagnostic record reads; None in A. timestepper.run hands a step the
+    evaluation with neither (both None).
     """
 
     state_hats: Hats
@@ -302,22 +303,38 @@ def _tendency_hats_B(
     return (dv, dpsi, dm), (jac_psi, f, det)
 
 
+def _gauge_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
+    """Zero-mean gauge for psi: clear the k = 0 mode of each component in place."""
+    hat[(Ellipsis,) + (0,) * grid.dim] = 0.0
+    return hat
+
+
+def _linear_split(formulation: str, nu: float, kappa: float) -> Split:
+    """Each field's stiff linear part, in the order (v, F|psi, M): its
+    diffusivity c, whose c Delta x IMEX2 takes implicitly (0: the field is
+    purely explicit), and the operation on its hat after each stage (None:
+    none). v diffuses with nu and is Leray-projected; F diffuses with kappa;
+    psi has kappa = 0, as its -Delta psi coupling is explicit, and is gauged
+    to zero mean; M diffuses with 1, the LLG's Delta M. timestepper._step
+    reads the whole split, schemes.picard_iterate one entry per field and
+    schemes._integrate_llg M's; _evaluate adds its diffusion to the kernel's."""
+    return (nu, leray_hat), (kappa, _gauge_hat if formulation == "B" else None), (1.0, None)
+
+
 def _evaluate(kernel: Kernel, state: StateA | StateB, nu: float, kappa: float,
               h_ext: HExt | None, dealias: bool) -> Rhs:
     """One evaluation with a formulation's kernel: transform the state once,
-    add the stiff diffusion to the kernel's stage-1 hats, Leray-project dv
-    and hand on the kernel's geometry."""
+    add _linear_split's diffusion to the kernel's stage-1 hats, apply v's
+    post-operation to dv (not psi's) and hand on the kernel's geometry."""
     grid = state.grid
     h = _h_values(h_ext, grid, state.t)
     values = tuple(f.values for f in state.fields)
     hats = state.field_hats()
     stage1, geometry = kernel(grid, *values, h, _mask(grid, dealias), hats)
-    (v_hat, x_hat, m_hat), (dv, dx, dm) = hats, stage1
-    dv = leray_hat(grid, dv + nu * (-grid.k_sq) * v_hat)
-    if kappa != 0.0:
-        dx = dx + kappa * (-grid.k_sq) * x_hat
-    dm = dm + (-grid.k_sq) * m_hat
-    return Rhs(hats, stage1, (dv, dx, dm), geometry)
+    split = _linear_split(state.formulation, nu, kappa)
+    dv, dx, dm = (n if c == 0.0 else n + c * (-grid.k_sq) * x
+                  for n, x, (c, _) in zip(stage1, hats, split))
+    return Rhs(hats, stage1, (split[0][1](grid, dv), dx, dm), geometry)
 
 
 def rhs_A(state: StateA, nu: float, kappa: float = 0.0,

@@ -11,13 +11,14 @@ with convergence-study drivers that report the quantities the acceptance
 checks assert.
 
 Both families advance in time with the IMEX2 rule of the timestepper, one
-timestepper._imex2 call per field and step, and start each step from the
-hats the last one returned: no node is transformed. _integrate_llg is the
-whole mollified solve: it checks and truncates the initial data, marches M
-alone from a given t0 (M0 carries no time) with diffusivity 1 and the
-tendency of dynamics._llg_hat under the projection's mask, and at each node,
-the initial one included, sums the mollified energies over the hat the next
-step starts from and copies M into the trajectory on the snapshot cadence.
+timestepper._imex2 call per field and step with the field's entry of
+dynamics._linear_split, and start each step from the hats the last one
+returned: no node is transformed. _integrate_llg is the whole mollified
+solve: it checks and truncates the initial data, marches M alone from a
+given t0 (M0 carries no time) with the tendency of dynamics._llg_hat under
+the projection's mask, and at each node, the initial one included, sums the
+mollified energies over the hat the next step starts from and copies M into
+the trajectory on the snapshot cadence.
 
 picard_iterate makes one sweep over the time steps from the initial state's
 time. At step k -> k+1, iterates n = 1, 2, ... in turn step each of v, F and
@@ -46,14 +47,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (
-    _deformation_hat,
-    _h_values,
-    _llg_hat,
-    _mask,
-    _momentum_hat,
-    _stress_A,
-)
+from . import dynamics
 from .energetics import _StateHats, _hat_norm_sq, _hat_sq, _local, _norms, sobolev_norm_sq
 from .errors import BlowUpError
 from .fields import HExt, PhysParams, StateA, det_field, sphere_residual
@@ -65,7 +59,7 @@ from .spectral import (
     jacobian_from_hat,
     leray_hat,
 )
-from .timestepper import _POSTS, IntegratorConfig, _imex2, _step_count
+from .timestepper import IntegratorConfig, _imex2, _step_count
 
 SPHERE_TOL = 1e-8
 DIV_TOL = 1e-10
@@ -80,7 +74,7 @@ DET_TOL = 1e-6
 def _field_at(h_ext: HExt | None, grid: TorusGrid, t: float
               ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The external field's values at t and their hat, both None for no field."""
-    h = _h_values(h_ext, grid, t)
+    h = dynamics._h_values(h_ext, grid, t)
     return h, None if h is None else grid.fft(h)
 
 
@@ -135,9 +129,9 @@ def _integrate_llg(
     t0: float,
 ) -> MollifierRun:
     """solve_llg_given_v from M0 and its hat m0_hat, which a study makes once
-    for all its cutoffs, with one single-field IMEX2 call per step: Delta M
-    is Crank-Nicolson, everything else trapezoidal-explicit, the nonlinear
-    terms truncated to the cutoff's mask. Node k is at t0 + k*dt."""
+    for all its cutoffs, with one single-field IMEX2 call per step (M's entry
+    of dynamics._linear_split), the nonlinear terms truncated to the cutoff's
+    mask. Node k is at t0 + k*dt."""
     grid = M0.grid
     if sphere_residual(M0) > SPHERE_TOL:
         raise ValueError("initial magnetization must be unit length before truncation")
@@ -150,11 +144,12 @@ def _integrate_llg(
     m0_trunc_hat = m0_hat * mask
     m0_trunc = grid.ifft(m0_trunc_hat)
     dt, n_steps = cfg.dt, _step_count(cfg.t_end, cfg.dt)
+    stiff_m = dynamics._linear_split("A", 0.0, 0.0)[2:]  # M's entry, which no parameter reaches
 
     def nonstiff(values, hats, t):
         (m,), (m_hat,) = values, hats
         jac = jacobian_from_hat(grid, m_hat)
-        return (_llg_hat(grid, None, m, jac, m_hat, *_field_at(h_ext, grid, t), mask),)
+        return (dynamics._llg_hat(grid, None, m, jac, m_hat, *_field_at(h_ext, grid, t), mask),)
 
     times: list[float] = []
     e_eps: list[float] = []
@@ -166,7 +161,7 @@ def _integrate_llg(
         if k > 0:
             tk = t0 + (k - 1) * dt  # the step from node k-1 starts there, not at t - dt
             (m,), (m_hat,) = _imex2(grid, (m_hat,), nonstiff((m,), (m_hat,), tk), tk, dt,
-                                    nonstiff, (True,), (1.0,), (None,))
+                                    nonstiff, (True,), stiff_m)
             if not np.all(np.isfinite(m)):
                 raise BlowUpError(t)
         if k % cfg.diag_every == 0 or k == n_steps:
@@ -329,22 +324,22 @@ def picard_iterate(
         raise ValueError("initial magnetization must be unit length")
 
     dt, nu, kappa = cfg.dt, params.nu, params.kappa
-    mask = _mask(grid, dealias)
+    mask = dynamics._mask(grid, dealias)
     # a step reads the field at t1 and its predictor's t0 + dt, for every
     # iterate and term: each time's values and hat are made once
     field = lru_cache(maxsize=3)(partial(_field_at, params.h_ext, grid))
 
     def velocity_hat(p: _StateHats, t: float) -> np.ndarray:
         v, f, m = (x.values for x in p.state.fields)
-        return leray_hat(grid, _momentum_hat(grid, v, m, _stress_A(f, p.jac("M")),
-                                             field(t)[1], mask))
+        return leray_hat(grid, dynamics._momentum_hat(
+            grid, v, m, dynamics._stress_A(f, p.jac("M")), field(t)[1], mask))
 
     def deformation_hat(p: _StateHats) -> np.ndarray:
-        return _deformation_hat(grid, p.state.v.values, p.state.F.values, p["F"], mask)
+        return dynamics._deformation_hat(grid, p.state.v.values, p.state.F.values, p["F"], mask)
 
     def llg_hat(p: _StateHats, m: np.ndarray, m_hat: np.ndarray, jac_m: np.ndarray,
                 t: float) -> np.ndarray:
-        return _llg_hat(grid, p.state.v.values, m, jac_m, m_hat, *field(t), mask)
+        return dynamics._llg_hat(grid, p.state.v.values, m, jac_m, m_hat, *field(t), mask)
 
     start, n_steps = initial.t, _step_count(cfg.t_end, dt)
     # node 0's sources serve every iterate; with no field its v source is the
@@ -390,7 +385,7 @@ def picard_iterate(
                 else:
                     tendency, reads = partial(given, src), None
                 (x,), (x_hat,) = _imex2(grid, (hat,), (n1,), t0, dt, tendency, (reads,),
-                                        ((nu, kappa, 1.0)[j],), (_POSTS["A"][j],))
+                                        (dynamics._linear_split("A", nu, kappa)[j],))
                 if not np.all(np.isfinite(x)):
                     raise BlowUpError(
                         t1, f"iterate {i + 1} {_STAGES[j]} stage: {BlowUpError(t1)}")

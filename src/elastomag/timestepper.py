@@ -2,21 +2,19 @@
 
 The scheme is a two-stage second-order implicit-explicit rule (Ascher,
 Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995). Stage one is an IMEX Euler
-predictor: stiff linear diffusion (nu Delta v, Delta M, and kappa Delta F
-when kappa > 0) is solved implicitly by an exact per-mode solve,
-everything else is advanced explicitly. Stage two combines
-Crank-Nicolson for the diffusion with a trapezoidal (Heun) average of the
-explicit tendencies evaluated at the old state and at the predictor:
+predictor: each field's stiff linear part L (dynamics._linear_split) is
+solved implicitly by an exact per-mode solve, everything else is advanced
+explicitly. Stage two combines Crank-Nicolson for L with a trapezoidal
+(Heun) average of the explicit tendencies at the old state and the predictor:
 
     y*      = (I - dt L)^{-1} (y_k + dt N(y_k, t_k))
     y_{k+1} = (I - dt/2 L)^{-1} [ (I + dt/2 L) y_k
                                   + dt/2 (N(y_k, t_k) + N(y*, t_{k+1})) ]
 
-The velocity is Leray-projected after each stage. Steady states of the
-continuous system are exact fixed points of the scheme. Blow-up (NaN/Inf)
-is reported with its time stamp, never silently clipped; the time step is
-fixed (no adaptivity) so energy-monotonicity checks stay clean and runs
-are bit-reproducible.
+Steady states of the continuous system are exact fixed points of the
+scheme. Blow-up (NaN/Inf) is reported with its time stamp, never silently
+clipped; the time step is fixed (no adaptivity) so energy-monotonicity
+checks stay clean and runs are bit-reproducible.
 
 The rule is written once, in _imex2, on Fourier coefficients: it starts
 from the fields' hats and first-stage tendency hats n1, and the nonstiff
@@ -24,16 +22,15 @@ callable that makes n1 makes the hats at the predictor too. Each march
 declares per field what that callable reads there (a step's _READS: B's
 kernel takes psi only through its hat), and _imex2 makes only the declared
 predictor hats and transforms back only the declared values. The implicit
-solves (_implicit_stage, _cn_stage) and the per-field post-operations
-(_POSTS) are diagonal there, and each new field is transformed back once.
+solves (_implicit_stage, _cn_stage) and the split's post-operations are
+diagonal there, and each new field is transformed back once.
 It returns the final hats beside the values, and every march hands them on
 with the new state (fields._State.hats), so no march transforms a state it
 just made: a field is transformed only where nobody holds its hat, as for
-generated initial data and M after renormalize_m. A diffusivity of 0 makes
-a field purely explicit. _step, to which step_A and step_B hand their kernel
-(dynamics._tendency_hats_A/_B), and schemes._integrate_llg make one _imex2
-call per step; schemes.picard_iterate makes one per field and step, since
-no field of a Picard iterate reads another field of it.
+generated initial data and M after renormalize_m. _step, to which step_A
+and step_B hand their kernel (dynamics._tendency_hats_A/_B), and
+schemes._integrate_llg make one _imex2 call per step; schemes.picard_iterate
+makes one per field and step, since no field of an iterate reads another.
 
 What a step holds: the state (values and hats) and n1 live through the
 whole step, since the final stage reads both. _imex2 makes the predictor
@@ -71,7 +68,7 @@ from . import dynamics
 from .energetics import DiagnosticRecord, diagnostic_record
 from .errors import BlowUpError, CflError, NumericalError
 from .fields import PhysParams, StateA, StateB, check_params, renormalize_M
-from .spectral import TorusGrid, VectorField, leray_hat
+from .spectral import TorusGrid, VectorField
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -141,15 +138,7 @@ def _check_finite(state: StateA | StateB, t: float) -> None:
             raise BlowUpError(t)
 
 
-def _gauge_hat(grid: TorusGrid, hat: np.ndarray) -> np.ndarray:
-    """Zero-mean gauge for psi: clear the k = 0 mode of each component in place."""
-    hat[(Ellipsis,) + (0,) * grid.dim] = 0.0
-    return hat
-
-
-# Each formulation's post-operations on the (v, F|psi, M) hats after a stage,
-# and what its kernel reads of each predictor (_imex2's reads: B takes psi by its hat).
-_POSTS = {"A": (leray_hat, None, None), "B": (leray_hat, _gauge_hat, None)}
+# What each formulation's kernel reads of each predictor (_imex2's reads: B takes psi by its hat).
 _READS = {"A": (True, True, True), "B": (True, False, True)}
 
 
@@ -192,8 +181,7 @@ def _imex2(
     dt: float,
     nonstiff: Callable[[tuple, tuple, float], tuple[np.ndarray, ...]],
     reads: tuple[bool | None, ...],
-    diffusivities: tuple[float, ...],
-    posts: tuple[Callable[[TorusGrid, np.ndarray], np.ndarray] | None, ...],
+    split: dynamics.Split,
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """One IMEX2 step of a set of fields from their hats at t0; returns the new
     values and the hats they were transformed back from.
@@ -202,12 +190,11 @@ def _imex2(
     nonstiff(values, hats, t0 + dt) gives them at the predictor. reads[i]
     declares what it takes of field i there: True its predictor values and
     hat, False the hat only, None neither (both None), as for a field whose
-    tendency is a given source. Field i diffuses with diffusivities[i] (0:
-    none), and posts[i] (None: identity) is applied to its hat after each
-    stage. The predictor hats are dropped when nonstiff returns, and the
-    final stage is made one field at a time (stage, post, inverse
-    transform), each field's second-stage hats dropped once its new hat
-    exists; hats and n1 stay the caller's.
+    tendency is a given source. split[i] is field i's entry of
+    dynamics._linear_split. The predictor hats are dropped when nonstiff
+    returns, and the final stage is made one field at a time (stage, post,
+    inverse transform), each field's second-stage hats dropped once its new
+    hat exists; hats and n1 stay the caller's.
     """
 
     def post(hat: np.ndarray, op) -> np.ndarray:
@@ -215,7 +202,7 @@ def _imex2(
 
     stars = tuple(
         None if r is None else post(_implicit_stage(grid, h, a, c, dt), op)
-        for h, a, r, c, op in zip(hats, n1, reads, diffusivities, posts)
+        for h, a, r, (c, op) in zip(hats, n1, reads, split)
     )
     # the predictor values die with the call, and its hats right after it, before
     # the final stage's arrays are made
@@ -223,7 +210,7 @@ def _imex2(
                        stars, t0 + dt))
     del stars
     values, new_hats = [], []
-    for i, (h, a, c, op) in enumerate(zip(hats, n1, diffusivities, posts)):
+    for i, (h, a, (c, op)) in enumerate(zip(hats, n1, split)):
         new_hats.append(post(_cn_stage(grid, h, a, n2[i], c, dt), op))
         n2[i] = None  # field i's second stage is spent once its new hat exists
         values.append(grid.ifft(new_hats[-1]))
@@ -251,7 +238,7 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
         hats, n1 = rhs.state_hats, rhs.stage1_hats
     values, new_hats = _imex2(
         grid, hats, n1, state.t, cfg.dt, nonstiff, _READS[state.formulation],
-        (params.nu, params.kappa, 1.0), _POSTS[state.formulation]
+        dynamics._linear_split(state.formulation, params.nu, params.kappa)
     )
     if cfg.renormalize_m:
         m_new = renormalize_M(VectorField(grid, values[2])).values
@@ -264,15 +251,15 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
 
 def step_A(state: StateA, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True,
            _rhs: dynamics.Rhs | None = None) -> StateA:
-    """Advance a primitive-formulation state by one dt; v, F and M diffuse with
-    nu, kappa and 1. _rhs is rhs_A of this state, reused as the first stage."""
+    """Advance a primitive-formulation state by one dt, its stiff parts taken
+    from dynamics._linear_split. _rhs is rhs_A of this state, reused as the
+    first stage."""
     return _step(state, params, cfg, dealias, _rhs, dynamics._tendency_hats_A)
 
 
 def step_B(state: StateB, params: PhysParams, cfg: IntegratorConfig, dealias: bool = True,
            _rhs: dynamics.Rhs | None = None) -> StateB:
-    """Advance a reformulated-system state by one dt; v, psi and M diffuse with
-    nu, kappa = 0 (the -Delta psi coupling is explicit) and 1. _rhs as in step_A."""
+    """Advance a reformulated-system state by one dt; stiff parts and _rhs as in step_A."""
     return _step(state, params, cfg, dealias, _rhs, dynamics._tendency_hats_B)
 
 

@@ -190,3 +190,24 @@ def deriv_values(grid: TorusGrid, values: np.ndarray, m: tuple[int, ...]) -> np.
 def inverse_laplacian_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Zero-mean inverse Laplacian; the zero mode of the result is 0."""
     return grid.ifft(grid.fft(values) * (-grid.inv_k_sq))
+
+
+def imex2_step_matrix(stiff: np.ndarray, explicit: np.ndarray, dt: float) -> np.ndarray:
+    """IMEX2's one-step map y_k -> y_{k+1} of the linear system y' = L y + N y,
+    with L = diag(stiff) implicit and N = explicit, in closed form:
+    y* = (I - dt L)^{-1} (I + dt N) y_k and
+    y_{k+1} = (I - dt/2 L)^{-1} [(I + dt/2 L) y_k + dt/2 N (y_k + y*)]."""
+    eye = np.eye(len(stiff))
+    predictor = np.diag(1.0 / (1.0 - dt * stiff)) @ (eye + dt * explicit)
+    return np.diag(1.0 / (1.0 - 0.5 * dt * stiff)) @ (
+        np.diag(1.0 + 0.5 * dt * stiff) + 0.5 * dt * explicit @ (eye + predictor)
+    )
+
+
+def transverse_step_B(nu: float, k_sq: float, dt: float) -> np.ndarray:
+    """IMEX2's one-step matrix of formulation B's transverse (v-hat, psi-hat)
+    pair at a mode of squared wavenumber k_sq, linearized about rest (v = 0,
+    psi = 0, M = e3): v' = -nu |k|^2 v + |k|^2 psi and psi' = -v, with the
+    stiff part diag(-nu |k|^2, 0) and the explicit part [[0, |k|^2], [-1, 0]]."""
+    return imex2_step_matrix(np.array([-nu * k_sq, 0.0]),
+                             np.array([[0.0, k_sq], [-1.0, 0.0]]), dt)

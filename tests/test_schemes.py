@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elastomag import schemes
+from elastomag import dynamics, schemes
 from elastomag.energetics import sobolev_norm_sq
 from elastomag.errors import BlowUpError
 from elastomag.fields import (
@@ -170,14 +170,14 @@ class TestSolveLlgGivenV:
         """A tendency that turns NaN in step 2's first stage (the third of two
         calls per step) spoils node 2: the march raises BlowUpError stamped
         t0 + 2 dt there and makes no further call."""
-        calls, original = [], schemes._llg_hat
+        calls, original = [], dynamics._llg_hat
 
         def llg_hat(*args):
             calls.append(1)
             out = original(*args)
             return np.full_like(out, np.nan) if len(calls) == 3 else out
 
-        monkeypatch.setattr(schemes, "_llg_hat", llg_hat)
+        monkeypatch.setattr(dynamics, "_llg_hat", llg_hat)
         t0, dt = 0.5, 1e-3
         cfg = IntegratorConfig(dt=dt, t_end=5 * dt)
         with pytest.raises(BlowUpError) as info:
@@ -401,7 +401,7 @@ class TestPicardIteration:
         def h_values(h_ext, grid, t):
             return np.full((3,) + grid.shape, np.nan) if t == 2 * dt else None
 
-        monkeypatch.setattr(schemes, "_h_values", h_values)
+        monkeypatch.setattr(dynamics, "_h_values", h_values)
         init = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
         h_ext = HExt(kind="single_mode", amplitude=0.5, wavevector=(1, 0), component=0,
                      omega=20.0)

@@ -19,6 +19,7 @@ from elastomag.fields import (
     state_B_to_A,
 )
 from elastomag.harness import generate_initial_data
+from elastomag.schemes import picard_iterate, solve_llg_given_v
 from elastomag.spectral import MatrixField, TorusGrid, VectorField
 from elastomag.timestepper import (
     IntegratorConfig,
@@ -30,6 +31,7 @@ from elastomag.timestepper import (
 )
 
 from conftest import TransformCounter, traced_peak, value_bytes, vector
+from oracles import transverse_step_B
 
 
 def const_m(grid: TorusGrid, direction: tuple[float, float, float]) -> VectorField:
@@ -151,7 +153,7 @@ class TestDiffusionSolves:
                             lambda *args: implicit_calls.append(args) or _implicit_stage(*args))
         counter = TransformCounter(monkeypatch, grid2)
         out, out_hats = timestepper._imex2(grid2, hats, n1, 0.0, dt, nonstiff, (None, False, True),
-                                           cs, (None, None, None))
+                                           tuple((c, None) for c in cs))
         counts, calls = dict(counter.counts), dict(counter.calls)
         assert counts == {"fwd": 0, "inv": 3 + 9}
         assert calls == {"fwd": 0, "inv": 1 + 3}
@@ -172,6 +174,58 @@ class TestDiffusionSolves:
         out = grid2.ifft(_cn_stage(grid2, grid2.fft(values), 0.0, 0.0, c, dt))
         factor = (1.0 - 0.5 * c * dt) / (1.0 + 0.5 * c * dt)
         assert np.max(np.abs(out - factor * values)) <= 1e-13
+
+
+class TestLinearSplit:
+    def test_every_reader_takes_the_one_split(self, grid2: TorusGrid, monkeypatch) -> None:
+        """M's diffusivity patched from 1 to 1.5 in dynamics._linear_split moves
+        the magnetization that each reader returns: both steps, both
+        evaluations, the Picard sweep and the mollified march. So none of them
+        holds a diffusivity of its own."""
+        cfg = IntegratorConfig(dt=1e-3, t_end=2e-3)
+        init_a = generate_initial_data(grid2, "flow_map_F", "A", amplitude=1e-2, seed=5)
+        init_b = generate_initial_data(grid2, "random_small", "B", amplitude=1e-2, seed=5)
+        readers = {
+            "step_A": lambda: step_A(init_a, PARAMS, cfg).M.values,
+            "step_B": lambda: step_B(init_b, PARAMS, cfg).M.values,
+            "rhs_A": lambda: dynamics.rhs_A(init_a, PARAMS.nu).tendency_hats[2],
+            "rhs_B": lambda: dynamics.rhs_B(init_b, PARAMS.nu).tendency_hats[2],
+            "picard_iterate": lambda: picard_iterate(init_a, PARAMS, 2, cfg, 2)
+            .states_at_T[-1].M.values,
+            "solve_llg_given_v": lambda: solve_llg_given_v(init_a.M, None, None, 2, cfg)
+            .M_final.values,
+        }
+        before = {name: read() for name, read in readers.items()}
+        split = dynamics._linear_split
+        monkeypatch.setattr(dynamics, "_linear_split",
+                            lambda *args: split(*args)[:2] + ((1.5, None),))
+        for name, read in readers.items():
+            assert not np.array_equal(read(), before[name]), name
+
+
+class TestLinearModeOracle:
+    @pytest.mark.parametrize("k", [(1, 0), (3, 0), (2, 1), (7, 0), (5, 5)])
+    def test_transverse_B_mode_follows_the_imex2_matrix(self, k: tuple[int, int]) -> None:
+        """One transverse mode of B about rest (v and psi along k-perp, M = e3),
+        on which every nonlinear term of the kernel vanishes: 50 steps of
+        step_B (2D n = 32, nu = 1, dt = 1e-3) match the closed-form IMEX2
+        matrix of the (v-hat, psi-hat) pair to 1e-13 relative. That matrix is
+        8e-9 (k = (1, 0)) to 3e-5 (|k|^2 = 49, 50) relative away from the exact
+        exponential at t = 0.05, so the gate sees the discrete scheme."""
+        grid = TorusGrid(dim=2, n=32)
+        dt, steps = 1e-3, 50
+        k_sq = float(k[0] ** 2 + k[1] ** 2)
+        perp = np.array([-k[1], k[0]]) / np.sqrt(k_sq)
+        shape = perp[:, None, None] * np.sin(k[0] * grid.x[0] + k[1] * grid.x[1])
+        state = StateB(t=0.0, v=VectorField(grid, 1e-3 * shape),
+                       psi=VectorField(grid, 2e-3 * shape), M=const_m(grid, (0.0, 0.0, 1.0)))
+        cfg = IntegratorConfig(dt=dt, t_end=steps * dt)
+        for _ in range(steps):
+            state = step_B(state, PARAMS, cfg)
+        amplitudes = np.linalg.matrix_power(transverse_step_B(1.0, k_sq, dt), steps) @ [1e-3, 2e-3]
+        for field, a in zip((state.v, state.psi), amplitudes):
+            expected = a * shape
+            assert np.max(np.abs(field.values - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestSteadyStates:

@@ -78,6 +78,24 @@ def test_compare_reports_each_files_largest_relative_change(tmp_path: Path, caps
     assert lines == {}
 
 
+def test_compare_reads_the_shared_entries_of_files_whose_entries_differ(
+        tmp_path: Path, capsys) -> None:
+    """A CSV that loses a column and changes another by a factor 1 + 1e-6:
+    the compare line reports the shared column's 1e-6 and names the
+    dropped one."""
+    for side, columns, row in (("old", "t,e_basic,variant", "0,2.0,x"),
+                               ("new", "t,e_basic", f"0,{2.0 * (1.0 + 1e-6)!r}")):
+        root = tmp_path / side / "run"
+        root.mkdir(parents=True)
+        (root / "diagnostics.csv").write_text(f"{columns}\n{row}\n")
+    TOOL.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")])
+    (line,) = capsys.readouterr().out.splitlines()
+    match = re.fullmatch(r"run/diagnostics\.csv max_rel (\S+) \(e_basic\); "
+                         r"entries differ: \['variant'\]", line)
+    assert match is not None, line
+    assert float(match[1]) == pytest.approx(1e-6, rel=1e-3)
+
+
 def test_line_trace_lists_the_statements_a_run_leaves_out() -> None:
     """tests/test_package.py only imports the package: the trace lists the
     mollified march's blow-up raise but no statement that import runs, each

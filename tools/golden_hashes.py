@@ -16,6 +16,8 @@ relative change of its entries: CSV columns, snapshot fields (and t) and
 numeric JSON leaves. An entry's change is max|new - old| / max|old|; entries
 whose scale max|old| is below SMALL are reported apart, by their absolute
 change, since rounding-sized residuals have no meaningful relative change.
+Entries kept in only one of the two files are named after the changes of
+the entries they share.
 
     python3 tools/golden_hashes.py [--keep DIR]
     python3 tools/golden_hashes.py --compare OLD NEW
@@ -158,10 +160,8 @@ def compare_file(old_path: Path, new_path: Path) -> str:
     if old_path.read_bytes() == new_path.read_bytes():
         return "identical"
     old, new = _entries(old_path), _entries(new_path)
-    if set(old) != set(new):
-        return f"entries differ: {sorted(set(old) ^ set(new))}"
     rel, rel_key, small, small_key, broken = 0.0, "", 0.0, "", []
-    for key in old:
+    for key in (k for k in old if k in new):
         change = _change(old[key], new[key])
         if change is None:
             broken.append(key)
@@ -175,6 +175,8 @@ def compare_file(old_path: Path, new_path: Path) -> str:
         line += f"; below {SMALL:g} scale: max_abs {small:.2g} ({small_key})"
     if broken:
         line += f"; changed text, shape or NaN: {', '.join(broken)}"
+    if set(old) != set(new):
+        line += f"; entries differ: {sorted(set(old) ^ set(new))}"
     return line
 
 
