@@ -94,13 +94,13 @@ def _project_div_free(
     return a, b
 
 
-def _eval_trig(
+def _trig_hat(
     grid: TorusGrid, modes: list[tuple[int, ...]], a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """sum_m a[:, m] cos(k_m.x) + b[:, m] sin(k_m.x) on the grid by one inverse FFT:
-    mode k carries (n^d / 2)(a - i b) and -k its conjugate, folded mod n. Entries
-    off the half spectrum are dropped and the rest accumulate (folded modes and
-    the self-conjugate planes k_d = 0, n/2 take two)."""
+    """The hat whose inverse FFT is sum_m a[:, m] cos(k_m.x) + b[:, m] sin(k_m.x)
+    on the grid: mode k carries (n^d / 2)(a - i b) and -k its conjugate, folded
+    mod n. Entries off the half spectrum are dropped and the rest accumulate
+    (folded modes and the self-conjugate planes k_d = 0, n/2 take two)."""
     n = grid.n
     k = np.array(modes, dtype=np.int64).reshape(-1, grid.dim).T
     index = np.concatenate([k % n, -k % n], axis=1)
@@ -109,7 +109,14 @@ def _eval_trig(
     keep = index[-1] <= n // 2
     hat = np.zeros((a.shape[0],) + grid.hat_shape, dtype=np.complex128)
     np.add.at(hat, (slice(None),) + tuple(index[:, keep]), coeff[:, keep])
-    return grid.ifft(hat)
+    return hat
+
+
+def random_trig_hat(rng: np.random.Generator, grid: TorusGrid, ncomp: int, band: int
+                    ) -> np.ndarray:
+    """The hat of random_trig_field's polynomial, shape (ncomp,) + grid.hat_shape."""
+    modes = _half_lattice_modes(grid.dim, band)
+    return _trig_hat(grid, modes, *_draw_coeffs(rng, ncomp, modes))
 
 
 def random_trig_field(
@@ -119,14 +126,12 @@ def random_trig_field(
     band: int,
 ) -> np.ndarray:
     """Unscaled random trig polynomial, shape (ncomp,) + grid.shape, synthesized
-    by one inverse FFT.
+    by one inverse FFT of random_trig_hat.
 
     Zero mean by construction; the same rng state samples the same
     continuum field at any resolution that resolves the band.
     """
-    modes = _half_lattice_modes(grid.dim, band)
-    a, b = _draw_coeffs(rng, ncomp, modes)
-    return _eval_trig(grid, modes, a, b)
+    return grid.ifft(random_trig_hat(rng, grid, ncomp, band))
 
 
 def _scaled_trig(rng: np.random.Generator, grid: TorusGrid, ncomp: int, amplitude: float,
@@ -145,7 +150,7 @@ def _scaled_trig(rng: np.random.Generator, grid: TorusGrid, ncomp: int, amplitud
     else:
         bound = float(np.max(np.sum(amp, axis=1)))
     scale = amplitude / bound if bound > 0 else 0.0
-    return _eval_trig(grid, modes, a * scale, b * scale)
+    return grid.ifft(_trig_hat(grid, modes, a * scale, b * scale))
 
 
 def _random_velocity(rng: np.random.Generator, grid: TorusGrid, amplitude: float) -> VectorField:

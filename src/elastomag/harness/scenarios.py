@@ -43,7 +43,7 @@ from ..spectral import (
 from ..stokes import _stokes_hats, solve_generalized_stokes
 from ..timestepper import RunResult, run
 from .config import SimulationConfig
-from .initial_data import random_trig_field
+from .initial_data import random_trig_hat
 from .snapshot import _write_atomic, write_snapshot
 
 DECAY_STEP_SLACK = 1e-8
@@ -382,10 +382,11 @@ def _stokes_trials(
     worst_g = 0.0
     c_hat = 0.0
     for _ in range(count):
-        f_vals = random_trig_field(rng, grid, grid.dim, STOKES_BAND)
-        g_vals = random_trig_field(rng, grid, 1, STOKES_BAND)[0]
-        # one transform each of f, g, w and q serves the solve, residuals and norms
-        f_hat, g_hat = grid.fft(f_vals), grid.fft(g_vals)
+        # the solve and norms read the hats f and g are synthesized from, and
+        # one inverse transform each of f and g serves the residuals
+        f_hat = random_trig_hat(rng, grid, grid.dim, STOKES_BAND)
+        g_hat = random_trig_hat(rng, grid, 1, STOKES_BAND)[0]
+        f_vals, g_vals = grid.ifft(f_hat), grid.ifft(g_hat)
         w_hat, q_hat = (grid.fft(grid.ifft(x)) for x in _stokes_hats(grid, f_hat, g_hat))
         mom_res = -grid.ifft(w_hat * (-grid.k_sq)) + jacobian_from_hat(grid, q_hat) - f_vals
         div_res = divergence_from_hat(grid, w_hat) - g_vals

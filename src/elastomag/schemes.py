@@ -31,10 +31,12 @@ meets. Each node is an energetics._StateHats view of its fields' values and
 hats, which makes each jacobian at most once, for every stage and norm that
 reads it, and lives until iterate n+1 has read it; between steps an iterate
 holds only its per-field hats and next first stages, and no trajectory is
-stored. Iterate 1 reads the constant iterate 0, so node 0's sources and M's
-first stage serve every iterate (with no external field the velocity source
-at every step), and a field's values and hat are made once per time and
-serve every iterate and term.
+stored. No iterate reads the last iterate's nodes, so before the horizon
+it keeps only the hats of v and F and makes no node; its norms and the
+finiteness check of v and F read those hats. Iterate 1 reads the constant
+iterate 0, so node 0's sources and M's first stage serve every iterate
+(with no external field the velocity source at every step), and a field's
+values and hat are made once per time and serve every iterate and term.
 In both families a non-finite value raises BlowUpError at its node's time;
 in the sweep, for the first (node, iterate, stage) in that order.
 """
@@ -161,7 +163,7 @@ def _integrate_llg(
         if k > 0:
             tk = t0 + (k - 1) * dt  # the step from node k-1 starts there, not at t - dt
             (m,), (m_hat,) = _imex2(grid, (m_hat,), nonstiff((m,), (m_hat,), tk), tk, dt,
-                                    nonstiff, (True,), stiff_m)
+                                    nonstiff, (True,), (True,), stiff_m)
             if not np.all(np.isfinite(m)):
                 raise BlowUpError(t)
         if k % cfg.diag_every == 0 or k == n_steps:
@@ -308,9 +310,10 @@ def picard_iterate(
     Between steps an iterate holds only its per-field hats and next first
     stages: the sources of v and F at iterate n-1's node and M's tendency at
     its new values. A node lives until iterate n+1 has read it, and the last
-    step keeps only the states. E_s and D_s per node come from the node's
-    hats. A non-finite value raises BlowUpError for the first (node,
-    iterate, stage) in this order.
+    step keeps only the states; before it, the last iterate keeps v and F as
+    hats only. E_s and D_s per node come from the node's hats. A non-finite
+    value (a hat where only the hat is kept) raises BlowUpError for the
+    first (node, iterate, stage) in this order.
     """
     grid = initial.grid
     node0 = _StateHats(initial)
@@ -376,6 +379,8 @@ def picard_iterate(
         t0, t1, last = start + k * dt, start + (k + 1) * dt, k == n_steps - 1
         p1 = node0  # iterate n-1's node k+1
         for i in range(n_max):
+            # no iterate reads the last one's nodes: before the horizon it keeps v and F as hats
+            bare = i == n_max - 1 and not last
             # per field: new values and hat, next first stage, v's max |div v| or M's jacobians
             cells = []
             for j, (hat, n1) in enumerate(zip(*held[i])):
@@ -385,8 +390,9 @@ def picard_iterate(
                 else:
                     tendency, reads = partial(given, src), None
                 (x,), (x_hat,) = _imex2(grid, (hat,), (n1,), t0, dt, tendency, (reads,),
+                                        (j == 2 or not bare,),
                                         (dynamics._linear_split("A", nu, kappa)[j],))
-                if not np.all(np.isfinite(x)):
+                if not np.all(np.isfinite(x_hat if x is None else x)):
                     raise BlowUpError(
                         t1, f"iterate {i + 1} {_STAGES[j]} stage: {BlowUpError(t1)}")
                 extra, n1 = None, src
@@ -398,16 +404,17 @@ def picard_iterate(
                         n1 = llg_hat(p1, x, x_hat, extra["M"], t1)
                 cells.append((x, x_hat, n1, extra))
             values, hats, n1s, extras = zip(*cells)
-            node = _StateHats(StateA.from_values(t1, grid, values, hats))
-            node.jacs = extras[2]
-            e_s, d_s = _local(_norms(grid, node), nu, s)
+            e_s, d_s = _local(_norms(grid, dict(zip(StateA.names, hats))), nu, s)
             e_sup[i] = max(e_sup[i], e_s)
             div_res[i] = max(div_res[i], extras[0])
             d_nodes[i].append(d_s)
             held[i] = None if last else (hats, n1s)
+            if bare:
+                continue
+            p1 = _StateHats(StateA.from_values(t1, grid, values, hats))
+            p1.jacs = extras[2]
             if last:
-                states[i + 1] = replace(node.state, t=start + cfg.t_end, hats=None)
-            p1 = node
+                states[i + 1] = replace(p1.state, t=start + cfg.t_end, hats=None)
 
     return PicardRun(
         s=s,

@@ -21,9 +21,11 @@ from the fields' hats and first-stage tendency hats n1, and the nonstiff
 callable that makes n1 makes the hats at the predictor too. Each march
 declares per field what that callable reads there (a step's _READS: B's
 kernel takes psi only through its hat), and _imex2 makes only the declared
-predictor hats and transforms back only the declared values. The implicit
-solves (_implicit_stage, _cn_stage) and the split's post-operations are
-diagonal there, and each new field is transformed back once.
+predictor hats and transforms back only the declared values; so too for
+the new fields (keeps: only the Picard sweep's last iterate keeps hats
+alone). The implicit solves (_implicit_stage, _cn_stage) and the split's
+post-operations are diagonal there, and each kept new field is transformed
+back once.
 It returns the final hats beside the values, and every march hands them on
 with the new state (fields._State.hats), so no march transforms a state it
 just made: a field is transformed only where nobody holds its hat, as for
@@ -37,11 +39,11 @@ whole step, since the final stage reads both. _imex2 makes the predictor
 hats and the declared predictor values, and hands them to the nonstiff
 callable; the values die with that call and the predictor hats right after
 it. The final stage then goes one field at a time: its Crank-Nicolson
-stage and post-operation, then its inverse transform, and that field's
-second-stage hats n2 are dropped once its new hat exists. The kernels make
-their temporaries one row or entry at a time (dynamics), so a 3D step peaks
-inside the predictor's kernel call, with the state, n1 and the predictor
-hats alive, not in the final stage.
+stage and post-operation, then its inverse transform if kept, and that
+field's second-stage hats n2 are dropped once its new hat exists. The
+kernels make their temporaries one row or entry at a time (dynamics), so a
+3D step peaks inside the predictor's kernel call, with the state, n1 and
+the predictor hats alive, not in the final stage.
 
 run picks the stepper and the evaluation (dynamics.rhs_A/rhs_B) in one
 formulation choice, and shares one evaluation between a diagnostic record
@@ -181,20 +183,23 @@ def _imex2(
     dt: float,
     nonstiff: Callable[[tuple, tuple, float], tuple[np.ndarray, ...]],
     reads: tuple[bool | None, ...],
+    keeps: tuple[bool, ...],
     split: dynamics.Split,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+) -> tuple[tuple[np.ndarray | None, ...], tuple[np.ndarray, ...]]:
     """One IMEX2 step of a set of fields from their hats at t0; returns the new
-    values and the hats they were transformed back from.
+    values the caller reads and the hats they were transformed back from.
 
     n1 holds the nonstiff tendency hats of every field at (hats, t0), and
     nonstiff(values, hats, t0 + dt) gives them at the predictor. reads[i]
     declares what it takes of field i there: True its predictor values and
     hat, False the hat only, None neither (both None), as for a field whose
-    tendency is a given source. split[i] is field i's entry of
-    dynamics._linear_split. The predictor hats are dropped when nonstiff
-    returns, and the final stage is made one field at a time (stage, post,
-    inverse transform), each field's second-stage hats dropped once its new
-    hat exists; hats and n1 stay the caller's.
+    tendency is a given source. keeps[i] declares what the caller reads of
+    new field i: True its values and hat, False the hat only (its value is
+    None). split[i] is field i's entry of dynamics._linear_split. The
+    predictor hats are dropped when nonstiff returns, and the final stage is
+    made one field at a time (stage, post, inverse transform if kept), each
+    field's second-stage hats dropped once its new hat exists; hats and n1
+    stay the caller's.
     """
 
     def post(hat: np.ndarray, op) -> np.ndarray:
@@ -210,10 +215,10 @@ def _imex2(
                        stars, t0 + dt))
     del stars
     values, new_hats = [], []
-    for i, (h, a, (c, op)) in enumerate(zip(hats, n1, split)):
+    for i, (h, a, k, (c, op)) in enumerate(zip(hats, n1, keeps, split)):
         new_hats.append(post(_cn_stage(grid, h, a, n2[i], c, dt), op))
         n2[i] = None  # field i's second stage is spent once its new hat exists
-        values.append(grid.ifft(new_hats[-1]))
+        values.append(grid.ifft(new_hats[-1]) if k else None)
     return tuple(values), tuple(new_hats)
 
 
@@ -237,7 +242,7 @@ def _step(state: StateA | StateB, params: PhysParams, cfg: IntegratorConfig, dea
     else:
         hats, n1 = rhs.state_hats, rhs.stage1_hats
     values, new_hats = _imex2(
-        grid, hats, n1, state.t, cfg.dt, nonstiff, _READS[state.formulation],
+        grid, hats, n1, state.t, cfg.dt, nonstiff, _READS[state.formulation], (True,) * 3,
         dynamics._linear_split(state.formulation, params.nu, params.kappa)
     )
     if cfg.renormalize_m:

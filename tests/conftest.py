@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,6 +39,26 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextmanager
+def full_free_lists():
+    """Run the block with CPython's tuple free lists full and the cyclic
+    collector off. A freed tuple of length below 20 goes to its length's free
+    list (up to 2000 tuples) instead of back to the allocator, so while those
+    lists fill, memory allocated under tracemalloc stays traced: tens of KB
+    of small tuples in a Picard run at 2D n = 16, more in a longer run. How full
+    they are depends on what the process ran before, and a full collection
+    empties them, so a traced peak otherwise swings with the test order."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        held = [tuple(range(length)) for length in range(1, 20) for _ in range(2000)]
+        del held
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def value_bytes(state) -> int:

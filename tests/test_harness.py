@@ -302,6 +302,16 @@ class TestTrigSynthesis:
         random_trig_field(np.random.default_rng(0), grid, 3, 3)
         assert counter.calls == {"fwd": 0, "inv": 1}
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_the_field_is_the_inverse_transform_of_its_hat(self, dim: int) -> None:
+        """random_trig_hat draws what random_trig_field does, and the field is
+        its hat's inverse transform, bit for bit."""
+        grid = TorusGrid(dim=dim, n=16)
+        hat = initial_data.random_trig_hat(np.random.default_rng(4), grid, 3, 3)
+        field = random_trig_field(np.random.default_rng(4), grid, 3, 3)
+        assert hat.shape == (3,) + grid.hat_shape
+        assert np.array_equal(field, grid.ifft(hat))
+
 
 SNAPSHOT_GRIDS = [TorusGrid(dim=2, n=16), TorusGrid(dim=3, n=8)]
 
@@ -771,6 +781,17 @@ SCENARIO_CASES = {
 
 class TestScenarios:
     """Each scenario through the CLI: exit code, verdict checks and the files written."""
+
+    def test_a_stokes_trial_transforms(self, monkeypatch) -> None:
+        """One _stokes_trials trial at 2D n = 16 makes 3/11 scalar transforms
+        (forward/inverse). It solves on the hats f and g are synthesized from,
+        so they are only transformed back (3 inverse); w and q are transformed
+        back and forth once (3/3); the residuals take 5 inverse more. Taking f
+        and g's hats by fft(ifft(hat)) made 6/11."""
+        grid = TorusGrid(dim=2, n=16)
+        counter = TransformCounter(monkeypatch, grid)
+        assert scenarios._stokes_trials(grid, 0, 1)[0] == 1
+        assert counter.counts == {"fwd": 3, "inv": 11}
 
     def test_picard_study_refuses_data_before_any_run(self, tmp_path: Path,
                                                        monkeypatch) -> None:

@@ -153,7 +153,7 @@ class TestDiffusionSolves:
                             lambda *args: implicit_calls.append(args) or _implicit_stage(*args))
         counter = TransformCounter(monkeypatch, grid2)
         out, out_hats = timestepper._imex2(grid2, hats, n1, 0.0, dt, nonstiff, (None, False, True),
-                                           tuple((c, None) for c in cs))
+                                           (True,) * 3, tuple((c, None) for c in cs))
         counts, calls = dict(counter.counts), dict(counter.calls)
         assert counts == {"fwd": 0, "inv": 3 + 9}
         assert calls == {"fwd": 0, "inv": 1 + 3}
@@ -167,6 +167,34 @@ class TestDiffusionSolves:
         for x, x_hat, h, a, b, c in zip(out, out_hats, hats, n1, n2, cs):
             assert np.array_equal(x_hat, _cn_stage(grid2, h, a, b, c, dt))
             assert np.array_equal(x, grid2.ifft(x_hat))
+
+    def test_imex2_transforms_back_only_the_values_a_caller_keeps(self, grid2: TorusGrid,
+                                                                  monkeypatch) -> None:
+        """keeps (True, False, False): the same new hats, bit for bit, as a call
+        that keeps every field, the same values of field 0, None for fields 1
+        and 2, and no inverse transform of their 4 + 3 components."""
+        rng = np.random.default_rng(3)
+        fields = [rng.standard_normal((ncomp,) + grid2.shape) for ncomp in (2, 4, 3)]
+        hats = tuple(grid2.fft(x) for x in fields)
+        n1 = tuple(0.1 * h for h in hats)
+        split = dynamics._linear_split("A", 1.0, 0.5)
+
+        def nonstiff(values, stars, t):
+            return tuple(0.2 * h + 0.1 * grid2.fft(x) for h, x in zip(stars, values))
+
+        counter = TransformCounter(monkeypatch, grid2)
+        runs = []
+        for keeps in ((True,) * 3, (True, False, False)):
+            before = dict(counter.counts)
+            values, new_hats = timestepper._imex2(grid2, hats, n1, 0.0, 0.1, nonstiff,
+                                                  (True,) * 3, keeps, split)
+            runs.append((values, new_hats, {k: counter.counts[k] - before[k] for k in before}))
+        (full, full_hats, full_counts), (out, out_hats, counts) = runs
+        assert full_counts == {"fwd": 9, "inv": 9 + 9}
+        assert counts == {"fwd": 9, "inv": 9 + 2}
+        assert out[1:] == (None, None)
+        assert np.array_equal(out[0], full[0])
+        assert all(np.array_equal(a, b) for a, b in zip(out_hats, full_hats, strict=True))
 
     def test_crank_nicolson_single_mode(self, grid2: TorusGrid) -> None:
         c, dt = 1.0, 0.2

@@ -1,7 +1,7 @@
 """The golden-hash tool still names configs and scenarios the package accepts,
 and its compare mode reads every kind of output file; the line-trace tool
 lists what a test run leaves out; the trajectory tool reads both BENCH pair
-layouts."""
+layouts; the Picard digest reads a sweep's bits."""
 
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ def load_tool(path: Path = GOLDEN):
 
 TOOL = load_tool()
 TRAJECTORY = load_tool(ROOT / "tools" / "bench_trajectory.py")
+PICARD_DIGEST = load_tool(ROOT / "tools" / "picard_digest.py")
 RUNS = TOOL.RUNS
 
 
@@ -180,3 +181,17 @@ def test_bench_trajectory_reads_both_pair_layouts(tmp_path: Path, capsys) -> Non
         "BENCH_b.json",
         "  run3d_sparse  wall_s  5 -> 4  (-20.0%, 2/2 runs)",
     ]
+
+
+def test_picard_digest_reads_the_sweeps_bits() -> None:
+    """One tiny configuration (2D n = 8 with a field, 2 iterates of 1 step):
+    its digest is a sha256, the same on a second run, and moves with kappa.
+    The tool runs 16 larger ones the same way."""
+    def digest(kappa: float) -> bytes:
+        return PICARD_DIGEST.config_digest(2, 8, kappa, True, True, n_max=2, steps=1)
+
+    one = digest(0.0)
+    assert len(one) == 32
+    assert digest(0.0) == one
+    assert digest(0.1) != one
+    assert len(PICARD_DIGEST.CONFIGS) == 16
